@@ -3,7 +3,8 @@
 // Part 1 — probe predicate: locating secondary-index entries by key (merge
 // with the sorted (key,RID) feed) vs by RID (hash probe over the whole leaf
 // level) vs by RID within key ranges (partitioned). Exercises the exec
-// operators directly on one secondary index.
+// primitives the vertical executor composes, directly on one secondary
+// index.
 //
 // Part 2 — statement predicate class: a BETWEEN over 10% of the key space,
 // executed as a first-class range plan (leaf-run + extent-drop passes) vs
@@ -26,8 +27,8 @@
 
 #include "bench/bench_common.h"
 #include "exec/hash_delete.h"
-#include "exec/merge_delete.h"
 #include "exec/partitioned_delete.h"
+#include "sort/external_sort.h"
 
 namespace bulkdel {
 namespace bench {
@@ -83,9 +84,11 @@ int Run(int argc, char** argv) {
     Status s;
     switch (v.kind) {
       case 0:
-        s = MergeDeleteIndexByEntries(index->tree.get(), &db->disk(), memory,
-                                      &feed, /*already_sorted=*/false,
-                                      ReorgMode::kFreeAtEmpty, &stats);
+        s = SortKeyRids(&db->disk(), memory, &feed);
+        if (s.ok()) {
+          s = index->tree->BulkDeleteSortedEntries(
+              feed, ReorgMode::kFreeAtEmpty, &stats);
+        }
         break;
       case 1: {
         std::vector<Rid> rids;

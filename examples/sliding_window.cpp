@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/database.h"
-#include "exec/delete_list.h"
 #include "util/random.h"
 
 using namespace bulkdel;

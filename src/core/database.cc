@@ -34,11 +34,11 @@ Status Database::WireStorage(bool truncate) {
                              std::strerror(errno));
     }
     disk_ = std::make_unique<DiskManager>(options_.path + "/pages.db",
-                                          truncate, options_.disk_model);
+                                          truncate, DiskModel());
     log_ = std::make_unique<LogManager>(options_.path + "/wal.log", truncate);
     BULKDEL_RETURN_IF_ERROR(log_->open_status());
   } else {
-    disk_ = std::make_unique<DiskManager>(options_.disk_model);
+    disk_ = std::make_unique<DiskManager>(DiskModel());
     log_ = std::make_unique<LogManager>();
   }
   log_->SetGroupCommit(options_.wal_group_commit);
@@ -579,7 +579,7 @@ Result<BulkDeletePlan> Database::ExplainBulkDelete(const BulkDeleteSpec& spec,
   input.is_range = spec.is_range();
   input.range_lo = spec.range_lo;
   input.range_hi = spec.range_hi;
-  CostModel cost(options_.disk_model, options_.memory_budget_bytes);
+  CostModel cost(disk().disk_model(), options_.memory_budget_bytes);
   Planner planner(cost);
   return planner.PlanFor(strategy, input);
 }

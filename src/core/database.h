@@ -42,7 +42,6 @@ struct DatabaseOptions {
   /// The experiment's "available main memory": sizes the buffer pool and
   /// bounds sorting / hash tables (the paper varies this 2–10 MB).
   size_t memory_budget_bytes = 5ull << 20;
-  DiskModel disk_model;
   ReorgMode reorg = ReorgMode::kFreeAtEmpty;
   ConcurrencyProtocol concurrency = ConcurrencyProtocol::kNone;
   /// Write the bulk-delete WAL + checkpoints so interrupted statements can be

@@ -146,13 +146,12 @@ Result<BulkDeleteSpec> ParseBulkDelete(Database* db,
       {
         // Extraction scans the referenced table: shared-lock it and hold its
         // heap latch so concurrent sessions' DML cannot move tuples mid-scan.
+        // The session key bound stops the scan as soon as it is exceeded.
         LockManager::SharedGuard lock(&db->locks(), d_table->name);
         std::lock_guard<std::mutex> heap(d_table->heap_latch);
         BULKDEL_ASSIGN_OR_RETURN(
-            spec.keys, ExtractKeysFromTable(d_table->table.get(), col));
-      }
-      if (max_keys != 0 && spec.keys.size() > max_keys) {
-        return DeleteListTooLarge(max_keys);
+            spec.keys,
+            ExtractKeysFromTable(d_table->table.get(), col, max_keys));
       }
     } else {
       // IN (literal, literal, ...)

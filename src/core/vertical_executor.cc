@@ -1332,7 +1332,7 @@ Result<BulkDeleteReport> ResumeVertical(Database* db,
   input.is_range = state.is_range;
   input.range_lo = state.range_lo;
   input.range_hi = state.range_hi;
-  CostModel cost(db->options().disk_model, db->options().memory_budget_bytes);
+  CostModel cost(db->disk().disk_model(), db->options().memory_budget_bytes);
   Planner planner(cost);
   BULKDEL_ASSIGN_OR_RETURN(
       BulkDeletePlan plan,

@@ -12,21 +12,13 @@ namespace bulkdel {
 /// Extraction of the delete list — the paper's table D holding the key values
 /// of every record to delete (produced by the first step of archiving).
 
-/// Projects column `column` of every tuple in `d_table`.
+/// Projects column `column` of every tuple in `d_table`. `max_keys`
+/// (0 = unbounded) bounds the result *during* the scan: the scan stops with
+/// ResourceExhausted as soon as the bound would be exceeded, instead of
+/// materializing the whole vector first.
 Result<std::vector<int64_t>> ExtractKeysFromTable(HeapTable* d_table,
-                                                  int column);
-
-/// Projects `key_column` of every tuple in `table` whose `filter_column`
-/// value lies in [lo, hi] — the "find all orders processed more than three
-/// months ago" sub-query of the archiving scenario, run as a table scan.
-/// `max_keys` (0 = unbounded) bounds the result *during* the scan: the scan
-/// stops with ResourceExhausted as soon as the bound would be exceeded,
-/// instead of materializing the whole vector first.
-Result<std::vector<int64_t>> ExtractKeysByScanPredicate(HeapTable* table,
-                                                        int key_column,
-                                                        int filter_column,
-                                                        int64_t lo, int64_t hi,
-                                                        size_t max_keys = 0);
+                                                  int column,
+                                                  size_t max_keys = 0);
 
 }  // namespace bulkdel
 

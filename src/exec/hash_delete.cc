@@ -77,26 +77,4 @@ Status HashDeleteIndexByRids(BTree* index, const std::vector<Rid>& rids,
       reorg, stats);
 }
 
-Status HashDeleteTableByRids(
-    HeapTable* table, const std::vector<Rid>& rids,
-    const std::function<void(const Rid&, const char*)>& on_delete,
-    uint64_t* deleted_count) {
-  U64HashSet set(rids.size());
-  for (const Rid& rid : rids) set.Insert(rid.Pack());
-  return table->ScanDeleteIf(
-      [&](const Rid& rid, const char*) { return set.Contains(rid.Pack()); },
-      on_delete, deleted_count);
-}
-
-Status HashDeleteIndexByKeys(BTree* index, const std::vector<int64_t>& keys,
-                             ReorgMode reorg, BtreeBulkDeleteStats* stats) {
-  U64HashSet set(keys.size());
-  for (int64_t k : keys) set.Insert(static_cast<uint64_t>(k));
-  return index->BulkDeleteByPredicate(
-      [&](int64_t key, const Rid&) {
-        return set.Contains(static_cast<uint64_t>(key));
-      },
-      reorg, stats);
-}
-
 }  // namespace bulkdel

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "btree/btree.h"
-#include "table/heap_table.h"
 #include "util/result.h"
 
 namespace bulkdel {
@@ -45,20 +44,6 @@ class U64HashSet {
 /// Classic-hash ⋉̸ on an index: builds a hash set over `rids` and removes, in
 /// one sequential leaf-level pass, every entry whose RID probes positive.
 Status HashDeleteIndexByRids(BTree* index, const std::vector<Rid>& rids,
-                             ReorgMode reorg,
-                             BtreeBulkDeleteStats* stats = nullptr);
-
-/// Classic-hash ⋉̸ on the base table: scans every page, probing each record's
-/// RID; `on_delete` sees each doomed tuple (for downstream projections).
-Status HashDeleteTableByRids(
-    HeapTable* table, const std::vector<Rid>& rids,
-    const std::function<void(const Rid&, const char*)>& on_delete,
-    uint64_t* deleted_count);
-
-/// Hash ⋉̸ on an index probing by key instead of RID (for plans where the
-/// key list is available but unsorted; keys absent from the index are
-/// ignored). Removes every entry whose key is in `keys`.
-Status HashDeleteIndexByKeys(BTree* index, const std::vector<int64_t>& keys,
                              ReorgMode reorg,
                              BtreeBulkDeleteStats* stats = nullptr);
 

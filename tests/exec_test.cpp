@@ -1,5 +1,7 @@
-// Tests for the ⋉̸ operator implementations: merge, classic hash, and
-// range-partitioned hash, against a common reference setup.
+// Tests for the ⋉̸ building blocks the executors compose: sort + merge
+// passes (SortKeys/SortKeyRids/SortRids feeding the BTree/HeapTable bulk
+// passes), classic hash, and range-partitioned hash, against a common
+// reference setup.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +11,8 @@
 
 #include "exec/delete_list.h"
 #include "exec/hash_delete.h"
-#include "exec/merge_delete.h"
 #include "exec/partitioned_delete.h"
+#include "sort/external_sort.h"
 #include "util/random.h"
 
 namespace bulkdel {
@@ -80,7 +82,7 @@ TEST(U64HashSetTest, EstimateBytesMonotone) {
   EXPECT_LE(set.bytes(), U64HashSet::EstimateBytes(1000));
 }
 
-TEST_F(ExecTest, MergeDeleteIndexByKeysSortsInput) {
+TEST_F(ExecTest, SortedKeysMergeDeleteFromIndex) {
   auto tree = MakeIndex(5000);
   std::vector<int64_t> keys;
   Random rng(7);
@@ -89,15 +91,16 @@ TEST_F(ExecTest, MergeDeleteIndexByKeysSortsInput) {
     chosen.insert(static_cast<int64_t>(rng.Uniform(5000)) * 2);
   }
   keys.assign(chosen.begin(), chosen.end());
-  // Shuffle to prove the operator sorts.
+  // Shuffle to prove the sort restores leaf order.
   for (size_t i = keys.size(); i > 1; --i) {
     std::swap(keys[i - 1], keys[rng.Uniform(i)]);
   }
   std::vector<Rid> deleted;
   BtreeBulkDeleteStats stats;
-  ASSERT_TRUE(MergeDeleteIndexByKeys(&tree, &disk_, 1 << 20, &keys,
-                                     /*already_sorted=*/false,
-                                     ReorgMode::kFreeAtEmpty, &deleted, &stats)
+  ASSERT_TRUE(SortKeys(&disk_, 1 << 20, &keys).ok());
+  ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  ASSERT_TRUE(tree.BulkDeleteSortedKeys(keys, ReorgMode::kFreeAtEmpty,
+                                        &deleted, &stats)
                   .ok());
   EXPECT_EQ(stats.entries_deleted, 500u);
   EXPECT_EQ(deleted.size(), 500u);
@@ -118,20 +121,22 @@ TEST_F(ExecTest, HashDeleteIndexByRidsMatchesMergeResult) {
   ASSERT_TRUE(HashDeleteIndexByRids(&tree_a, rids, ReorgMode::kFreeAtEmpty,
                                     &hash_stats)
                   .ok());
-  // Equivalent merge by exact entries.
+  // Equivalent merge by exact entries, fed in reverse so the sort matters.
   std::vector<KeyRid> entries;
   for (int i = 0; i < 4000; i += 3) {
     entries.emplace_back(i * 2, Rid(static_cast<PageId>(i + 1),
                                     static_cast<uint16_t>(i % 16)));
   }
+  std::reverse(entries.begin(), entries.end());
   BtreeBulkDeleteStats merge_stats;
-  ASSERT_TRUE(MergeDeleteIndexByEntries(&tree_b, &disk_, 1 << 20, &entries,
-                                        false, ReorgMode::kFreeAtEmpty,
-                                        &merge_stats)
+  ASSERT_TRUE(SortKeyRids(&disk_, 1 << 20, &entries).ok());
+  ASSERT_TRUE(tree_b.BulkDeleteSortedEntries(entries, ReorgMode::kFreeAtEmpty,
+                                             &merge_stats)
                   .ok());
   EXPECT_EQ(hash_stats.entries_deleted, merge_stats.entries_deleted);
   EXPECT_EQ(tree_a.entry_count(), tree_b.entry_count());
   ASSERT_TRUE(tree_a.CheckInvariants().ok());
+  ASSERT_TRUE(tree_b.CheckInvariants().ok());
 }
 
 TEST_F(ExecTest, PartitionedHashSinglePartitionWhenFits) {
@@ -210,10 +215,12 @@ TEST_F(ExecTest, MergeDeleteEmptyKeyListIsNoop) {
   auto tree = MakeIndex(100);
   std::vector<int64_t> keys;
   BtreeBulkDeleteStats stats;
-  ASSERT_TRUE(MergeDeleteIndexByKeys(&tree, &disk_, 1 << 20, &keys, false,
-                                     ReorgMode::kFreeAtEmpty, nullptr, &stats)
+  ASSERT_TRUE(SortKeys(&disk_, 1 << 20, &keys).ok());
+  ASSERT_TRUE(tree.BulkDeleteSortedKeys(keys, ReorgMode::kFreeAtEmpty, nullptr,
+                                        &stats)
                   .ok());
   EXPECT_EQ(stats.entries_deleted, 0u);
+  EXPECT_EQ(tree.entry_count(), 100u);
 }
 
 TEST_F(ExecTest, HashDeleteNegativeKeys) {
@@ -222,9 +229,15 @@ TEST_F(ExecTest, HashDeleteNegativeKeys) {
     ASSERT_TRUE(tree.Insert(k, Rid(1, static_cast<uint16_t>(k + 50))).ok());
   }
   // -1 is the internal hash-set sentinel pattern; it must still delete.
+  // Same probe as the executor's classic-hash key-index pass.
+  U64HashSet set(3);
+  for (int64_t k : {-1, -50, 49}) set.Insert(static_cast<uint64_t>(k));
   BtreeBulkDeleteStats stats;
-  ASSERT_TRUE(HashDeleteIndexByKeys(&tree, {-1, -50, 49},
-                                    ReorgMode::kFreeAtEmpty, &stats)
+  ASSERT_TRUE(tree.BulkDeleteByPredicate(
+                      [&](int64_t key, const Rid&) {
+                        return set.Contains(static_cast<uint64_t>(key));
+                      },
+                      ReorgMode::kFreeAtEmpty, &stats)
                   .ok());
   EXPECT_EQ(stats.entries_deleted, 3u);
   EXPECT_TRUE(tree.Search(-1)->empty());
@@ -232,7 +245,7 @@ TEST_F(ExecTest, HashDeleteNegativeKeys) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
-TEST_F(ExecTest, MergeDeleteTableProjectsFeeds) {
+TEST_F(ExecTest, SortedRidsTablePassProjectsFeeds) {
   Schema schema = *Schema::PaperStyle(3, 64);
   auto table = *HeapTable::Create(&pool_, schema);
   std::vector<Rid> rids;
@@ -245,25 +258,36 @@ TEST_F(ExecTest, MergeDeleteTableProjectsFeeds) {
   }
   std::vector<Rid> doomed;
   for (size_t i = 0; i < rids.size(); i += 4) doomed.push_back(rids[i]);
-  // Shuffle: the operator must sort into physical order itself.
+  // Shuffle: SortRids must restore physical order.
   Random rng(9);
   for (size_t i = doomed.size(); i > 1; --i) {
     std::swap(doomed[i - 1], doomed[rng.Uniform(i)]);
   }
-  std::vector<IndexFeed> feeds(2);
-  feeds[0].column = 1;
-  feeds[1].column = 2;
+  ASSERT_TRUE(SortRids(&disk_, 1 << 20, &doomed).ok());
+  ASSERT_TRUE(std::is_sorted(doomed.begin(), doomed.end()));
+  // Project columns 1 and 2 of every deleted tuple: the (value, RID) feeds
+  // of the two secondary-index passes (the split streams of Fig. 3).
+  std::vector<KeyRid> feed_b;
+  std::vector<KeyRid> feed_c;
   uint64_t deleted = 0;
-  ASSERT_TRUE(MergeDeleteTable(&table, &disk_, 1 << 20, &doomed, false,
-                               &feeds, &deleted)
+  ASSERT_TRUE(table
+                  .BulkDeleteSortedRids(
+                      doomed,
+                      [&](const Rid& rid, const char* tuple) {
+                        feed_b.emplace_back(schema.GetInt(tuple, 1), rid);
+                        feed_c.emplace_back(schema.GetInt(tuple, 2), rid);
+                      },
+                      &deleted)
                   .ok());
   EXPECT_EQ(deleted, doomed.size());
-  ASSERT_EQ(feeds[0].entries.size(), doomed.size());
-  ASSERT_EQ(feeds[1].entries.size(), doomed.size());
-  // Feed pairs are consistent: value of column 2 = 10x value of column 1.
-  for (size_t i = 0; i < feeds[0].entries.size(); ++i) {
-    EXPECT_EQ(feeds[0].entries[i].key * 10, feeds[1].entries[i].key);
-    EXPECT_TRUE(feeds[0].entries[i].rid == feeds[1].entries[i].rid);
+  ASSERT_EQ(feed_b.size(), doomed.size());
+  ASSERT_EQ(feed_c.size(), doomed.size());
+  // Feed pairs are consistent: value of column 2 = 10x value of column 1,
+  // and every projected RID is one of the doomed rows, in physical order.
+  for (size_t i = 0; i < feed_b.size(); ++i) {
+    EXPECT_EQ(feed_b[i].key * 10, feed_c[i].key);
+    EXPECT_TRUE(feed_b[i].rid == feed_c[i].rid);
+    EXPECT_TRUE(feed_b[i].rid == doomed[i]);
   }
   EXPECT_EQ(table.tuple_count(), 3000u - doomed.size());
 }
@@ -284,21 +308,24 @@ TEST_F(ExecTest, ExtractKeysFromTable) {
   EXPECT_FALSE(ExtractKeysFromTable(&d_table, 5).ok());
 }
 
-TEST_F(ExecTest, ExtractKeysByScanPredicate) {
+TEST_F(ExecTest, ExtractKeysFromTableStopsAtBound) {
   Schema schema = *Schema::PaperStyle(2, 0);
-  auto table = *HeapTable::Create(&pool_, schema);
+  auto d_table = *HeapTable::Create(&pool_, schema);
   for (int64_t i = 0; i < 100; ++i) {
     std::vector<char> tuple(schema.tuple_size(), 0);
-    schema.SetInt(tuple.data(), 0, i);        // key column
-    schema.SetInt(tuple.data(), 1, i * 2);    // filter column
-    ASSERT_TRUE(table.Insert(tuple.data()).ok());
+    schema.SetInt(tuple.data(), 0, i);
+    ASSERT_TRUE(d_table.Insert(tuple.data()).ok());
   }
-  auto keys = ExtractKeysByScanPredicate(&table, 0, 1, 10, 20);
-  ASSERT_TRUE(keys.ok());
-  // filter 10 <= 2i <= 20  =>  i in [5, 10].
-  ASSERT_EQ(keys->size(), 6u);
-  EXPECT_EQ(keys->front(), 5);
-  EXPECT_EQ(keys->back(), 10);
+  // Fewer allowed keys than rows: the scan stops with ResourceExhausted.
+  auto over = ExtractKeysFromTable(&d_table, 0, /*max_keys=*/10);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted)
+      << over.status().ToString();
+  // A bound equal to the row count is not exceeded.
+  auto exact = ExtractKeysFromTable(&d_table, 0, /*max_keys=*/100);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact->size(), 100u);
+  EXPECT_EQ(exact->back(), 99);
 }
 
 }  // namespace
