@@ -7,14 +7,17 @@
 #include <cstdio>
 
 #include "core/database.h"
+#include "fault/fault_injector.h"
 #include "util/random.h"
 
 using namespace bulkdel;
 
 int main() {
+  auto injector = std::make_shared<FaultInjector>();
   DatabaseOptions options;
   options.memory_budget_bytes = 512 * 1024;
   options.enable_recovery_log = true;
+  options.fault_injector = injector;
   auto db = Database::Create(options).TakeValue();
 
   Schema schema = Schema::PaperStyle(3, 128).value();
@@ -43,9 +46,9 @@ int main() {
   spec.key_column = "A";
   for (int64_t k = 0; k < 20000; k += 4) spec.keys.push_back(k);
 
-  // Inject a crash when the executor reaches the table phase: the key index
-  // has already been processed and checkpointed, the table has not.
-  db->SetCrashPoint("table");
+  // Inject a crash when the executor dispatches the table phase: the key
+  // index has already been processed and checkpointed, the table has not.
+  injector->Arm(fault_sites::kSchedPhaseStart, 1, FaultMode::kCrash, "table");
   auto crashed = db->BulkDelete(spec, Strategy::kVerticalSortMerge);
   std::printf("\nbulk delete interrupted: %s\n",
               crashed.status().ToString().c_str());
@@ -54,6 +57,7 @@ int main() {
 
   // "Power-cycle": buffer pool contents and the un-synced log tail vanish;
   // the database restarts from disk and recovery finishes the statement.
+  injector->Disarm();
   Status recovered = db->SimulateCrashAndRecover();
   std::printf("restart + roll-forward recovery: %s\n",
               recovered.ToString().c_str());

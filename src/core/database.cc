@@ -811,8 +811,9 @@ Status Database::SimulateCrashAndRecover() {
     log_.reset();
     disk_.reset();
     BULKDEL_RETURN_IF_ERROR(WireStorage(/*truncate=*/false));
-    // Note: an injected crash point deliberately survives the restart so
-    // tests can interrupt recovery itself (recovery must be idempotent).
+    // Note: WireStorage re-attaches the fault injector, so an armed fault
+    // survives the restart and tests can interrupt recovery itself
+    // (recovery must be idempotent).
     BULKDEL_RETURN_IF_ERROR(catalog_->Load(catalog_page));
     return RecoverDatabase(this);
   }

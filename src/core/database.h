@@ -241,23 +241,6 @@ class Database {
     active_bd_id_.store(bd_id, std::memory_order_release);
   }
 
-  /// Makes the next bulk delete fail with kAborted when it reaches the named
-  /// phase ("sort-keys", "index:R.A", "table", ...; empty = disabled). The
-  /// injected failure happens *before* the phase's checkpoint. Thread-safe:
-  /// phases may check from scheduler worker threads.
-  void SetCrashPoint(const std::string& phase) {
-    std::lock_guard<std::mutex> lock(crash_point_mu_);
-    crash_point_ = phase;
-  }
-  Status CheckCrashPoint(const std::string& phase) {
-    std::lock_guard<std::mutex> lock(crash_point_mu_);
-    if (!crash_point_.empty() && crash_point_ == phase) {
-      crash_point_.clear();
-      return Status::Aborted("injected crash at phase " + phase);
-    }
-    return Status::OK();
-  }
-
   FaultInjector* fault_injector() { return options_.fault_injector.get(); }
   /// Fault-site hook for executor-level sites; no-op without an injector.
   Status CheckFault(const char* site, const std::string& detail = {}) {
@@ -350,8 +333,6 @@ class Database {
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<LockManager> locks_;
-  std::mutex crash_point_mu_;
-  std::string crash_point_;
   /// Serializes whole bulk-delete statements (see BulkDelete()); the §3.1
   /// concurrency protocols admit record-at-a-time DML during a statement,
   /// not a second statement.

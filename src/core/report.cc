@@ -163,17 +163,6 @@ BufferPoolStats PoolStatsFromJson(const JsonValue& v) {
   return pool;
 }
 
-Result<Strategy> StrategyFromString(const std::string& name) {
-  for (Strategy s :
-       {Strategy::kTraditional, Strategy::kTraditionalSorted,
-        Strategy::kDropCreate, Strategy::kVerticalSortMerge,
-        Strategy::kVerticalHash, Strategy::kVerticalPartitionedHash,
-        Strategy::kOptimizer}) {
-    if (name == StrategyName(s)) return s;
-  }
-  return Status::InvalidArgument("unknown strategy name: " + name);
-}
-
 }  // namespace
 
 std::string BulkDeleteReport::ToJson() const {
@@ -241,8 +230,10 @@ Result<BulkDeleteReport> BulkDeleteReport::FromJson(const std::string& json) {
     return Status::InvalidArgument("report JSON must be an object");
   }
   BulkDeleteReport report;
-  BULKDEL_ASSIGN_OR_RETURN(report.strategy_used,
-                           StrategyFromString(root.StringOr("strategy")));
+  std::string strategy = root.StringOr("strategy");
+  if (!StrategyFromName(strategy, &report.strategy_used)) {
+    return Status::InvalidArgument("unknown strategy name: " + strategy);
+  }
   report.rows_deleted = static_cast<uint64_t>(root.IntOr("rows_deleted"));
   report.index_entries_deleted =
       static_cast<uint64_t>(root.IntOr("index_entries_deleted"));

@@ -348,7 +348,6 @@ class VerticalRun {
   Status PhaseKeyIndex() {
     std::string label = KeyPhaseLabel();
     if (Done(label)) return Status::OK();
-    BULKDEL_RETURN_IF_ERROR(db_->CheckCrashPoint(label));
     PhaseScope scope(ctx_, label, "sort-keys");
     const PlanStep* step = FindStep(key_index_->name);
     BtreeBulkDeleteStats stats;
@@ -425,7 +424,6 @@ class VerticalRun {
   Status PhaseTable() {
     const std::string label = "table";
     if (Done(label)) return Status::OK();
-    BULKDEL_RETURN_IF_ERROR(db_->CheckCrashPoint(label));
     PhaseScope scope(ctx_, label, KeyPhaseLabel());
     if (!rids_sorted_) {
       BULKDEL_RETURN_IF_ERROR(
@@ -505,7 +503,6 @@ class VerticalRun {
   Status PhaseTableNoIndex() {
     const std::string label = "table-no-index";
     if (Done(label)) return Status::OK();
-    BULKDEL_RETURN_IF_ERROR(db_->CheckCrashPoint(label));
     PhaseScope scope(ctx_, label, "sort-keys");
     int key_column = table_->schema->FindColumn(key_column_fallback_);
     if (key_column < 0) {
@@ -566,7 +563,6 @@ class VerticalRun {
       BULKDEL_RETURN_IF_ERROR(BringOnline(index));
       return Status::OK();
     }
-    BULKDEL_RETURN_IF_ERROR(db_->CheckCrashPoint(label));
     PhaseScope scope(ctx_, label, TablePhaseLabel());
     const PlanStep* step = FindStep(index->name);
     DeleteMethod method = step != nullptr ? step->method : DeleteMethod::kMerge;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -82,10 +81,11 @@ Result<std::string> LogicalContentHash(Database* db,
 
 namespace {
 
-/// Logical content of a database: every live row (rid + column values) and
+/// Logical content of one table: every live row (rid + column values) and
 /// every index's (key, rid) entry set. Two runs that end in the same logical
 /// state produce identical digests regardless of physical node layout.
 struct StateDigest {
+  std::string table;
   /// Each entry: [rid.Pack(), col0, col1, ...]; sorted.
   std::vector<std::vector<int64_t>> rows;
   /// index name -> sorted (key, packed rid, entry flags) tuples. Flags are
@@ -94,16 +94,20 @@ struct StateDigest {
   std::vector<std::pair<std::string,
                         std::vector<std::tuple<int64_t, uint64_t, uint16_t>>>>
       indices;
+
+  bool operator==(const StateDigest&) const = default;
 };
+
+/// A case's logical state: one digest per table of the swept scenario.
+using CaseState = std::vector<StateDigest>;
 
 Status CaptureDigest(Database* db, const std::string& table_name,
                      StateDigest* out) {
-  out->rows.clear();
-  out->indices.clear();
   TableDef* table = db->GetTable(table_name);
   if (table == nullptr) {
     return Status::NotFound("digest: no table " + table_name);
   }
+  out->table = table_name;
   const Schema& schema = *table->schema;
   BULKDEL_RETURN_IF_ERROR(
       table->table->Scan([&](const Rid& rid, const char* tuple) {
@@ -130,8 +134,13 @@ Status CaptureDigest(Database* db, const std::string& table_name,
   return Status::OK();
 }
 
-bool DigestsEqual(const StateDigest& a, const StateDigest& b) {
-  return a.rows == b.rows && a.indices == b.indices;
+Status CaptureState(Database* db, const std::vector<std::string>& tables,
+                    CaseState* out) {
+  out->assign(tables.size(), StateDigest{});
+  for (size_t i = 0; i < tables.size(); ++i) {
+    BULKDEL_RETURN_IF_ERROR(CaptureDigest(db, tables[i], &(*out)[i]));
+  }
+  return Status::OK();
 }
 
 /// Human-readable first difference, for failure reports.
@@ -162,12 +171,13 @@ std::string DescribeDiff(const StateDigest& ref, const StateDigest& got) {
   return "digests equal";
 }
 
-std::vector<std::string> IndexedColumns(const SweepConfig& config) {
-  std::vector<std::string> columns;
-  for (int c = 0; c < config.n_int_columns; ++c) {
-    columns.push_back(std::string(1, static_cast<char>('A' + c)));
+std::string DescribeDiff(const CaseState& ref, const CaseState& got) {
+  for (size_t i = 0; i < ref.size() && i < got.size(); ++i) {
+    if (ref[i] != got[i]) {
+      return ref[i].table + ": " + DescribeDiff(ref[i], got[i]);
+    }
   }
-  return columns;
+  return "digests equal";
 }
 
 /// Deterministic §3.1 concurrent-updater workload: `total_ops` DML
@@ -220,13 +230,135 @@ struct CaseSetup {
   std::unique_ptr<Database> db;
   std::shared_ptr<FaultInjector> injector;
   std::shared_ptr<UpdaterDriver> updater;
-  BulkDeleteSpec spec;
+  /// The tables a case's state is digested over.
+  std::vector<std::string> tables;
+  /// The statement as the engine executes it, one WAL statement per leg:
+  /// legs.back() is the swept statement itself, and any earlier legs are
+  /// the cascade legs it flattens into (deepest first). The reference run
+  /// replays them one at a time to capture the statement-prefix states.
+  std::vector<BulkDeleteSpec> legs;
+
+  const BulkDeleteSpec& spec() const { return legs.back(); }
 };
 
+BulkDeleteSpec SortedKeysSpec(const std::string& table,
+                              const std::string& column,
+                              std::vector<int64_t> keys) {
+  BulkDeleteSpec spec;
+  spec.table = table;
+  spec.key_column = column;
+  spec.keys = std::move(keys);
+  spec.keys_sorted = true;
+  return spec;
+}
+
+/// The paper's workload: table R with every int column indexed; the swept
+/// statement deletes `delete_fraction` of it by an IN-list or a BETWEEN on A.
+Status LoadPaperScenario(const SweepConfig& config, CaseSetup* out) {
+  WorkloadSpec spec;
+  spec.n_tuples = config.n_tuples;
+  spec.n_int_columns = config.n_int_columns;
+  spec.tuple_size = config.tuple_size;
+  spec.seed = config.workload_seed;
+  std::vector<std::string> indexed_columns;
+  for (int c = 0; c < config.n_int_columns; ++c) {
+    indexed_columns.push_back(std::string(1, static_cast<char>('A' + c)));
+  }
+  auto workload = SetUpPaperDatabase(out->db.get(), spec, indexed_columns);
+  BULKDEL_RETURN_IF_ERROR(workload.status());
+  BULKDEL_RETURN_IF_ERROR(out->db->Checkpoint());
+
+  BulkDeleteSpec del;
+  del.table = spec.table_name;
+  del.key_column = "A";
+  if (config.predicate == "range") {
+    // Centered quantile window of the duplicate-free A-population covering
+    // delete_fraction of the rows: deterministic for a given workload seed,
+    // and guaranteed to doom exactly `n` rows.
+    std::vector<int64_t> sorted = workload.value().values[0];
+    std::sort(sorted.begin(), sorted.end());
+    size_t n = static_cast<size_t>(
+        config.delete_fraction * static_cast<double>(config.n_tuples));
+    if (n == 0) n = 1;
+    if (n > sorted.size()) n = sorted.size();
+    size_t start = (sorted.size() - n) / 2;
+    del.predicate = DeletePredicate::kRange;
+    del.range_lo = sorted[start];
+    del.range_hi = sorted[start + n - 1];
+    del.keys_sorted = true;
+  } else if (config.predicate == "keys") {
+    del.keys = workload.value().MakeDeleteKeys(config.delete_fraction,
+                                               config.delete_keys_seed);
+  } else {
+    return Status::InvalidArgument("unknown sweep predicate: " +
+                                   config.predicate);
+  }
+  out->tables = {spec.table_name};
+  out->legs = {std::move(del)};
+  return Status::OK();
+}
+
+/// The "forget user X" scenario (config.cascade): a deterministic
+/// three-level schema — user u owns orders {2u, 2u+1}, order o owns events
+/// {2o, 2o+1} — with cascading FKs. The swept statement deletes every
+/// stride-th user; the engine flattens it into three WAL statements: the
+/// EVENTS leg, the ORDERS leg and the USERS parent, deepest first.
+Status LoadCascadeScenario(const SweepConfig& config, CaseSetup* out) {
+  Database* db = out->db.get();
+  out->tables = {"USERS", "ORDERS", "EVENTS"};
+  // u + 2u + 4u rows total: size the user population from n_tuples.
+  int64_t n_users = static_cast<int64_t>(config.n_tuples / 7);
+  if (n_users < 8) n_users = 8;
+  Schema schema = *Schema::PaperStyle(3, config.tuple_size);
+  for (const std::string& table : out->tables) {
+    BULKDEL_RETURN_IF_ERROR(db->CreateTable(table, schema).status());
+    BULKDEL_RETURN_IF_ERROR(
+        db->CreateIndex(table, "A", {.unique = true}).status());
+  }
+  BULKDEL_RETURN_IF_ERROR(db->CreateIndex("ORDERS", "B").status());
+  BULKDEL_RETURN_IF_ERROR(db->CreateIndex("EVENTS", "B").status());
+  for (int64_t u = 0; u < n_users; ++u) {
+    BULKDEL_RETURN_IF_ERROR(
+        db->InsertRow("USERS", {u, u * 3 + 1, u * 7}).status());
+    for (int64_t o = 2 * u; o < 2 * u + 2; ++o) {
+      BULKDEL_RETURN_IF_ERROR(db->InsertRow("ORDERS", {o, u, o * 5}).status());
+      for (int64_t e = 2 * o; e < 2 * o + 2; ++e) {
+        BULKDEL_RETURN_IF_ERROR(
+            db->InsertRow("EVENTS", {e, o, e * 11}).status());
+      }
+    }
+  }
+  BULKDEL_RETURN_IF_ERROR(
+      db->AddForeignKey("ORDERS", "B", "USERS", "A", FkAction::kCascade));
+  BULKDEL_RETURN_IF_ERROR(
+      db->AddForeignKey("EVENTS", "B", "ORDERS", "A", FkAction::kCascade));
+  BULKDEL_RETURN_IF_ERROR(db->Checkpoint());
+
+  int64_t stride = config.delete_fraction > 0
+                       ? static_cast<int64_t>(1.0 / config.delete_fraction)
+                       : n_users;
+  if (stride < 1) stride = 1;
+  std::vector<int64_t> users;
+  std::vector<int64_t> orders;
+  for (int64_t u = 0; u < n_users; u += stride) {
+    users.push_back(u);
+    orders.push_back(2 * u);
+    orders.push_back(2 * u + 1);
+  }
+  out->legs = {SortedKeysSpec("EVENTS", "B", orders),
+               SortedKeysSpec("ORDERS", "B", users),
+               SortedKeysSpec("USERS", "A", users)};
+  return Status::OK();
+}
+
 /// `updater_ops_cap` < 0 runs the configured number of updater ops;
-/// 0..N caps them (used to capture the per-k reference digests).
+/// 0..N caps them (used to capture the per-k reference states).
 Status PrepareCase(const SweepConfig& config, int threads, bool with_injector,
                    int updater_ops_cap, CaseSetup* out) {
+  if (config.cascade && config.concurrency != ConcurrencyProtocol::kNone) {
+    return Status::InvalidArgument(
+        "cascade sweep does not take a concurrent updater");
+  }
   DatabaseOptions options;
   options.memory_budget_bytes = config.memory_budget_bytes;
   options.enable_recovery_log = true;
@@ -260,45 +392,13 @@ Status PrepareCase(const SweepConfig& config, int threads, bool with_injector,
   auto db = Database::Create(options);
   BULKDEL_RETURN_IF_ERROR(db.status());
   out->db = std::move(db).TakeValue();
+  BULKDEL_RETURN_IF_ERROR(config.cascade ? LoadCascadeScenario(config, out)
+                                         : LoadPaperScenario(config, out));
 
-  WorkloadSpec spec;
-  spec.n_tuples = config.n_tuples;
-  spec.n_int_columns = config.n_int_columns;
-  spec.tuple_size = config.tuple_size;
-  spec.seed = config.workload_seed;
-  auto workload =
-      SetUpPaperDatabase(out->db.get(), spec, IndexedColumns(config));
-  BULKDEL_RETURN_IF_ERROR(workload.status());
-  BULKDEL_RETURN_IF_ERROR(out->db->Checkpoint());
-
-  out->spec.table = spec.table_name;
-  out->spec.key_column = "A";
-  if (config.predicate == "range") {
-    // Centered quantile window of the duplicate-free A-population covering
-    // delete_fraction of the rows: deterministic for a given workload seed,
-    // and guaranteed to doom exactly `n` rows.
-    std::vector<int64_t> sorted = workload.value().values[0];
-    std::sort(sorted.begin(), sorted.end());
-    size_t n = static_cast<size_t>(
-        config.delete_fraction * static_cast<double>(config.n_tuples));
-    if (n == 0) n = 1;
-    if (n > sorted.size()) n = sorted.size();
-    size_t start = (sorted.size() - n) / 2;
-    out->spec.predicate = DeletePredicate::kRange;
-    out->spec.range_lo = sorted[start];
-    out->spec.range_hi = sorted[start + n - 1];
-    out->spec.keys_sorted = true;
-  } else if (config.predicate == "keys") {
-    out->spec.keys = workload.value().MakeDeleteKeys(config.delete_fraction,
-                                                     config.delete_keys_seed);
-  } else {
-    return Status::InvalidArgument("unknown sweep predicate: " +
-                                   config.predicate);
-  }
   if (out->updater != nullptr) {
     out->updater->db = out->db.get();
-    out->updater->table = spec.table_name;
-    TableDef* table = out->db->GetTable(spec.table_name);
+    out->updater->table = out->spec().table;
+    TableDef* table = out->db->GetTable(out->spec().table);
     for (const auto& index : table->indices) {
       if (!index->options.unique) {
         out->updater->trigger_labels.insert("index:" + index->name);
@@ -312,351 +412,60 @@ Status PrepareCase(const SweepConfig& config, int threads, bool with_injector,
   return Status::OK();
 }
 
-enum class CaseOutcome { kPassed, kUnreached, kFailed };
-
-// ---------------------------------------------------------------------------
-// Cascade sweep (config.cascade): the "forget user X" statement.
-//
-// A deterministic three-level schema — user u owns orders {2u, 2u+1}, order
-// o owns events {2o, 2o+1} — with cascading FKs. The swept statement deletes
-// every stride-th user; the engine flattens that into three WAL statements
-// (EVENTS leg, ORDERS leg, USERS parent, deepest first). A crash can land
-// between legs, and recovery rolls only the *begun* statement forward, so
-// the acceptable recovered states are exactly the leg prefixes S0..S3.
-// ---------------------------------------------------------------------------
-
-const char* const kCascadeTables[] = {"USERS", "ORDERS", "EVENTS"};
-
-struct CascadeCaseSetup {
-  std::unique_ptr<Database> db;
-  std::shared_ptr<FaultInjector> injector;
-  /// The statement under test: delete the doomed users from USERS.
-  BulkDeleteSpec spec;
-  std::vector<int64_t> doomed_users;
-  std::vector<int64_t> doomed_orders;
+/// The states a recovered case may legally end in. `prefixes[i]` is the
+/// database before leg i runs: S0 the untouched load, then (cascade only)
+/// S1 after the EVENTS leg and S2 after the ORDERS leg. `finals[k]` is the
+/// completed statement plus the first k updater ops (just the completed
+/// statement at k = 0, the only entry when no updater is configured).
+struct References {
+  std::vector<CaseState> prefixes;
+  std::vector<CaseState> finals;
 };
 
-Status PrepareCascadeCase(const SweepConfig& config, int threads,
-                          bool with_injector, CascadeCaseSetup* out) {
-  if (config.concurrency != ConcurrencyProtocol::kNone) {
-    return Status::InvalidArgument(
-        "cascade sweep does not take a concurrent updater");
-  }
-  DatabaseOptions options;
-  options.memory_budget_bytes = config.memory_budget_bytes;
-  options.enable_recovery_log = true;
-  options.exec_threads = threads;
-  if (config.backend == "file") {
-    options.path = config.scratch_dir;
-  } else if (config.backend != "sim") {
-    return Status::InvalidArgument("unknown sweep backend: " + config.backend);
-  }
-  if (with_injector) {
-    out->injector = std::make_shared<FaultInjector>(config.injector_seed);
-    options.fault_injector = out->injector;
-  }
-  auto db = Database::Create(options);
-  BULKDEL_RETURN_IF_ERROR(db.status());
-  out->db = std::move(db).TakeValue();
-
-  // u + 2u + 4u rows total: size the user population from n_tuples.
-  int64_t n_users = static_cast<int64_t>(config.n_tuples / 7);
-  if (n_users < 8) n_users = 8;
-  Schema schema = *Schema::PaperStyle(3, config.tuple_size);
-  for (const char* table : kCascadeTables) {
-    BULKDEL_RETURN_IF_ERROR(out->db->CreateTable(table, schema).status());
-    BULKDEL_RETURN_IF_ERROR(
-        out->db->CreateIndex(table, "A", {.unique = true}).status());
-  }
-  BULKDEL_RETURN_IF_ERROR(out->db->CreateIndex("ORDERS", "B").status());
-  BULKDEL_RETURN_IF_ERROR(out->db->CreateIndex("EVENTS", "B").status());
-  for (int64_t u = 0; u < n_users; ++u) {
-    BULKDEL_RETURN_IF_ERROR(
-        out->db->InsertRow("USERS", {u, u * 3 + 1, u * 7}).status());
-    for (int64_t o = 2 * u; o < 2 * u + 2; ++o) {
-      BULKDEL_RETURN_IF_ERROR(
-          out->db->InsertRow("ORDERS", {o, u, o * 5}).status());
-      for (int64_t e = 2 * o; e < 2 * o + 2; ++e) {
-        BULKDEL_RETURN_IF_ERROR(
-            out->db->InsertRow("EVENTS", {e, o, e * 11}).status());
+/// Strategy-independent — all strategies delete the same rows, the updater
+/// is deterministic, and its inserts land on the same free slots regardless
+/// of the index-processing method — so one serial family of reference runs
+/// on uninjected databases serves the whole sweep. The legs are replayed one
+/// statement at a time; already-deleted children make the later legs' own
+/// cascade planning a no-op, so the end states equal the real statement's.
+Status CaptureReferences(const SweepConfig& config, References* refs) {
+  int n_updater_ops = config.concurrency == ConcurrencyProtocol::kNone
+                          ? 0
+                          : config.updater_ops;
+  refs->finals.assign(static_cast<size_t>(n_updater_ops) + 1, CaseState{});
+  for (int k = 0; k <= n_updater_ops; ++k) {
+    CaseSetup setup;
+    BULKDEL_RETURN_IF_ERROR(PrepareCase(config, /*threads=*/1,
+                                        /*with_injector=*/false,
+                                        /*updater_ops_cap=*/k, &setup));
+    for (const BulkDeleteSpec& leg : setup.legs) {
+      if (k == 0) {
+        BULKDEL_RETURN_IF_ERROR(CaptureState(setup.db.get(), setup.tables,
+                                             &refs->prefixes.emplace_back()));
       }
+      BULKDEL_RETURN_IF_ERROR(
+          setup.db->BulkDelete(leg, Strategy::kVerticalSortMerge).status());
     }
-  }
-  BULKDEL_RETURN_IF_ERROR(
-      out->db->AddForeignKey("ORDERS", "B", "USERS", "A", FkAction::kCascade));
-  BULKDEL_RETURN_IF_ERROR(
-      out->db->AddForeignKey("EVENTS", "B", "ORDERS", "A", FkAction::kCascade));
-  BULKDEL_RETURN_IF_ERROR(out->db->Checkpoint());
-
-  int64_t stride = config.delete_fraction > 0
-                       ? static_cast<int64_t>(1.0 / config.delete_fraction)
-                       : n_users;
-  if (stride < 1) stride = 1;
-  for (int64_t u = 0; u < n_users; u += stride) {
-    out->doomed_users.push_back(u);
-    out->doomed_orders.push_back(2 * u);
-    out->doomed_orders.push_back(2 * u + 1);
-  }
-  out->spec.table = "USERS";
-  out->spec.key_column = "A";
-  out->spec.keys = out->doomed_users;
-  out->spec.keys_sorted = true;
-  return Status::OK();
-}
-
-Status CaptureCascadeDigests(Database* db, std::vector<StateDigest>* out) {
-  out->assign(std::size(kCascadeTables), StateDigest{});
-  for (size_t i = 0; i < std::size(kCascadeTables); ++i) {
-    BULKDEL_RETURN_IF_ERROR(CaptureDigest(db, kCascadeTables[i], &(*out)[i]));
+    if (setup.updater != nullptr && setup.updater->succeeded.load() != k) {
+      return Status::Internal(
+          "reference run acknowledged " +
+          std::to_string(setup.updater->succeeded.load()) + " of " +
+          std::to_string(k) + " updater ops");
+    }
+    BULKDEL_RETURN_IF_ERROR(setup.db->VerifyIntegrity());
+    BULKDEL_RETURN_IF_ERROR(
+        CaptureState(setup.db.get(), setup.tables, &refs->finals[k]));
   }
   return Status::OK();
 }
 
-bool CascadeDigestsEqual(const std::vector<StateDigest>& a,
-                         const std::vector<StateDigest>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!DigestsEqual(a[i], b[i])) return false;
-  }
-  return true;
-}
+enum class CaseOutcome { kPassed, kUnreached, kFailed };
 
-std::string DescribeCascadeDiff(const std::vector<StateDigest>& ref,
-                                const std::vector<StateDigest>& got) {
-  for (size_t i = 0; i < ref.size() && i < got.size(); ++i) {
-    if (!DigestsEqual(ref[i], got[i])) {
-      return std::string(kCascadeTables[i]) + ": " +
-             DescribeDiff(ref[i], got[i]);
-    }
-  }
-  return "digests equal";
-}
-
-/// `(*states)[k]` is the database after the first k cascade legs: S0 the
-/// untouched load, S1 after the EVENTS leg, S2 after the ORDERS leg, S3 the
-/// completed statement. Built by replaying the engine's own leg specs one
-/// statement at a time on an uninjected database (already-deleted children
-/// make the later legs' own cascade planning a no-op, so the end states are
-/// identical to the real statement's prefixes).
-Status CaptureCascadeReferences(
-    const SweepConfig& config,
-    std::vector<std::vector<StateDigest>>* states) {
-  CascadeCaseSetup setup;
-  BULKDEL_RETURN_IF_ERROR(
-      PrepareCascadeCase(config, /*threads=*/1, /*with_injector=*/false,
-                         &setup));
-  states->assign(4, {});
-  BULKDEL_RETURN_IF_ERROR(
-      CaptureCascadeDigests(setup.db.get(), &(*states)[0]));
-
-  BulkDeleteSpec events_leg;
-  events_leg.table = "EVENTS";
-  events_leg.key_column = "B";
-  events_leg.keys = setup.doomed_orders;
-  events_leg.keys_sorted = true;
-  BULKDEL_RETURN_IF_ERROR(
-      setup.db->BulkDelete(events_leg, Strategy::kVerticalSortMerge)
-          .status());
-  BULKDEL_RETURN_IF_ERROR(
-      CaptureCascadeDigests(setup.db.get(), &(*states)[1]));
-
-  BulkDeleteSpec orders_leg;
-  orders_leg.table = "ORDERS";
-  orders_leg.key_column = "B";
-  orders_leg.keys = setup.doomed_users;
-  orders_leg.keys_sorted = true;
-  BULKDEL_RETURN_IF_ERROR(
-      setup.db->BulkDelete(orders_leg, Strategy::kVerticalSortMerge)
-          .status());
-  BULKDEL_RETURN_IF_ERROR(
-      CaptureCascadeDigests(setup.db.get(), &(*states)[2]));
-
-  BULKDEL_RETURN_IF_ERROR(
-      setup.db->BulkDelete(setup.spec, Strategy::kVerticalSortMerge)
-          .status());
-  BULKDEL_RETURN_IF_ERROR(setup.db->VerifyIntegrity());
-  BULKDEL_RETURN_IF_ERROR(
-      CaptureCascadeDigests(setup.db.get(), &(*states)[3]));
-  return Status::OK();
-}
-
-/// Uninjected counting run for one (strategy, threads) pair of the cascade
-/// statement, cross-checked against the completed-statement reference.
-Status CountCascadeOccurrences(const SweepConfig& config, Strategy strategy,
-                               int threads,
-                               const std::vector<StateDigest>& reference,
-                               std::map<std::string, uint64_t>* counts) {
-  CascadeCaseSetup setup;
-  BULKDEL_RETURN_IF_ERROR(
-      PrepareCascadeCase(config, threads, /*with_injector=*/true, &setup));
-  setup.injector->ResetCounts();
-  BULKDEL_RETURN_IF_ERROR(setup.db->BulkDelete(setup.spec, strategy).status());
-  *counts = setup.injector->HitCounts();
-  std::vector<StateDigest> digests;
-  BULKDEL_RETURN_IF_ERROR(CaptureCascadeDigests(setup.db.get(), &digests));
-  if (!CascadeDigestsEqual(digests, reference)) {
-    return Status::Internal(
-        std::string("cascade counting run for ") + StrategyName(strategy) +
-        " diverged from the reference state: " +
-        DescribeCascadeDiff(reference, digests));
-  }
-  return Status::OK();
-}
-
-CaseOutcome RunOneCascadeCase(
-    const SweepConfig& config, Strategy strategy, int threads,
-    const std::string& site, uint64_t occurrence, FaultMode mode,
-    const std::vector<std::vector<StateDigest>>& states, std::string* why) {
-  CascadeCaseSetup setup;
-  Status s = PrepareCascadeCase(config, threads, /*with_injector=*/true,
-                                &setup);
-  if (!s.ok()) {
-    *why = "setup failed: " + s.ToString();
-    return CaseOutcome::kFailed;
-  }
-  setup.injector->ResetCounts();
-  setup.injector->Arm(site.c_str(), occurrence, mode);
-  auto report = setup.db->BulkDelete(setup.spec, strategy);
-
-  if (!setup.injector->tripped()) {
-    setup.injector->Disarm();
-    if (!report.ok()) {
-      *why = "uninjected-path delete failed: " + report.status().ToString();
-      return CaseOutcome::kFailed;
-    }
-    if (threads <= 1) {
-      *why = "serial run never reached the armed occurrence";
-      return CaseOutcome::kFailed;
-    }
-    return CaseOutcome::kUnreached;
-  }
-  if (report.ok()) {
-    *why = "fault tripped [" + setup.injector->trip_description() +
-           "] but BulkDelete reported success";
-    return CaseOutcome::kFailed;
-  }
-
-  setup.injector->Disarm();
-  s = setup.db->SimulateCrashAndRecover();
-  if (!s.ok()) {
-    *why = "recovery failed: " + s.ToString();
-    return CaseOutcome::kFailed;
-  }
-  s = setup.db->VerifyIntegrity();
-  if (!s.ok()) {
-    *why = "post-recovery integrity check failed: " + s.ToString();
-    return CaseOutcome::kFailed;
-  }
-  if (setup.db->log().durable_size() != 0) {
-    *why = "recovery left " + std::to_string(setup.db->log().durable_size()) +
-           " log records behind";
-    return CaseOutcome::kFailed;
-  }
-  std::vector<StateDigest> recovered;
-  s = CaptureCascadeDigests(setup.db.get(), &recovered);
-  if (!s.ok()) {
-    *why = "post-recovery digest failed: " + s.ToString();
-    return CaseOutcome::kFailed;
-  }
-  // Recovery rolls the one begun statement forward; completed legs stay
-  // completed, unbegun legs stay unbegun. Anything that is not an exact leg
-  // prefix is lost work, a partially-applied leg, or cross-table skew.
-  for (size_t k = 0; k < states.size(); ++k) {
-    if (CascadeDigestsEqual(recovered, states[k])) {
-      return CaseOutcome::kPassed;
-    }
-  }
-  *why = "recovered state matches no cascade leg prefix S0..S3: vs S3: " +
-         DescribeCascadeDiff(states.back(), recovered) +
-         "; vs S0: " + DescribeCascadeDiff(states.front(), recovered);
-  return CaseOutcome::kFailed;
-}
-
-const char* ConcurrencyFlagName(ConcurrencyProtocol protocol) {
-  switch (protocol) {
-    case ConcurrencyProtocol::kNone:
-      return "none";
-    case ConcurrencyProtocol::kSideFile:
-      return "sidefile";
-    case ConcurrencyProtocol::kDirectPropagation:
-      return "direct";
-  }
-  return "unknown";
-}
-
-const char* ModeFlagName(FaultMode mode) {
-  switch (mode) {
-    case FaultMode::kCrash:
-      return "crash";
-    case FaultMode::kTornWrite:
-      return "torn";
-    case FaultMode::kShortWrite:
-      return "short";
-  }
-  return "unknown";
-}
-
-/// The identity of one sweep case, and a command line that reproduces it.
-std::string CaseName(const SweepConfig& config, Strategy strategy, int threads,
-                     const std::string& site, uint64_t occurrence,
-                     FaultMode mode) {
-  std::string name = "strategy=";
-  name += StrategyName(strategy);
-  name += " threads=" + std::to_string(threads);
-  name += " concurrency=";
-  name += ConcurrencyFlagName(config.concurrency);
-  name += " backend=" + config.backend;
-  if (config.cascade) {
-    name += " cascade=yes";
-  } else {
-    name += " predicate=" + config.predicate;
-  }
-  name += " site=" + site;
-  name += " occurrence=" + std::to_string(occurrence);
-  name += " mode=";
-  name += ModeFlagName(mode);
-  name += " seeds=" + std::to_string(config.workload_seed) + "/" +
-          std::to_string(config.delete_keys_seed) + "/" +
-          std::to_string(config.injector_seed);
-  return name;
-}
-
-std::string ReproCommand(const SweepConfig& config, Strategy strategy,
-                         int threads, const std::string& site,
-                         uint64_t occurrence, FaultMode mode) {
-  std::string cmd = "bulkdel_crashsweep --strategy=";
-  cmd += StrategyName(strategy);
-  cmd += " --threads=" + std::to_string(threads);
-  cmd += " --concurrency=";
-  cmd += ConcurrencyFlagName(config.concurrency);
-  if (config.backend != "sim") {
-    cmd += " --backend=" + config.backend;
-    cmd += " --dir=" + config.scratch_dir;
-  }
-  if (config.cascade) {
-    cmd += " --cascade";
-  } else if (config.predicate != "keys") {
-    cmd += " --predicate=" + config.predicate;
-  }
-  cmd += " --site=" + site;
-  cmd += " --occurrence=" + std::to_string(occurrence);
-  cmd += " --mode=";
-  cmd += ModeFlagName(mode);
-  cmd += " --workload-seed=" + std::to_string(config.workload_seed);
-  cmd += " --keys-seed=" + std::to_string(config.delete_keys_seed);
-  cmd += " --injector-seed=" + std::to_string(config.injector_seed);
-  return cmd;
-}
-
-/// Runs one armed case end to end. `references[k]` is the uninjected
-/// post-delete digest with the first k updater ops applied (size 1, just the
-/// plain post-delete state, when no updater runs). On failure, `*why`
-/// explains what broke.
+/// Runs one armed case end to end. On failure, `*why` explains what broke.
 CaseOutcome RunOneCase(const SweepConfig& config, Strategy strategy,
                        int threads, const std::string& site,
                        uint64_t occurrence, FaultMode mode,
-                       const std::vector<StateDigest>& references,
-                       std::string* why) {
+                       const References& refs, std::string* why) {
   CaseSetup setup;
   Status s = PrepareCase(config, threads, /*with_injector=*/true,
                          /*updater_ops_cap=*/-1, &setup);
@@ -664,18 +473,12 @@ CaseOutcome RunOneCase(const SweepConfig& config, Strategy strategy,
     *why = "setup failed: " + s.ToString();
     return CaseOutcome::kFailed;
   }
-  StateDigest pre_digest;
-  s = CaptureDigest(setup.db.get(), setup.spec.table, &pre_digest);
-  if (!s.ok()) {
-    *why = "pre-digest failed: " + s.ToString();
-    return CaseOutcome::kFailed;
-  }
 
   // Count only delete-statement occurrences: load and checkpoint traffic
   // passed through the same sites and must not shift the numbering.
   setup.injector->ResetCounts();
-  setup.injector->Arm(site.c_str(), occurrence, mode);
-  auto report = setup.db->BulkDelete(setup.spec, strategy);
+  setup.injector->Arm(site, occurrence, mode);
+  auto report = setup.db->BulkDelete(setup.spec(), strategy);
 
   if (!setup.injector->tripped()) {
     setup.injector->Disarm();
@@ -707,9 +510,9 @@ CaseOutcome RunOneCase(const SweepConfig& config, Strategy strategy,
     acked = static_cast<size_t>(setup.updater->succeeded.load());
     attempted = static_cast<size_t>(setup.updater->attempted.load());
   }
-  if (acked >= references.size()) {
+  if (acked >= refs.finals.size()) {
     *why = "updater acknowledged " + std::to_string(acked) +
-           " ops but only " + std::to_string(references.size() - 1) +
+           " ops but only " + std::to_string(refs.finals.size() - 1) +
            " reference states exist";
     return CaseOutcome::kFailed;
   }
@@ -736,125 +539,107 @@ CaseOutcome RunOneCase(const SweepConfig& config, Strategy strategy,
     return CaseOutcome::kFailed;
   }
 
-  StateDigest recovered;
-  s = CaptureDigest(setup.db.get(), setup.spec.table, &recovered);
+  CaseState recovered;
+  s = CaptureState(setup.db.get(), setup.tables, &recovered);
   if (!s.ok()) {
     *why = "post-recovery digest failed: " + s.ToString();
     return CaseOutcome::kFailed;
   }
-  // Roll-forward either finished the statement with every acknowledged
-  // updater op applied (references[acked]; plus possibly the one ambiguous
-  // unacknowledged op, references[acked + 1]), or — when the crash preceded
-  // the delete list becoming durable, which also precedes any updater DML —
-  // legitimately dropped it whole (pre-delete state). Anything else is lost
-  // committed work or corruption.
-  if (DigestsEqual(recovered, references[acked])) {
+  // Recovery rolls the one begun WAL statement forward: it finishes with
+  // every acknowledged updater op applied (finals[acked]; plus possibly the
+  // one ambiguous unacknowledged op, finals[acked + 1]). A crash before a
+  // leg's delete list became durable — which also precedes any updater DML
+  // — legitimately drops that leg whole, leaving a statement prefix. Any
+  // other state is lost work, a partially-applied leg or cross-table skew.
+  if (recovered == refs.finals[acked]) return CaseOutcome::kPassed;
+  if (attempted > acked && acked + 1 < refs.finals.size() &&
+      recovered == refs.finals[acked + 1]) {
     return CaseOutcome::kPassed;
   }
-  if (attempted > acked && acked + 1 < references.size() &&
-      DigestsEqual(recovered, references[acked + 1])) {
-    return CaseOutcome::kPassed;
+  if (acked == 0) {
+    for (const CaseState& prefix : refs.prefixes) {
+      if (recovered == prefix) return CaseOutcome::kPassed;
+    }
   }
-  if (acked == 0 && DigestsEqual(recovered, pre_digest)) {
-    return CaseOutcome::kPassed;
-  }
-  *why = "recovered state matches neither the completed delete (with " +
-         std::to_string(acked) + " acknowledged updater ops) nor the "
-         "untouched database: vs post: " +
-         DescribeDiff(references[acked], recovered) +
-         "; vs pre: " + DescribeDiff(pre_digest, recovered);
+  *why = "recovered state matches neither the completed statement (with " +
+         std::to_string(acked) + " acknowledged updater ops) nor a statement "
+         "prefix S0..S" + std::to_string(refs.prefixes.size() - 1) +
+         ": vs completed: " + DescribeDiff(refs.finals[acked], recovered) +
+         "; vs S0: " + DescribeDiff(refs.prefixes.front(), recovered);
   return CaseOutcome::kFailed;
 }
 
-/// Evenly spaced sample of 1..count, always including 1 and count.
-/// budget == 0 means exhaustive.
-std::vector<uint64_t> SampleOccurrences(uint64_t count, uint64_t budget) {
-  std::vector<uint64_t> out;
-  if (count == 0) return out;
-  if (budget == 0 || count <= budget) {
-    for (uint64_t i = 1; i <= count; ++i) out.push_back(i);
-    return out;
+const char* ConcurrencyFlagName(ConcurrencyProtocol protocol) {
+  switch (protocol) {
+    case ConcurrencyProtocol::kNone:
+      return "none";
+    case ConcurrencyProtocol::kSideFile:
+      return "sidefile";
+    case ConcurrencyProtocol::kDirectPropagation:
+      return "direct";
   }
-  for (uint64_t i = 0; i < budget; ++i) {
-    uint64_t occurrence = 1 + (i * (count - 1)) / (budget - 1);
-    if (out.empty() || out.back() != occurrence) out.push_back(occurrence);
-  }
-  return out;
+  return "unknown";
 }
 
-/// Runs the statement uninjected (but with a counting injector installed) to
-/// learn how many times each site fires for this (strategy, threads) pair,
-/// and cross-checks its end state against the reference digest.
-Status CountOccurrences(const SweepConfig& config, Strategy strategy,
-                        int threads, const StateDigest& reference,
-                        std::map<std::string, uint64_t>* counts) {
-  CaseSetup setup;
-  BULKDEL_RETURN_IF_ERROR(PrepareCase(config, threads, /*with_injector=*/true,
-                                      /*updater_ops_cap=*/-1, &setup));
-  setup.injector->ResetCounts();
-  auto report = setup.db->BulkDelete(setup.spec, strategy);
-  BULKDEL_RETURN_IF_ERROR(report.status());
-  if (setup.updater != nullptr &&
-      setup.updater->succeeded.load() != setup.updater->total_ops) {
-    return Status::Internal("counting run: updater acknowledged " +
-                            std::to_string(setup.updater->succeeded.load()) +
-                            " of " +
-                            std::to_string(setup.updater->total_ops) +
-                            " ops without any fault armed");
+/// The identity of one sweep case, and a command line that reproduces it.
+std::string CaseName(const SweepConfig& config, Strategy strategy, int threads,
+                     const std::string& site, uint64_t occurrence,
+                     FaultMode mode) {
+  std::string name = "strategy=";
+  name += StrategyName(strategy);
+  name += " threads=" + std::to_string(threads);
+  name += " concurrency=";
+  name += ConcurrencyFlagName(config.concurrency);
+  name += " backend=" + config.backend;
+  if (config.cascade) {
+    name += " cascade=yes";
+  } else {
+    name += " predicate=" + config.predicate;
   }
-  // Snapshot before the digest capture below: its scans hit `disk.read` too
-  // and must not inflate the statement's occurrence counts.
-  *counts = setup.injector->HitCounts();
-  StateDigest digest;
-  BULKDEL_RETURN_IF_ERROR(
-      CaptureDigest(setup.db.get(), setup.spec.table, &digest));
-  if (!DigestsEqual(digest, reference)) {
-    return Status::Internal(
-        std::string("counting run for ") + StrategyName(strategy) +
-        " diverged from the reference state: " +
-        DescribeDiff(reference, digest));
-  }
-  return Status::OK();
+  name += " site=" + site;
+  name += " occurrence=" + std::to_string(occurrence);
+  name += " mode=";
+  name += FaultModeName(mode);
+  name += " seeds=" + std::to_string(config.workload_seed) + "/" +
+          std::to_string(config.delete_keys_seed) + "/" +
+          std::to_string(config.injector_seed);
+  return name;
 }
 
-/// The uninjected post-delete states, one per updater-op prefix:
-/// `(*references)[k]` is the state after the bulk delete plus the first k
-/// updater ops (just the plain post-delete state at k = 0, the only entry
-/// when no updater is configured). Strategy-independent — all strategies
-/// delete the same rows, the updater is deterministic, and its inserts land
-/// on the same free slots regardless of the index-processing method — so
-/// one serial family of reference runs serves the whole sweep.
-Status CaptureReferences(const SweepConfig& config,
-                         std::vector<StateDigest>* references) {
-  int n_updater_ops = config.concurrency == ConcurrencyProtocol::kNone
-                          ? 0
-                          : config.updater_ops;
-  references->assign(static_cast<size_t>(n_updater_ops) + 1, StateDigest{});
-  for (int k = 0; k <= n_updater_ops; ++k) {
-    CaseSetup setup;
-    BULKDEL_RETURN_IF_ERROR(PrepareCase(config, /*threads=*/1,
-                                        /*with_injector=*/false,
-                                        /*updater_ops_cap=*/k, &setup));
-    auto report =
-        setup.db->BulkDelete(setup.spec, Strategy::kVerticalSortMerge);
-    BULKDEL_RETURN_IF_ERROR(report.status());
-    if (setup.updater != nullptr && setup.updater->succeeded.load() != k) {
-      return Status::Internal(
-          "reference run acknowledged " +
-          std::to_string(setup.updater->succeeded.load()) + " of " +
-          std::to_string(k) + " updater ops");
-    }
-    BULKDEL_RETURN_IF_ERROR(setup.db->VerifyIntegrity());
-    BULKDEL_RETURN_IF_ERROR(CaptureDigest(setup.db.get(), setup.spec.table,
-                                          &(*references)[k]));
+std::string ReproCommand(const SweepConfig& config, Strategy strategy,
+                         int threads, const std::string& site,
+                         uint64_t occurrence, FaultMode mode) {
+  std::string cmd = "bulkdel_crashsweep --strategy=";
+  cmd += StrategyName(strategy);
+  cmd += " --threads=" + std::to_string(threads);
+  cmd += " --concurrency=";
+  cmd += ConcurrencyFlagName(config.concurrency);
+  if (config.backend != "sim") {
+    cmd += " --backend=" + config.backend;
+    cmd += " --dir=" + config.scratch_dir;
   }
-  return Status::OK();
+  if (config.cascade) {
+    cmd += " --cascade";
+  } else if (config.predicate != "keys") {
+    cmd += " --predicate=" + config.predicate;
+  }
+  cmd += " --site=" + site;
+  cmd += " --occurrence=" + std::to_string(occurrence);
+  cmd += " --mode=";
+  cmd += FaultModeName(mode);
+  cmd += " --workload-seed=" + std::to_string(config.workload_seed);
+  cmd += " --keys-seed=" + std::to_string(config.delete_keys_seed);
+  cmd += " --injector-seed=" + std::to_string(config.injector_seed);
+  return cmd;
 }
 
-void RecordOutcome(const SweepConfig& config, Strategy strategy, int threads,
-                   const std::string& site, uint64_t occurrence,
-                   FaultMode mode, CaseOutcome outcome, const std::string& why,
-                   SweepStats* stats) {
+/// Runs one case and records its outcome in `stats`.
+void RunCase(const SweepConfig& config, Strategy strategy, int threads,
+             const std::string& site, uint64_t occurrence, FaultMode mode,
+             const References& refs, SweepStats* stats) {
+  std::string why;
+  CaseOutcome outcome = RunOneCase(config, strategy, threads, site,
+                                   occurrence, mode, refs, &why);
   std::string name =
       CaseName(config, strategy, threads, site, occurrence, mode);
   switch (outcome) {
@@ -880,60 +665,52 @@ void RecordOutcome(const SweepConfig& config, Strategy strategy, int threads,
   }
 }
 
-bool ModeMatchesFilter(const SweepConfig& config, FaultMode mode) {
-  return config.only_mode.empty() || config.only_mode == ModeFlagName(mode);
+/// Evenly spaced sample of 1..count, always including 1 and count.
+/// budget == 0 means exhaustive.
+std::vector<uint64_t> SampleOccurrences(uint64_t count, uint64_t budget) {
+  std::vector<uint64_t> out;
+  if (count == 0) return out;
+  if (budget == 0 || count <= budget) {
+    for (uint64_t i = 1; i <= count; ++i) out.push_back(i);
+    return out;
+  }
+  for (uint64_t i = 0; i < budget; ++i) {
+    uint64_t occurrence = 1 + (i * (count - 1)) / (budget - 1);
+    if (out.empty() || out.back() != occurrence) out.push_back(occurrence);
+  }
+  return out;
 }
 
-/// The cascade variant of RunCrashSweep's main loop: same site x occurrence
-/// x mode enumeration, but the armed statement is the multi-table cascade
-/// and acceptance is the leg-prefix check of RunOneCascadeCase.
-Status RunCascadeCrashSweep(const SweepConfig& config, SweepStats* stats) {
-  std::vector<std::vector<StateDigest>> states;
-  BULKDEL_RETURN_IF_ERROR(CaptureCascadeReferences(config, &states));
-
-  for (Strategy strategy : config.strategies) {
-    for (int threads : config.thread_counts) {
-      std::map<std::string, uint64_t> counts;
-      BULKDEL_RETURN_IF_ERROR(CountCascadeOccurrences(
-          config, strategy, threads, states.back(), &counts));
-      for (const FaultSiteInfo& site : FaultInjector::KnownSites()) {
-        if (!config.only_site.empty() && config.only_site != site.name) {
-          continue;
-        }
-        uint64_t count = 0;
-        auto it = counts.find(site.name);
-        if (it != counts.end()) count = it->second;
-        if (count == 0 && config.only_occurrence == 0) continue;
-
-        std::vector<uint64_t> occurrences;
-        if (config.only_occurrence != 0) {
-          occurrences.push_back(config.only_occurrence);
-        } else {
-          occurrences =
-              SampleOccurrences(count, config.occurrences_per_site);
-        }
-        for (uint64_t occurrence : occurrences) {
-          if (ModeMatchesFilter(config, FaultMode::kCrash)) {
-            std::string why;
-            CaseOutcome outcome =
-                RunOneCascadeCase(config, strategy, threads, site.name,
-                                  occurrence, FaultMode::kCrash, states, &why);
-            RecordOutcome(config, strategy, threads, site.name, occurrence,
-                          FaultMode::kCrash, outcome, why, stats);
-          }
-          if (config.include_torn_log_sync &&
-              std::string(site.name) == fault_sites::kLogSync &&
-              ModeMatchesFilter(config, FaultMode::kTornWrite)) {
-            std::string why;
-            CaseOutcome outcome = RunOneCascadeCase(
-                config, strategy, threads, site.name, occurrence,
-                FaultMode::kTornWrite, states, &why);
-            RecordOutcome(config, strategy, threads, site.name, occurrence,
-                          FaultMode::kTornWrite, outcome, why, stats);
-          }
-        }
-      }
-    }
+/// Runs the statement uninjected (but with a counting injector installed) to
+/// learn how many times each site fires for this (strategy, threads) pair,
+/// and cross-checks its end state against the completed reference state.
+Status CountOccurrences(const SweepConfig& config, Strategy strategy,
+                        int threads, const CaseState& reference,
+                        std::map<std::string, uint64_t>* counts) {
+  CaseSetup setup;
+  BULKDEL_RETURN_IF_ERROR(PrepareCase(config, threads, /*with_injector=*/true,
+                                      /*updater_ops_cap=*/-1, &setup));
+  setup.injector->ResetCounts();
+  auto report = setup.db->BulkDelete(setup.spec(), strategy);
+  BULKDEL_RETURN_IF_ERROR(report.status());
+  if (setup.updater != nullptr &&
+      setup.updater->succeeded.load() != setup.updater->total_ops) {
+    return Status::Internal("counting run: updater acknowledged " +
+                            std::to_string(setup.updater->succeeded.load()) +
+                            " of " +
+                            std::to_string(setup.updater->total_ops) +
+                            " ops without any fault armed");
+  }
+  // Snapshot before the digest capture below: its scans hit `disk.read` too
+  // and must not inflate the statement's occurrence counts.
+  *counts = setup.injector->HitCounts();
+  CaseState state;
+  BULKDEL_RETURN_IF_ERROR(CaptureState(setup.db.get(), setup.tables, &state));
+  if (state != reference) {
+    return Status::Internal(
+        std::string("counting run for ") + StrategyName(strategy) +
+        " diverged from the reference state: " +
+        DescribeDiff(reference, state));
   }
   return Status::OK();
 }
@@ -947,15 +724,14 @@ std::string SweepStats::Summary() const {
 }
 
 Status RunCrashSweep(const SweepConfig& config, SweepStats* stats) {
-  if (config.cascade) return RunCascadeCrashSweep(config, stats);
-  std::vector<StateDigest> references;
-  BULKDEL_RETURN_IF_ERROR(CaptureReferences(config, &references));
+  References refs;
+  BULKDEL_RETURN_IF_ERROR(CaptureReferences(config, &refs));
 
   for (Strategy strategy : config.strategies) {
     for (int threads : config.thread_counts) {
       std::map<std::string, uint64_t> counts;
       BULKDEL_RETURN_IF_ERROR(CountOccurrences(config, strategy, threads,
-                                               references.back(), &counts));
+                                               refs.finals.back(), &counts));
       for (const FaultSiteInfo& site : FaultInjector::KnownSites()) {
         if (!config.only_site.empty() && config.only_site != site.name) {
           continue;
@@ -972,28 +748,23 @@ Status RunCrashSweep(const SweepConfig& config, SweepStats* stats) {
           occurrences =
               SampleOccurrences(count, config.occurrences_per_site);
         }
+        // Fail-stop crashes everywhere. Torn/short *data-page* writes are
+        // not recoverable without page checksums (docs/FAULTS.md) and are
+        // exercised by unit tests instead; torn *log* syncs are sound under
+        // the WAL rule and are swept too.
+        std::vector<FaultMode> modes = {FaultMode::kCrash};
+        if (config.include_torn_log_sync &&
+            std::string(site.name) == fault_sites::kLogSync) {
+          modes.push_back(FaultMode::kTornWrite);
+        }
         for (uint64_t occurrence : occurrences) {
-          // Fail-stop crashes everywhere. Torn/short *data-page* writes are
-          // not recoverable without page checksums (docs/FAULTS.md) and are
-          // exercised by unit tests instead; torn *log* syncs are sound
-          // under the WAL rule and are swept below.
-          if (ModeMatchesFilter(config, FaultMode::kCrash)) {
-            std::string why;
-            CaseOutcome outcome =
-                RunOneCase(config, strategy, threads, site.name, occurrence,
-                           FaultMode::kCrash, references, &why);
-            RecordOutcome(config, strategy, threads, site.name, occurrence,
-                          FaultMode::kCrash, outcome, why, stats);
-          }
-          if (config.include_torn_log_sync &&
-              std::string(site.name) == fault_sites::kLogSync &&
-              ModeMatchesFilter(config, FaultMode::kTornWrite)) {
-            std::string why;
-            CaseOutcome outcome =
-                RunOneCase(config, strategy, threads, site.name, occurrence,
-                           FaultMode::kTornWrite, references, &why);
-            RecordOutcome(config, strategy, threads, site.name, occurrence,
-                          FaultMode::kTornWrite, outcome, why, stats);
+          for (FaultMode mode : modes) {
+            if (!config.only_mode.empty() &&
+                config.only_mode != FaultModeName(mode)) {
+              continue;
+            }
+            RunCase(config, strategy, threads, site.name, occurrence, mode,
+                    refs, stats);
           }
         }
       }
@@ -1004,13 +775,8 @@ Status RunCrashSweep(const SweepConfig& config, SweepStats* stats) {
 
 Status RunTortureSweep(const SweepConfig& config, int seconds, uint64_t seed,
                        SweepStats* stats) {
-  if (config.cascade) {
-    return Status::InvalidArgument(
-        "the torture sweep does not take --cascade; use the deterministic "
-        "sweep");
-  }
-  std::vector<StateDigest> references;
-  BULKDEL_RETURN_IF_ERROR(CaptureReferences(config, &references));
+  References refs;
+  BULKDEL_RETURN_IF_ERROR(CaptureReferences(config, &refs));
 
   // Occurrence counts per (strategy, threads), learned lazily.
   std::map<std::pair<int, int>, std::map<std::string, uint64_t>> count_cache;
@@ -1027,7 +793,7 @@ Status RunTortureSweep(const SweepConfig& config, int seconds, uint64_t seed,
     if (cached == count_cache.end()) {
       std::map<std::string, uint64_t> counts;
       BULKDEL_RETURN_IF_ERROR(CountOccurrences(config, strategy, threads,
-                                               references.back(), &counts));
+                                               refs.finals.back(), &counts));
       cached = count_cache.emplace(cache_key, std::move(counts)).first;
     }
     const auto& counts = cached->second;
@@ -1041,11 +807,8 @@ Status RunTortureSweep(const SweepConfig& config, int seconds, uint64_t seed,
         std::string(site.name) == fault_sites::kLogSync && rng() % 2 == 0) {
       mode = FaultMode::kTornWrite;
     }
-    std::string why;
-    CaseOutcome outcome = RunOneCase(config, strategy, threads, site.name,
-                                     occurrence, mode, references, &why);
-    RecordOutcome(config, strategy, threads, site.name, occurrence, mode,
-                  outcome, why, stats);
+    RunCase(config, strategy, threads, site.name, occurrence, mode, refs,
+            stats);
   }
   return Status::OK();
 }

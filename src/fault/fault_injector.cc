@@ -45,11 +45,13 @@ bool FaultInjector::IsKnownSite(const std::string& site) {
 }
 
 void FaultInjector::Arm(const std::string& site, uint64_t occurrence,
-                        FaultMode mode) {
+                        FaultMode mode, const std::string& detail) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_site_ = site;
   armed_occurrence_ = occurrence;
   armed_mode_ = mode;
+  armed_detail_ = detail;
+  armed_detail_hits_ = 0;
   tripped_ = false;
   trip_description_.clear();
 }
@@ -58,6 +60,7 @@ void FaultInjector::Disarm() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_site_.clear();
   armed_occurrence_ = 0;
+  armed_detail_.clear();
   tripped_ = false;
   trip_description_.clear();
 }
@@ -112,7 +115,12 @@ Status FaultInjector::CheckLocked(const char* site, const std::string& detail,
                                   Hit* hit) {
   if (tripped_) return TrippedErrorLocked();
   uint64_t n = ++counts_[site];
-  if (armed_site_ != site || n != armed_occurrence_) return Status::OK();
+  if (armed_site_ != site) return Status::OK();
+  if (!armed_detail_.empty()) {
+    if (detail != armed_detail_) return Status::OK();
+    n = ++armed_detail_hits_;
+  }
+  if (n != armed_occurrence_) return Status::OK();
   tripped_ = true;
   trip_description_ = "site=" + armed_site_ +
                       " occurrence=" + std::to_string(armed_occurrence_) +

@@ -137,8 +137,11 @@ class FaultInjector {
 
   /// Arms a fault: the `occurrence`-th (1-based) hit of `site` fires with
   /// `mode`. Replaces any previously armed fault and clears a tripped state.
+  /// With a non-empty `detail` only hits carrying that detail (e.g. the
+  /// phase label "table" at `sched.phase_start`) count toward `occurrence`,
+  /// counted from this call; HitCount still counts every hit of the site.
   void Arm(const std::string& site, uint64_t occurrence,
-           FaultMode mode = FaultMode::kCrash);
+           FaultMode mode = FaultMode::kCrash, const std::string& detail = {});
 
   /// Clears the armed fault and the tripped state (hit counts are kept).
   /// Call before running recovery: the "restarted process" is alive again.
@@ -178,6 +181,9 @@ class FaultInjector {
   std::map<std::string, uint64_t> counts_;
   std::string armed_site_;
   uint64_t armed_occurrence_ = 0;
+  std::string armed_detail_;
+  /// Hits of the armed site carrying armed_detail_ since Arm.
+  uint64_t armed_detail_hits_ = 0;
   FaultMode armed_mode_ = FaultMode::kCrash;
   bool tripped_ = false;
   std::string trip_description_;

@@ -86,7 +86,6 @@ struct BulkDeletePlan {
 
   std::string Explain() const;
 
-  /// Steps with no unmet dependencies among `pending` (by phase_id).
   /// Validates the DAG shape: every dep must name an earlier phase_id.
   bool DagIsValid() const;
 };

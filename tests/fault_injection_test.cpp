@@ -77,6 +77,31 @@ TEST(FaultInjectorTest, TripDescriptionNamesTheExactCase) {
             std::string::npos);
 }
 
+TEST(FaultInjectorTest, DetailQualifiedArmCountsOnlyMatchingHits) {
+  FaultInjector injector;
+  injector.Arm(fault_sites::kSchedPhaseStart, 2, FaultMode::kCrash, "table");
+  EXPECT_TRUE(injector.Check(fault_sites::kSchedPhaseStart, "sort-keys").ok());
+  EXPECT_TRUE(injector.Check(fault_sites::kSchedPhaseStart, "index:R.A").ok());
+  EXPECT_TRUE(injector.Check(fault_sites::kSchedPhaseStart, "table").ok());
+  // Other details never advance the armed occurrence...
+  EXPECT_TRUE(injector.Check(fault_sites::kSchedPhaseStart, "index:R.B").ok());
+  EXPECT_TRUE(injector.Check(fault_sites::kSchedPhaseStart).ok());
+  EXPECT_FALSE(injector.tripped());
+  // ...but the per-site count, which numbers the sweep's cases, sees them all.
+  EXPECT_EQ(injector.HitCount(fault_sites::kSchedPhaseStart), 5u);
+  Status s = injector.Check(fault_sites::kSchedPhaseStart, "table");
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(injector.HitCount(fault_sites::kSchedPhaseStart), 6u);
+  std::string desc = injector.trip_description();
+  EXPECT_NE(desc.find("sched.phase_start"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("at=table"), std::string::npos) << desc;
+  // Disarm drops the detail: a plain re-arm counts every hit again.
+  injector.Disarm();
+  injector.Arm(fault_sites::kSchedPhaseStart, 7);
+  EXPECT_TRUE(
+      injector.Check(fault_sites::kSchedPhaseStart, "index:R.B").IsAborted());
+}
+
 TEST(FaultInjectorTest, NonWriteSiteTreatsTornModeAsCrash) {
   FaultInjector injector;
   injector.Arm(fault_sites::kPoolFlush, 1, FaultMode::kTornWrite);
@@ -378,6 +403,22 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// The randomized driver draws its cases through the same runner as the
+/// deterministic sweep, for both scenarios.
+TEST(TortureSweepTest, RandomCasesRecoverOnBothScenarios) {
+  for (bool cascade : {false, true}) {
+    SweepConfig config;
+    config.cascade = cascade;
+    SweepStats stats;
+    Status s = RunTortureSweep(config, /*seconds=*/1, /*seed=*/42, &stats);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_GT(stats.cases_run, 0u) << "cascade=" << cascade;
+    std::string reports;
+    for (const std::string& r : stats.failure_reports) reports += r + "\n";
+    EXPECT_EQ(stats.failures, 0u) << "cascade=" << cascade << "\n" << reports;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // §3.1 concurrent-updater crash coverage (docs/CONCURRENCY.md). CI's

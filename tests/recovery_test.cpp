@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "fault/fault_injector.h"
 #include "workload/generator.h"
 
 namespace bulkdel {
@@ -24,6 +25,7 @@ DatabaseOptions RecoveryOptions() {
 
 struct Fixture {
   std::unique_ptr<Database> db;
+  std::shared_ptr<FaultInjector> injector = std::make_shared<FaultInjector>();
   Workload workload;
   BulkDeleteSpec spec;
   std::set<int64_t> doomed;
@@ -32,7 +34,9 @@ struct Fixture {
 
 Fixture MakeFixture(double fraction = 0.2, uint64_t n = 3000) {
   Fixture f;
-  f.db = *Database::Create(RecoveryOptions());
+  DatabaseOptions options = RecoveryOptions();
+  options.fault_injector = f.injector;
+  f.db = *Database::Create(options);
   WorkloadSpec spec;
   spec.n_tuples = n;
   spec.n_int_columns = 3;
@@ -45,6 +49,25 @@ Fixture MakeFixture(double fraction = 0.2, uint64_t n = 3000) {
   f.spec.keys = f.workload.MakeDeleteKeys(fraction, 123);
   f.doomed.insert(f.spec.keys.begin(), f.spec.keys.end());
   return f;
+}
+
+/// Arms a crash at the dispatch of the named phase ("index:R.A", "table",
+/// ...): the `sched.phase_start` hit that carries that phase label.
+void ArmPhaseCrash(Fixture& f, const std::string& phase) {
+  f.injector->Arm(fault_sites::kSchedPhaseStart, 1, FaultMode::kCrash, phase);
+}
+
+/// Runs `spec` with a crash armed at `phase`, then revives the injector so
+/// the caller can recover. Returns the interrupted statement's status.
+Status CrashAtPhase(Fixture& f, const BulkDeleteSpec& spec,
+                    const std::string& phase) {
+  ArmPhaseCrash(f, phase);
+  Status s = f.db->BulkDelete(spec, Strategy::kVerticalSortMerge).status();
+  EXPECT_NE(f.injector->trip_description().find("at=" + phase),
+            std::string::npos)
+      << s.ToString();
+  f.injector->Disarm();
+  return s;
 }
 
 void ExpectFinalState(Fixture& f) {
@@ -70,19 +93,17 @@ TEST(RecoveryTest, CompletesWithoutCrash) {
   ExpectFinalState(f);
 }
 
-class RecoveryCrashPointTest : public ::testing::TestWithParam<const char*> {};
+class RecoveryPhaseCrashTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(RecoveryCrashPointTest, CrashAtPhaseThenRollForward) {
+TEST_P(RecoveryPhaseCrashTest, CrashAtPhaseThenRollForward) {
   Fixture f = MakeFixture();
-  f.db->SetCrashPoint(GetParam());
-  auto report = f.db->BulkDelete(f.spec, Strategy::kVerticalSortMerge);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.status().IsAborted()) << report.status().ToString();
+  Status s = CrashAtPhase(f, f.spec, GetParam());
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
 }
 
-INSTANTIATE_TEST_SUITE_P(Phases, RecoveryCrashPointTest,
+INSTANTIATE_TEST_SUITE_P(Phases, RecoveryPhaseCrashTest,
                          ::testing::Values("index:R.A", "table", "index:R.B",
                                            "index:R.C"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
@@ -98,23 +119,20 @@ TEST(RecoveryTest, CrashBeforeAnyDurableWorkDropsStatement) {
   // Crash at the very first phase; nothing was checkpointed, so whether the
   // statement is dropped or finished, the database must be consistent. Our
   // implementation syncs the input list at Begin, so it rolls forward.
-  f.db->SetCrashPoint("index:R.A");
-  auto report = f.db->BulkDelete(f.spec, Strategy::kVerticalSortMerge);
-  ASSERT_TRUE(report.status().IsAborted());
+  ASSERT_TRUE(CrashAtPhase(f, f.spec, "index:R.A").IsAborted());
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
 }
 
 TEST(RecoveryTest, DoubleCrashDuringRecoveryIsIdempotent) {
   Fixture f = MakeFixture();
-  f.db->SetCrashPoint("table");
-  ASSERT_TRUE(
-      f.db->BulkDelete(f.spec, Strategy::kVerticalSortMerge).status()
-          .IsAborted());
+  ASSERT_TRUE(CrashAtPhase(f, f.spec, "table").IsAborted());
   // First recovery is itself interrupted at a later phase.
-  f.db->SetCrashPoint("index:R.C");
+  ArmPhaseCrash(f, "index:R.C");
   Status first = f.db->SimulateCrashAndRecover();
   ASSERT_TRUE(first.IsAborted()) << first.ToString();
+  ASSERT_TRUE(f.injector->tripped());
+  f.injector->Disarm();
   // Second recovery finishes the job.
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
@@ -145,10 +163,7 @@ TEST(RecoveryTest, SequentialBulkDeletesWithCrashBetween) {
   spec2.keys = second;
   f.doomed.insert(second.begin(), second.end());
 
-  f.db->SetCrashPoint("index:R.B");
-  ASSERT_TRUE(
-      f.db->BulkDelete(spec2, Strategy::kVerticalSortMerge).status()
-          .IsAborted());
+  ASSERT_TRUE(CrashAtPhase(f, spec2, "index:R.B").IsAborted());
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
 }
@@ -160,6 +175,7 @@ TEST(RecoveryTest, WalSupersedesLostPageWrites) {
   Fixture f;
   DatabaseOptions options = RecoveryOptions();
   options.memory_budget_bytes = 64 * 1024;  // 16 frames
+  options.fault_injector = f.injector;
   f.db = *Database::Create(options);
   WorkloadSpec spec;
   spec.n_tuples = 3000;
@@ -173,10 +189,7 @@ TEST(RecoveryTest, WalSupersedesLostPageWrites) {
   f.spec.keys = f.workload.MakeDeleteKeys(0.3, 5);
   f.doomed.insert(f.spec.keys.begin(), f.spec.keys.end());
 
-  f.db->SetCrashPoint("table");
-  ASSERT_TRUE(
-      f.db->BulkDelete(f.spec, Strategy::kVerticalSortMerge).status()
-          .IsAborted());
+  ASSERT_TRUE(CrashAtPhase(f, f.spec, "table").IsAborted());
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
 }
@@ -190,8 +203,7 @@ TEST(RecoveryTest, ParallelCrashBetweenSecondariesAndFinalizeCheckpoint) {
   Fixture f;
   DatabaseOptions options = RecoveryOptions();
   options.exec_threads = 4;
-  auto injector = std::make_shared<FaultInjector>(1);
-  options.fault_injector = injector;
+  options.fault_injector = f.injector;
   f.db = *Database::Create(options);
   WorkloadSpec spec;
   spec.n_tuples = 3000;
@@ -205,12 +217,12 @@ TEST(RecoveryTest, ParallelCrashBetweenSecondariesAndFinalizeCheckpoint) {
   f.spec.keys = f.workload.MakeDeleteKeys(0.2, 123);
   f.doomed.insert(f.spec.keys.begin(), f.spec.keys.end());
 
-  injector->Arm(fault_sites::kExecFinalize, 1);
+  f.injector->Arm(fault_sites::kExecFinalize, 1);
   auto report = f.db->BulkDelete(f.spec, Strategy::kVerticalSortMerge);
   ASSERT_FALSE(report.ok());
-  ASSERT_TRUE(injector->tripped()) << report.status().ToString();
+  ASSERT_TRUE(f.injector->tripped()) << report.status().ToString();
 
-  injector->Disarm();
+  f.injector->Disarm();
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
   // The re-run is idempotent: crashing again after completion changes

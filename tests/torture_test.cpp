@@ -10,15 +10,18 @@
 #include <vector>
 
 #include "core/database.h"
+#include "fault/fault_injector.h"
 #include "util/random.h"
 
 namespace bulkdel {
 namespace {
 
 TEST(TortureTest, MixedWorkloadManyRounds) {
+  auto injector = std::make_shared<FaultInjector>();
   DatabaseOptions options;
   options.memory_budget_bytes = 256 * 1024;
   options.enable_recovery_log = true;
+  options.fault_injector = injector;
   auto db = *Database::Create(options);
   Schema schema = *Schema::PaperStyle(3, 64);
   ASSERT_TRUE(db->CreateTable("R", schema).ok());
@@ -97,13 +100,16 @@ TEST(TortureTest, MixedWorkloadManyRounds) {
       }
       const char* points[] = {"index:R.A", "table", "index:R.B", "index:R.C"};
       ASSERT_TRUE(db->Checkpoint().ok());
-      db->SetCrashPoint(points[round % 4]);
+      injector->Arm(fault_sites::kSchedPhaseStart, 1, FaultMode::kCrash,
+                    points[round % 4]);
       BulkDeleteSpec spec2;
       spec2.table = "R";
       spec2.key_column = "A";
       spec2.keys = doomed2;
       auto crashed = db->BulkDelete(spec2, Strategy::kVerticalSortMerge);
       ASSERT_TRUE(crashed.status().IsAborted());
+      ASSERT_TRUE(injector->tripped());
+      injector->Disarm();
       ASSERT_TRUE(db->SimulateCrashAndRecover().ok());
       for (int64_t a : doomed2) {
         model.erase(a);

@@ -33,22 +33,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
-bool ParseStrategy(const std::string& name, Strategy* out) {
-  static const Strategy kAll[] = {
-      Strategy::kTraditional,      Strategy::kTraditionalSorted,
-      Strategy::kDropCreate,       Strategy::kVerticalSortMerge,
-      Strategy::kVerticalHash,     Strategy::kVerticalPartitionedHash,
-      Strategy::kOptimizer,
-  };
-  for (Strategy s : kAll) {
-    if (name == bulkdel::StrategyName(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -117,7 +101,7 @@ int main(int argc, char** argv) {
       config.only_mode = value;
     } else if (ParseFlag(argv[i], "strategy", &value)) {
       Strategy s;
-      if (!ParseStrategy(value, &s)) {
+      if (!bulkdel::StrategyFromName(value, &s)) {
         std::fprintf(stderr, "unknown strategy '%s'\n", value.c_str());
         return 2;
       }
