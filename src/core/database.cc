@@ -74,7 +74,8 @@ Status Database::WireStorage(bool truncate) {
   }
   if (options_.enable_recovery_log) {
     LogManager* log = log_.get();
-    pool_->SetPreWritebackHook([log] { log->Sync(); });
+    pool_->SetWalRule(&log->appended_seq(),
+                      [log](uint64_t seq) { return log->SyncTo(seq); });
   }
   return Status::OK();
 }
@@ -315,7 +316,8 @@ Result<Rid> Database::InsertRow(const std::string& table_name,
     if (bd_id != 0) {
       // Record-before-mutation: predict the RID and log the whole row
       // first, so any durable partial effect implies a durable record (the
-      // pool's pre-writeback hook syncs the log ahead of every page write).
+      // page is unpinned after the append, so its write-back forces the log
+      // through this record — the pool's WAL rule).
       BULKDEL_ASSIGN_OR_RETURN(Rid predicted, t->table->PeekInsertRid());
       LogRecord rec;
       rec.type = LogRecordType::kUpdaterRow;

@@ -290,7 +290,7 @@ class Database {
                        bool missing_ok);
 
   /// Builds and wires the storage stack (disk, WAL, pool, catalog, locks,
-  /// fault injector, metrics, pre-writeback hook) against the configured
+  /// fault injector, metrics, WAL rule) against the configured
   /// backend. `truncate` starts fresh files; false reopens existing ones.
   /// Shared by Create, Open and the file-backed crash-reopen path.
   Status WireStorage(bool truncate);

@@ -283,7 +283,8 @@ class VerticalRun {
   }
 
   /// Phase-end checkpoint: metas flushed, pool flushed (which first syncs the
-  /// WAL via the pre-writeback hook), then the PhaseDone record made durable.
+  /// whole WAL tail under the pool's WAL rule), then the PhaseDone record
+  /// made durable.
   ///
   /// `deferrable` marks phases that may run concurrently with other phases
   /// (the secondary-index nodes). FlushAll reads every dirty frame's bytes,

@@ -9,6 +9,7 @@ const std::vector<MetricInfo>& KnownMetrics() {
   static const std::vector<MetricInfo> kMetrics = {
       {metric_names::kBpFetchNs, MetricKind::kHistogram, "ns"},
       {metric_names::kBpLatchWaitNs, MetricKind::kHistogram, "ns"},
+      {metric_names::kBpWalForcedWritebacks, MetricKind::kCounter, "count"},
       {metric_names::kIdxLatchWaitNs, MetricKind::kHistogram, "ns"},
       {metric_names::kWalSyncRecords, MetricKind::kHistogram, "records"},
       {metric_names::kWalSyncNs, MetricKind::kHistogram, "ns"},

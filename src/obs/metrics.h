@@ -21,6 +21,10 @@ namespace metric_names {
 inline constexpr char kBpFetchNs[] = "bp.fetch_ns";
 /// Histogram, ns: wait to acquire the page's shard latch in FetchPage.
 inline constexpr char kBpLatchWaitNs[] = "bp.latch_wait_ns";
+/// Counter: dirty write-backs (an eviction victim or run, or a FlushAll
+/// sweep) that had to flush the WAL first because a record describing the
+/// page was not durable yet (the WAL rule, docs/BUFFERPOOL.md).
+inline constexpr char kBpWalForcedWritebacks[] = "bp.wal_forced_writebacks";
 /// Histogram, ns: wait to acquire an off-line index's latch in the
 /// secondary-index delete passes.
 inline constexpr char kIdxLatchWaitNs[] = "idx.latch_wait_ns";

@@ -105,6 +105,15 @@ void LogManager::Sync() {
   }
 }
 
+bool LogManager::SyncTo(uint64_t seq) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (durable_seq_ >= seq) return false;
+  }
+  Sync();
+  return true;
+}
+
 void LogManager::FlushLocked(std::unique_lock<std::mutex>& lock) {
   sync_in_flight_ = true;
   std::vector<LogRecord> moving = std::move(volatile_);

@@ -1,6 +1,7 @@
 #ifndef BULKDEL_RECOVERY_LOG_MANAGER_H_
 #define BULKDEL_RECOVERY_LOG_MANAGER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -28,9 +29,15 @@ class MetricsRegistry;
 /// and appended to a pluggable WalBackend byte sink: an in-memory image for
 /// simulation, or a real file whose Sync() is an fsync(2). Appended records
 /// are volatile until Sync(); a crash (simulated or real) loses the
-/// un-flushed tail, exactly like lost OS buffers. The buffer pool's
-/// pre-writeback hook calls Sync() so no page write can precede the
-/// durability of the log records describing it (the WAL rule).
+/// un-flushed tail, exactly like lost OS buffers.
+///
+/// Every appended record gets the next sequence number. The buffer pool
+/// stamps each dirty frame with appended_seq() when it is unpinned and calls
+/// SyncTo(stamp) before writing the frame back, so no page write can precede
+/// the durability of the log records describing it (the WAL rule, in its
+/// ARIES form "pageLSN <= flushedLSN"). This relies on one invariant at
+/// every logging site: a record describing a page change is appended before
+/// that page is unpinned.
 ///
 /// Group commit: concurrent Sync() callers coalesce onto one leader flush —
 /// the first syncer encodes and fsyncs every record appended so far, and
@@ -74,8 +81,12 @@ class LogManager {
   void Append(LogRecord record) {
     std::lock_guard<std::mutex> lock(mu_);
     volatile_.push_back(std::move(record));
-    ++appended_seq_;
+    appended_seq_.fetch_add(1, std::memory_order_release);
   }
+
+  /// Sequence number of the last appended record, readable without the log
+  /// latch: the buffer pool stamps dirty frames with it on every unpin.
+  const std::atomic<uint64_t>& appended_seq() const { return appended_seq_; }
 
   /// Makes every record appended so far durable. Concurrent callers group
   /// commit (see class comment). Under an armed fault injector the flush can
@@ -84,6 +95,11 @@ class LogManager {
   /// garbage (kTornWrite) — detected by the CRC scan on restart. Once the
   /// injector is tripped, Sync is a no-op: a dead process syncs nothing.
   void Sync();
+
+  /// Makes every record through sequence `seq` durable: returns false at
+  /// once when the durable prefix already covers it, otherwise runs Sync()
+  /// and returns true. The buffer pool calls this before a dirty write-back.
+  bool SyncTo(uint64_t seq);
 
   /// Group commit on/off (default on). Off = every Sync() call performs its
   /// own flush + fsync, even if its records are already durable.
@@ -161,8 +177,9 @@ class LogManager {
   /// durable once durable_seq_ >= N. Invariant (holding mu_, no flush in
   /// flight): appended_seq_ - durable_seq_ == volatile_.size(). Lost batches
   /// (injected crash, I/O error) rewind appended_seq_ — their records will
-  /// never become durable.
-  uint64_t appended_seq_ = 0;
+  /// never become durable. Written only under mu_; atomic so the buffer
+  /// pool's unpin stamp can read it lock-free.
+  std::atomic<uint64_t> appended_seq_{0};
   uint64_t durable_seq_ = 0;
   bool sync_in_flight_ = false;
   bool group_commit_ = true;

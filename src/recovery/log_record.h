@@ -21,8 +21,8 @@ enum class LogRecordType : uint8_t {
   /// storage"). `label` names it ("input-keys", "rids", "feed:R.B", ...).
   kListMaterialized,
   /// One index entry was removed by the bulk deleter (physiological redo
-  /// info: phase label + key + RID). Durable before the page write-back via
-  /// the buffer pool's pre-writeback hook.
+  /// info: phase label + key + RID). Appended while the leaf is pinned, so the
+  /// buffer pool's WAL rule makes it durable before the leaf's write-back.
   kEntryDeleted,
   /// One table record was removed; carries the projected secondary-index key
   /// values so the downstream feeds can be reconstructed after a crash.

@@ -211,7 +211,11 @@ Status BufferPool::FlushAllLocked() {
   if (injector_ != nullptr) {
     BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kPoolFlush));
   }
-  if (pre_writeback_hook_) pre_writeback_hook_();
+  // The sweep may write pinned frames whose stamp is not final yet, so it
+  // forces the whole appended tail rather than the frames' stamps.
+  if (wal_appended_seq_ != nullptr) {
+    ForceLogLocked(wal_appended_seq_->load(std::memory_order_acquire));
+  }
   // Write maximal adjacent-page-id runs with one WriteRun each: per-page
   // charges and fault checks are identical to page-at-a-time writes, but the
   // disk mutex is taken once per run.
@@ -415,9 +419,18 @@ size_t BufferPool::PrefetchPages(const PageId* ids, size_t n) {
   return covered;
 }
 
-void BufferPool::SetPreWritebackHook(std::function<void()> hook) {
+void BufferPool::SetWalRule(const std::atomic<uint64_t>* appended_seq,
+                            std::function<bool(uint64_t)> sync_to) {
   auto locks = LockAllShards();
-  pre_writeback_hook_ = std::move(hook);
+  wal_appended_seq_ = appended_seq;
+  wal_sync_to_ = std::move(sync_to);
+}
+
+void BufferPool::ForceLogLocked(uint64_t seq) {
+  if (!wal_sync_to_) return;
+  if (wal_sync_to_(seq) && wal_forced_counter_ != nullptr) {
+    wal_forced_counter_->Add(1);
+  }
 }
 
 void BufferPool::SetFaultInjector(FaultInjector* injector) {
@@ -430,10 +443,13 @@ void BufferPool::SetMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     fetch_ns_hist_ = nullptr;
     latch_wait_hist_ = nullptr;
+    wal_forced_counter_ = nullptr;
     return;
   }
   fetch_ns_hist_ = metrics->histogram(obs::metric_names::kBpFetchNs);
   latch_wait_hist_ = metrics->histogram(obs::metric_names::kBpLatchWaitNs);
+  wal_forced_counter_ =
+      metrics->counter(obs::metric_names::kBpWalForcedWritebacks);
 }
 
 BufferPoolStats BufferPool::stats() const {
@@ -461,6 +477,13 @@ void BufferPool::Unpin(size_t frame_index, PageId page_id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   Frame& frame = shard.frames[frame_index];
   if (!frame.in_use || frame.page_id != page_id) return;  // already recycled
+  // WAL stamp: the caller appended every record describing its change to
+  // this page before unpinning, so they all lie at or below the log's
+  // appended sequence now. Read under the shard latch, so successive stamps
+  // of one frame never go backwards.
+  if (frame.dirty && wal_appended_seq_ != nullptr) {
+    frame.wal_seq = wal_appended_seq_->load(std::memory_order_acquire);
+  }
   if (frame.pin_count > 0 && --frame.pin_count == 0) {
     shard.lru.push_front(frame_index);
     frame.lru_it = shard.lru.begin();
@@ -510,18 +533,19 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
       BULKDEL_RETURN_IF_ERROR(injector_->Check(
           fault_sites::kPoolEvict, "page " + std::to_string(frame.page_id)));
     }
-    if (pre_writeback_hook_) pre_writeback_hook_();
     if (options_.coalesce_writebacks) {
       // Batch the victim with resident dirty unpinned neighbors that form a
       // contiguous page-id run: one sequential write replaces several random
       // ones. Neighbors stay resident, merely cleaned. This changes the
       // simulated write classification, which is why the knob defaults off.
+      uint64_t run_seq = frame.wal_seq;
       PageId first = frame.page_id;
       while (true) {
         auto it = shard.page_table.find(first - 1);
         if (first == 0 || it == shard.page_table.end()) break;
         Frame& left = shard.frames[it->second];
         if (!left.dirty || left.pin_count > 0) break;
+        run_seq = std::max(run_seq, left.wal_seq);
         first = first - 1;
       }
       PageId last = frame.page_id;
@@ -530,8 +554,10 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
         if (it == shard.page_table.end()) break;
         Frame& right = shard.frames[it->second];
         if (!right.dirty || right.pin_count > 0) break;
+        run_seq = std::max(run_seq, right.wal_seq);
         last = last + 1;
       }
+      ForceLogLocked(run_seq);
       std::vector<const char*> datas;
       datas.reserve(last - first + 1);
       for (PageId p = first; p <= last; ++p) {
@@ -546,6 +572,7 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
       shard.stats.coalesced_writebacks +=
           static_cast<int64_t>(last - first);
     } else {
+      ForceLogLocked(frame.wal_seq);
       BULKDEL_RETURN_IF_ERROR(
           disk_->WritePage(frame.page_id, frame.data.get()));
       ++shard.stats.dirty_writebacks;

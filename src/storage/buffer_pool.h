@@ -1,6 +1,7 @@
 #ifndef BULKDEL_STORAGE_BUFFER_POOL_H_
 #define BULKDEL_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -17,6 +18,7 @@
 namespace bulkdel {
 
 namespace obs {
+class Counter;
 class Histogram;
 class MetricsRegistry;
 }  // namespace obs
@@ -192,17 +194,26 @@ class BufferPool {
   /// pages covered.
   size_t PrefetchPages(const PageId* ids, size_t n);
 
-  /// Invoked immediately before any dirty frame is written to disk (eviction
-  /// or flush). The recovery layer uses this to enforce the WAL rule: log
-  /// records become durable before the page changes they describe. The hook
-  /// runs with at least the affected shard's latch held (all of them during
-  /// a flush sweep) and must not call back into the pool.
-  void SetPreWritebackHook(std::function<void()> hook);
+  /// Installs the WAL rule: log records become durable before the page
+  /// changes they describe. `appended_seq` is the log's count of appended
+  /// records; every dirty frame is stamped with its value when unpinned, so
+  /// callers must append a page change's record before unpinning the page.
+  /// Before a dirty eviction victim (or coalesced run) is written back,
+  /// `sync_to(stamp)` must make every record through that stamp durable and
+  /// return whether it had to flush the log to do so (counted by
+  /// bp.wal_forced_writebacks). FlushAll passes the whole appended tail
+  /// instead, since it may write pinned frames whose stamp is not final.
+  /// `sync_to` runs with at least the affected shard's latch held (all of
+  /// them during a flush sweep) and must not call back into the pool. With
+  /// no rule installed, unpin and write-back do no log work at all.
+  void SetWalRule(const std::atomic<uint64_t>* appended_seq,
+                  std::function<bool(uint64_t)> sync_to);
 
-  /// Resolves the pool's metric instruments (bp.fetch_ns, bp.latch_wait_ns)
-  /// from `metrics` (nullptr = none; the registry must outlive the pool).
-  /// The clock-reading observations only happen while the global
-  /// TraceRecorder is enabled, so the default fetch path stays clock-free.
+  /// Resolves the pool's metric instruments (bp.fetch_ns, bp.latch_wait_ns,
+  /// bp.wal_forced_writebacks) from `metrics` (nullptr = none; the registry
+  /// must outlive the pool). The clock-reading observations only happen
+  /// while the global TraceRecorder is enabled, so the default fetch path
+  /// stays clock-free.
   void SetMetrics(obs::MetricsRegistry* metrics);
 
   /// Installs a fault injector on the write-back paths (nullptr = none; the
@@ -233,6 +244,9 @@ class BufferPool {
     bool dirty = false;
     bool in_use = false;
     bool prefetched = false;
+    /// The log's appended sequence at the last unpin while dirty: a
+    /// write-back must first make the log durable through it.
+    uint64_t wal_seq = 0;
     std::unique_ptr<char[]> data;
     std::list<size_t>::iterator lru_it;
     bool in_lru = false;
@@ -281,12 +295,19 @@ class BufferPool {
   size_t budget_bytes_;
   size_t total_frames_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Read under any shard latch; written under all of them.
-  std::function<void()> pre_writeback_hook_;
+  /// Forces the log through `seq` before a write-back (the WAL rule).
+  /// Called with the writing shard's latch held; no-op without a rule.
+  void ForceLogLocked(uint64_t seq);
+
+  /// The WAL rule (SetWalRule). Read under any shard latch; written under
+  /// all of them.
+  const std::atomic<uint64_t>* wal_appended_seq_ = nullptr;
+  std::function<bool(uint64_t)> wal_sync_to_;
   FaultInjector* injector_ = nullptr;
   /// Written under all shard latches (SetMetrics); read on the fetch path.
   obs::Histogram* fetch_ns_hist_ = nullptr;
   obs::Histogram* latch_wait_hist_ = nullptr;
+  obs::Counter* wal_forced_counter_ = nullptr;
 };
 
 }  // namespace bulkdel

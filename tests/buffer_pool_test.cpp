@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "util/coding.h"
@@ -333,7 +334,7 @@ TEST_F(BufferPoolTest, DiscardAllForCrashTestZeroesStats) {
 // Regression test for the Reset() write-back race: the old implementation
 // released the pool mutex between the inner FlushAll() and re-acquiring it to
 // drop frames, so a page dirtied by a concurrent thread in that window was
-// dropped without write-back. The pre-writeback hook fires during Reset's
+// dropped without write-back. The WAL rule's sync hook fires during Reset's
 // flush sweep (with all shard latches held); we use it as the rendezvous to
 // launch a concurrent writer at exactly the vulnerable moment.
 TEST(BufferPoolResetRaceTest, ConcurrentDirtyPageIsNotDroppedUnflushed) {
@@ -371,12 +372,14 @@ TEST(BufferPoolResetRaceTest, ConcurrentDirtyPageIsNotDroppedUnflushed) {
     guard->data()[0] = 'y';
     guard->MarkDirty();
   });
-  pool.SetPreWritebackHook([&] {
+  std::atomic<uint64_t> appended{0};
+  pool.SetWalRule(&appended, [&](uint64_t) {
     if (!fired.exchange(true)) {
       go.store(true, std::memory_order_release);
       // Give the writer a moment to reach the pool while the sweep runs.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
+    return false;
   });
   ASSERT_TRUE(pool.Reset().ok());
   writer.join();
@@ -386,6 +389,105 @@ TEST(BufferPoolResetRaceTest, ConcurrentDirtyPageIsNotDroppedUnflushed) {
   ASSERT_TRUE(guard.ok());
   EXPECT_EQ(guard->data()[0], 'y') << "concurrent dirty update was dropped "
                                       "without write-back during Reset";
+}
+
+// The WAL rule (SetWalRule) against a fake log whose durable prefix the test
+// controls: SyncTo flushes the whole appended tail, like LogManager's group
+// commit, and records what each forced flush had to cover and how many page
+// writes had reached the disk by then.
+class BufferPoolWalRuleTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kFrames = 4;
+
+  BufferPoolWalRuleTest() : pool_(&disk_, kFrames * kPageSize) {
+    // Clean pages to fetch later as eviction pressure, created before the
+    // rule is installed so their own first write-back does not count.
+    for (size_t i = 0; i < kFrames; ++i) {
+      auto guard = pool_.NewPage();
+      EXPECT_TRUE(guard.ok());
+      filler_.push_back(guard->page_id());
+    }
+    EXPECT_TRUE(pool_.Reset().ok());
+    pool_.ResetStats();
+    pool_.SetMetrics(&metrics_);
+    pool_.SetWalRule(&appended_, [this](uint64_t seq) {
+      if (durable_ >= seq) return false;
+      forced_.push_back(seq);
+      writes_at_force_.push_back(disk_.stats().writes);
+      durable_ = appended_.load();
+      return true;
+    });
+  }
+
+  /// A dirty page whose change is described by one appended record, and
+  /// which is unpinned after the append (the invariant callers keep).
+  void DirtyLoggedPage() {
+    auto guard = pool_.NewPage();
+    ASSERT_TRUE(guard.ok());
+    appended_.fetch_add(1);
+    guard->data()[0] = 'w';
+    guard->MarkDirty();
+  }
+
+  /// Fetches every filler page, evicting everything resident before them.
+  void EvictAllByFillers() {
+    for (PageId p : filler_) ASSERT_TRUE(pool_.FetchPage(p).ok());
+  }
+
+  int64_t ForcedCounter() const {
+    return metrics_.Snapshot().CounterOr(
+        obs::metric_names::kBpWalForcedWritebacks);
+  }
+
+  DiskManager disk_;
+  obs::MetricsRegistry metrics_;
+  BufferPool pool_;
+  std::vector<PageId> filler_;
+  std::atomic<uint64_t> appended_{0};
+  uint64_t durable_ = 0;
+  std::vector<uint64_t> forced_;
+  std::vector<int64_t> writes_at_force_;
+};
+
+TEST_F(BufferPoolWalRuleTest, DurableStampWritesBackWithoutLogSync) {
+  DirtyLoggedPage();  // stamped 1
+  durable_ = 1;       // its record became durable
+  appended_.fetch_add(5);  // later records about other pages, still volatile
+  const int64_t writes = disk_.stats().writes;
+  EvictAllByFillers();
+  EXPECT_EQ(pool_.stats().dirty_writebacks, 1);
+  EXPECT_EQ(disk_.stats().writes, writes + 1);
+  EXPECT_TRUE(forced_.empty()) << "a covered victim forced the log";
+  EXPECT_EQ(ForcedCounter(), 0);
+}
+
+TEST_F(BufferPoolWalRuleTest, UnsyncedStampForcesExactlyOneCoveringSync) {
+  DirtyLoggedPage();
+  DirtyLoggedPage();
+  DirtyLoggedPage();  // stamps 1, 2, 3; nothing durable yet
+  const int64_t writes = disk_.stats().writes;
+  EvictAllByFillers();
+  EXPECT_EQ(pool_.stats().dirty_writebacks, 3);
+  // The first victim (stamp 1) forces one flush of the whole tail, which
+  // also covers the other two victims.
+  ASSERT_EQ(forced_.size(), 1u);
+  EXPECT_EQ(forced_[0], 1u);
+  EXPECT_GE(durable_, 3u);
+  EXPECT_EQ(writes_at_force_[0], writes) << "page written before its record";
+  EXPECT_EQ(ForcedCounter(), 1);
+}
+
+TEST_F(BufferPoolWalRuleTest, FlushAllSyncsTheWholeTail) {
+  auto guard = pool_.NewPage();
+  ASSERT_TRUE(guard.ok());
+  guard->MarkDirty();
+  // Records appended while the page stays pinned: its stamp is not final,
+  // so the sweep must force everything appended so far.
+  appended_.fetch_add(4);
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  ASSERT_EQ(forced_.size(), 1u);
+  EXPECT_EQ(forced_[0], 4u);
+  EXPECT_EQ(durable_, 4u);
 }
 
 TEST(BufferPoolPrefetchTest, PrefetchPagesChargesOnConsumption) {

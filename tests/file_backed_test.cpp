@@ -15,9 +15,12 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/database.h"
+#include "fault/crash_sweep.h"
 #include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "workload/generator.h"
 
 namespace bulkdel {
@@ -200,6 +203,96 @@ TEST(FileBackedTest, TornWalSyncSurvivesReopenFromDisk) {
   EXPECT_EQ(db->log().durable_size(), 0u);
   uint64_t tuples = db->GetTable("R")->table->tuple_count();
   EXPECT_TRUE(tuples == 1600u || tuples == 2000u) << tuples;
+}
+
+/// WAL and pool counters of one cascade forget ("forget every 4th of 300
+/// users" through USERS -> ORDERS -> EVENTS) on the file backend at
+/// `budget`, plus each table's logical content hash afterwards.
+struct CascadeForgetRun {
+  int64_t wal_fsyncs = 0;
+  int64_t page_fsyncs = 0;  // disk.syncs: one per FlushAll barrier
+  int64_t forced_writebacks = 0;
+  int64_t evictions = 0;
+  std::vector<std::string> hashes;
+};
+
+CascadeForgetRun RunCascadeForget(const std::string& dir, size_t budget) {
+  constexpr int64_t kUsers = 300;
+  CascadeForgetRun out;
+  DatabaseOptions options = FileOptions(FreshDir(dir));
+  options.memory_budget_bytes = budget;
+  options.enable_recovery_log = true;
+  auto db = *Database::Create(options);
+  Schema schema = *Schema::PaperStyle(3, 64);
+  const std::vector<std::string> tables = {"USERS", "ORDERS", "EVENTS"};
+  for (const std::string& t : tables) {
+    EXPECT_TRUE(db->CreateTable(t, schema).ok());
+    EXPECT_TRUE(db->CreateIndex(t, "A", {.unique = true}).ok());
+  }
+  EXPECT_TRUE(db->CreateIndex("ORDERS", "B").ok());
+  EXPECT_TRUE(db->CreateIndex("EVENTS", "B").ok());
+  // User u owns orders {2u, 2u+1}; order o owns events {2o, 2o+1}.
+  for (int64_t u = 0; u < kUsers; ++u) {
+    EXPECT_TRUE(db->InsertRow("USERS", {u, u * 3 + 1, u * 7}).ok());
+    for (int64_t o = 2 * u; o < 2 * u + 2; ++o) {
+      EXPECT_TRUE(db->InsertRow("ORDERS", {o, u, o * 5}).ok());
+      for (int64_t e = 2 * o; e < 2 * o + 2; ++e) {
+        EXPECT_TRUE(db->InsertRow("EVENTS", {e, o, e * 11}).ok());
+      }
+    }
+  }
+  EXPECT_TRUE(
+      db->AddForeignKey("ORDERS", "B", "USERS", "A", FkAction::kCascade).ok());
+  EXPECT_TRUE(
+      db->AddForeignKey("EVENTS", "B", "ORDERS", "A", FkAction::kCascade)
+          .ok());
+  EXPECT_TRUE(db->Checkpoint().ok());
+
+  BulkDeleteSpec bd;
+  bd.table = "USERS";
+  bd.key_column = "A";
+  for (int64_t u = 0; u < kUsers; u += 4) bd.keys.push_back(u);
+  obs::MetricsSnapshot before = db->metrics().Snapshot();
+  db->pool().ResetStats();
+  auto report = db->BulkDelete(bd, Strategy::kVerticalSortMerge);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  obs::MetricsSnapshot after = db->metrics().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.CounterOr(name) - before.CounterOr(name);
+  };
+  out.wal_fsyncs = delta(obs::metric_names::kWalFsyncs);
+  out.page_fsyncs = delta(obs::metric_names::kDiskSyncs);
+  out.forced_writebacks = delta(obs::metric_names::kBpWalForcedWritebacks);
+  out.evictions = db->pool().stats().evictions;
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
+  for (const std::string& t : tables) {
+    out.hashes.push_back(*LogicalContentHash(db.get(), t));
+  }
+  return out;
+}
+
+// The WAL rule forces the log only as far as an evicted page's records, not
+// on every dirty write-back. The same cascade forget runs with a pool that
+// holds everything (1 MB: no evictions, every write-back is a FlushAll
+// barrier) and with one that evicts constantly (32 KB, 8 frames). A log sync
+// per dirty eviction would add one WAL fsync per eviction; under the rule a
+// victim forces the log only when it was dirtied after the last flush,
+// about once per pool's worth of evictions, which at this size stays within
+// the statement's barrier count.
+TEST(FileBackedTest, EvictionPressureDoesNotForceALogSyncPerWriteback) {
+  CascadeForgetRun roomy = RunCascadeForget("wal_rule_1m", 1u << 20);
+  CascadeForgetRun tight = RunCascadeForget("wal_rule_32k", 32u << 10);
+  EXPECT_EQ(tight.hashes, roomy.hashes);
+  EXPECT_EQ(roomy.evictions, 0);
+  EXPECT_EQ(tight.page_fsyncs, roomy.page_fsyncs);
+  EXPECT_GT(tight.evictions, 5 * tight.page_fsyncs) << "too little pressure";
+  EXPECT_LE(std::abs(tight.wal_fsyncs - roomy.wal_fsyncs), tight.page_fsyncs)
+      << "tight " << tight.wal_fsyncs << " vs roomy " << roomy.wal_fsyncs
+      << " WAL fsyncs over " << tight.evictions << " evictions";
+  // bp.wal_forced_writebacks shows the rule at work: evictions forced some
+  // flushes, and each forced write-back is at most one WAL flush.
+  EXPECT_GT(tight.forced_writebacks, roomy.forced_writebacks);
+  EXPECT_LE(tight.forced_writebacks, tight.wal_fsyncs);
 }
 
 }  // namespace
