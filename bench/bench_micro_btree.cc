@@ -5,9 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "btree/btree.h"
+#include "exec/hash_delete.h"
 #include "storage/buffer_pool.h"
 #include "util/random.h"
 
@@ -99,6 +102,81 @@ void BM_BulkDeleteSortedKeys(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BulkDeleteSortedKeys)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+/// A fresh tree bulk-loaded (full leaves) from `entries`.
+struct LoadedTree {
+  explicit LoadedTree(const std::vector<KeyRid>& entries)
+      : pool(&disk, 4096 * kPageSize) {
+    tree = std::make_unique<BTree>(*BTree::Create(&pool));
+    (void)tree->BulkLoad(entries);
+  }
+  DiskManager disk;
+  BufferPool pool;
+  std::unique_ptr<BTree> tree;
+};
+
+/// `n` (key, RID) entries sorted by key. RIDs pack 16 rows to a heap page,
+/// the layout of a 256-byte-tuple table; with `scatter_keys` the key order
+/// is a permutation of the RID order (a secondary index), otherwise key i
+/// sits on row i.
+std::vector<KeyRid> TableEntries(int64_t n, bool scatter_keys) {
+  std::vector<KeyRid> entries;
+  entries.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t key = scatter_keys ? (i * 104729) % n : i;
+    entries.emplace_back(key, Rid(static_cast<PageId>(1 + i / 16),
+                                  static_cast<uint16_t>(i % 16)));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// The by-RID ⋉̸ on a secondary index: 10% random RIDs of the table.
+void BM_BulkDeleteByRid(benchmark::State& state) {
+  std::vector<KeyRid> entries = TableEntries(state.range(0), true);
+  std::vector<Rid> doomed;
+  Random rng(7);
+  for (const KeyRid& e : entries) {
+    if (rng.Uniform(10) == 0) doomed.push_back(e.rid);
+  }
+  std::unique_ptr<LoadedTree> t;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t.reset();
+    t = std::make_unique<LoadedTree>(entries);
+    state.ResumeTiming();
+    Status s =
+        HashDeleteIndexByRids(t->tree.get(), doomed, ReorgMode::kFreeAtEmpty);
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BulkDeleteByRid)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+/// 1024 contiguous keys: whole leaves die entry by entry, the case where
+/// per-entry removal is quadratic in the leaf size.
+void BM_BulkDeleteClusteredKeys(benchmark::State& state) {
+  std::vector<KeyRid> entries = TableEntries(state.range(0), false);
+  std::vector<int64_t> doomed;
+  for (int64_t k = state.range(0) / 2; k < state.range(0) / 2 + 1024; ++k) {
+    doomed.push_back(k);
+  }
+  std::unique_ptr<LoadedTree> t;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t.reset();
+    t = std::make_unique<LoadedTree>(entries);
+    state.ResumeTiming();
+    Status s = t->tree->BulkDeleteSortedKeys(doomed, ReorgMode::kFreeAtEmpty,
+                                             nullptr);
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(doomed.size()));
+}
+BENCHMARK(BM_BulkDeleteClusteredKeys)
+    ->Arg(16384)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BulkLoad(benchmark::State& state) {
   std::vector<KeyRid> entries;

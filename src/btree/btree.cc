@@ -758,6 +758,10 @@ Status BTree::BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,
 // Bulk delete primitives
 // ---------------------------------------------------------------------------
 
+namespace {
+using Verdict = BTreeNode::LeafVerdict;
+}  // namespace
+
 Status BTree::BulkDeleteSortedKeys(
     const std::vector<int64_t>& keys, ReorgMode reorg,
     std::vector<Rid>* deleted_rids, BtreeBulkDeleteStats* stats,
@@ -775,30 +779,23 @@ Status BTree::BulkDeleteSortedKeys(
       ++local.leaves_visited;
       KeyRid probe0 =
           node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-      bool modified = false;
-      uint16_t pos = 0;
-      while (pos < node.count() && i < keys.size()) {
+      // Merge the leaf with the sorted key list.
+      uint16_t removed = node.LeafCompact(0, [&](uint16_t pos) {
         int64_t k = node.LeafKey(pos);
-        if (k < keys[i]) {
-          pos = node.LeafLowerBound(keys[i]);
-          continue;
-        }
-        if (k > keys[i]) {
-          ++i;
-          continue;
-        }
+        while (i < keys.size() && keys[i] < k) ++i;
+        if (i == keys.size()) return Verdict::kStop;
+        if (k < keys[i]) return Verdict::kKeep;
         if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
           ++local.skipped_undeletable;
-          ++pos;
-          continue;
+          return Verdict::kKeep;
         }
-        if (deleted_rids != nullptr) deleted_rids->push_back(node.LeafRid(pos));
-        if (on_delete) on_delete(k, node.LeafRid(pos));
-        node.LeafRemoveAt(pos);
-        modified = true;
-        ++local.entries_deleted;
-      }
-      if (modified) guard.MarkDirty();
+        Rid rid = node.LeafRid(pos);
+        if (deleted_rids != nullptr) deleted_rids->push_back(rid);
+        if (on_delete) on_delete(k, rid);
+        return Verdict::kDrop;
+      });
+      local.entries_deleted += removed;
+      if (removed > 0) guard.MarkDirty();
       if (node.count() == 0 && height_ > 1) {
         empties.push_back(EmptyLeaf{cur, probe0});
       }
@@ -829,30 +826,21 @@ Status BTree::BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
       ++local.leaves_visited;
       KeyRid probe0 =
           node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-      bool modified = false;
-      uint16_t pos = 0;
-      while (pos < node.count() && i < entries.size()) {
+      // Merge the leaf with the sorted entry list.
+      uint16_t removed = node.LeafCompact(0, [&](uint16_t pos) {
         KeyRid e = node.LeafEntryAt(pos);
-        if (e < entries[i]) {
-          pos = node.LeafLowerBound(entries[i]);
-          continue;
-        }
-        if (entries[i] < e) {
-          ++i;
-          continue;
-        }
+        while (i < entries.size() && entries[i] < e) ++i;
+        if (i == entries.size()) return Verdict::kStop;
+        if (e < entries[i]) return Verdict::kKeep;
+        ++i;
         if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
           ++local.skipped_undeletable;
-          ++pos;
-          ++i;
-          continue;
+          return Verdict::kKeep;
         }
-        node.LeafRemoveAt(pos);
-        modified = true;
-        ++local.entries_deleted;
-        ++i;
-      }
-      if (modified) guard.MarkDirty();
+        return Verdict::kDrop;
+      });
+      local.entries_deleted += removed;
+      if (removed > 0) guard.MarkDirty();
       if (node.count() == 0 && height_ > 1) {
         empties.push_back(EmptyLeaf{cur, probe0});
       }
@@ -889,29 +877,23 @@ Status BTree::BulkDeleteByPredicate(
     ++local.leaves_visited;
     KeyRid probe0 =
         node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-    bool modified = false;
-    uint16_t pos = 0;
-    while (pos < node.count()) {
+    uint16_t removed = node.LeafCompact(0, [&](uint16_t pos) {
       int64_t k = node.LeafKey(pos);
       if (hi.has_value() && k > *hi) {
         done = true;
-        break;
+        return Verdict::kStop;
       }
-      if ((lo.has_value() && k < *lo) || !pred(k, node.LeafRid(pos))) {
-        ++pos;
-        continue;
-      }
+      Rid rid = node.LeafRid(pos);
+      if ((lo.has_value() && k < *lo) || !pred(k, rid)) return Verdict::kKeep;
       if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
         ++local.skipped_undeletable;
-        ++pos;
-        continue;
+        return Verdict::kKeep;
       }
-      if (on_delete) on_delete(k, node.LeafRid(pos));
-      node.LeafRemoveAt(pos);
-      modified = true;
-      ++local.entries_deleted;
-    }
-    if (modified) guard.MarkDirty();
+      if (on_delete) on_delete(k, rid);
+      return Verdict::kDrop;
+    });
+    local.entries_deleted += removed;
+    if (removed > 0) guard.MarkDirty();
     if (node.count() == 0 && height_ > 1) {
       empties.push_back(EmptyLeaf{cur, probe0});
     }
@@ -977,7 +959,7 @@ Status BTree::BulkDeleteRangeLocked(
         // freed former neighbors.
         BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(d.page));
         BTreeNode node(guard.data());
-        node.LeafRemoveRange(0, node.count());
+        node.set_count(0);
         node.set_left_sibling(kInvalidPageId);
         node.set_right_sibling(kInvalidPageId);
         guard.MarkDirty();
@@ -1043,26 +1025,24 @@ Status BTree::BulkDeleteRangeLocked(
         BULKDEL_RETURN_IF_ERROR(close_run());
       }
       // Per-entry removal.
-      bool modified = false;
-      uint16_t pos = count > 0 ? node.LeafLowerBound(lo) : 0;
-      while (pos < node.count()) {
+      uint16_t from = count > 0 ? node.LeafLowerBound(lo) : 0;
+      uint16_t removed = node.LeafCompact(from, [&](uint16_t pos) {
         int64_t k = node.LeafKey(pos);
         if (k > hi) {
           done = true;
-          break;
+          return Verdict::kStop;
         }
         if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
           ++local.skipped_undeletable;
-          ++pos;
-          continue;
+          return Verdict::kKeep;
         }
-        if (deleted_rids != nullptr) deleted_rids->push_back(node.LeafRid(pos));
-        if (on_delete) on_delete(k, node.LeafRid(pos));
-        node.LeafRemoveAt(pos);
-        modified = true;
-        ++local.entries_deleted;
-      }
-      if (modified) guard.MarkDirty();
+        Rid rid = node.LeafRid(pos);
+        if (deleted_rids != nullptr) deleted_rids->push_back(rid);
+        if (on_delete) on_delete(k, rid);
+        return Verdict::kDrop;
+      });
+      local.entries_deleted += removed;
+      if (removed > 0) guard.MarkDirty();
       if (node.count() == 0 && height_ > 1) {
         empties.push_back(EmptyLeaf{cur, probe0});
       }

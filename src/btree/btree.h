@@ -257,11 +257,8 @@ class BTree {
   /// single child, promote the child.
   Status MaybeCollapseRoot();
 
-  /// Shared leaf-pass driver for the bulk-delete entry points.
-  /// `matcher(node, index)` classifies the entry at `index`:
-  /// returns +1 = delete it, 0 = keep and move on, -1 = no further matches in
-  /// this pass (stop). The driver handles undeletable flags, empty-leaf
-  /// bookkeeping and reorganization.
+  /// A leaf a bulk pass emptied; FinishBulkDelete frees it (free-at-empty).
+  /// Each pass removes a leaf's entries with BTreeNode::LeafCompact.
   struct EmptyLeaf {
     PageId page;
     KeyRid probe;  // smallest entry before the pass touched the leaf

@@ -32,15 +32,13 @@ void BTreeNode::LeafInsertAt(uint16_t i, int64_t key, const Rid& rid,
   set_count(n + 1);
 }
 
-void BTreeNode::LeafRemoveAt(uint16_t i) { LeafRemoveRange(i, i + 1); }
-
-void BTreeNode::LeafRemoveRange(uint16_t from, uint16_t to) {
+void BTreeNode::LeafRemoveAt(uint16_t i) {
   uint16_t n = count();
-  if (to < n) {
-    std::memmove(LeafEntry(from), LeafEntry(to),
-                 static_cast<size_t>(n - to) * kLeafEntrySize);
+  if (i + 1 < n) {
+    std::memmove(LeafEntry(i), LeafEntry(i + 1),
+                 static_cast<size_t>(n - i - 1) * kLeafEntrySize);
   }
-  set_count(n - (to - from));
+  set_count(n - 1);
 }
 
 uint16_t BTreeNode::LeafLowerBound(int64_t key) const {

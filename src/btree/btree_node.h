@@ -2,6 +2,7 @@
 #define BULKDEL_BTREE_BTREE_NODE_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "storage/page.h"
 #include "table/rid.h"
@@ -108,10 +109,38 @@ class BTreeNode {
 
   /// Shifts entries [i, count) right and writes the new entry at i.
   void LeafInsertAt(uint16_t i, int64_t key, const Rid& rid, uint16_t flags);
-  /// Removes entry i, shifting the tail left.
+  /// Removes entry i, shifting the tail left (the single-entry delete).
   void LeafRemoveAt(uint16_t i);
-  /// Removes entries [from, to), shifting the tail left.
-  void LeafRemoveRange(uint16_t from, uint16_t to);
+
+  /// What a leaf compaction does with the entry it visits.
+  enum class LeafVerdict : uint8_t { kKeep, kDrop, kStop };
+
+  /// One-pass leaf compaction for the bulk deletes: calls `visit(i)` for
+  /// i = from, from + 1, ... with each entry's original index, and keeps or
+  /// drops the entry, or stops the pass (keeping entry i and every entry
+  /// after it). Each survivor is copied down at most once and the count is
+  /// set at the end, so a leaf costs O(count) however many entries die.
+  /// `visit` may read entries at index >= i only. Returns the number dropped.
+  template <typename Visit>
+  uint16_t LeafCompact(uint16_t from, Visit&& visit) {
+    const uint16_t n = count();
+    uint16_t out = from;
+    uint16_t i = from;
+    for (; i < n; ++i) {
+      LeafVerdict verdict = visit(i);
+      if (verdict == LeafVerdict::kStop) break;
+      if (verdict == LeafVerdict::kDrop) continue;
+      if (out != i) std::memcpy(LeafEntry(out), LeafEntry(i), kLeafEntrySize);
+      ++out;
+    }
+    if (out != i && i < n) {
+      std::memmove(LeafEntry(out), LeafEntry(i),
+                   static_cast<size_t>(n - i) * kLeafEntrySize);
+    }
+    const uint16_t kept = static_cast<uint16_t>(out + (n - i));
+    set_count(kept);
+    return static_cast<uint16_t>(n - kept);
+  }
 
   /// First index with key >= probe key; `count()` if none.
   uint16_t LeafLowerBound(int64_t key) const;

@@ -466,27 +466,12 @@ class VerticalRun {
       scope.set_items(deleted);
       return CheckpointPhase(label);
     }
-    const Schema& schema = *table_->schema;
+    std::vector<std::vector<KeyRid>*> feeds = SecondaryFeeds();
     uint64_t deleted = 0;
     BULKDEL_RETURN_IF_ERROR(table_->table->BulkDeleteSortedRids(
         rids_,
         [&](const Rid& rid, const char* tuple) {
-          std::vector<int64_t> values;
-          values.reserve(secondaries_.size());
-          for (IndexDef* index : secondaries_) {
-            int64_t v = schema.GetInt(tuple,
-                                      static_cast<size_t>(index->column));
-            values.push_back(v);
-            feeds_[index->name].emplace_back(v, rid);
-          }
-          if (logging_) {
-            LogRecord rec;
-            rec.type = LogRecordType::kRowDeleted;
-            rec.bd_id = bd_id_;
-            rec.rid = rid;
-            rec.values = std::move(values);
-            db_->log().Append(std::move(rec));
-          }
+          OnRowDeleted(feeds, rid, tuple);
         },
         &deleted, nullptr));
     report_.rows_deleted += deleted;
@@ -496,6 +481,40 @@ class VerticalRun {
           MaterializeList("feed:" + index->name, feeds_[index->name]));
     }
     return CheckpointPhase(label);
+  }
+
+  /// Every secondary's feed vector in `secondaries_` order, looked up once
+  /// per table pass instead of once per deleted row and index.
+  std::vector<std::vector<KeyRid>*> SecondaryFeeds() {
+    std::vector<std::vector<KeyRid>*> feeds;
+    feeds.reserve(secondaries_.size());
+    for (IndexDef* index : secondaries_) {
+      feeds.push_back(&feeds_.at(index->name));
+    }
+    return feeds;
+  }
+
+  /// Table-pass bookkeeping for one deleted row: projects its secondary keys
+  /// into `feeds` and, when logging, appends its kRowDeleted record carrying
+  /// the keys just projected.
+  void OnRowDeleted(const std::vector<std::vector<KeyRid>*>& feeds,
+                    const Rid& rid, const char* tuple) {
+    const Schema& schema = *table_->schema;
+    for (size_t i = 0; i < secondaries_.size(); ++i) {
+      feeds[i]->emplace_back(
+          schema.GetInt(tuple, static_cast<size_t>(secondaries_[i]->column)),
+          rid);
+    }
+    if (!logging_) return;
+    LogRecord rec;
+    rec.type = LogRecordType::kRowDeleted;
+    rec.bd_id = bd_id_;
+    rec.rid = rid;
+    rec.values.reserve(feeds.size());
+    for (const std::vector<KeyRid>* feed : feeds) {
+      rec.values.push_back(feed->back().key);
+    }
+    db_->log().Append(std::move(rec));
   }
 
   /// Fallback when no index exists on the delete-list column: one full table
@@ -514,6 +533,7 @@ class VerticalRun {
       for (int64_t k : keys_) set.Insert(static_cast<uint64_t>(k));
     }
     const Schema& schema = *table_->schema;
+    std::vector<std::vector<KeyRid>*> feeds = SecondaryFeeds();
     uint64_t deleted = 0;
     BULKDEL_RETURN_IF_ERROR(table_->table->ScanDeleteIf(
         [&](const Rid&, const char* tuple) {
@@ -524,26 +544,11 @@ class VerticalRun {
           return set.Contains(static_cast<uint64_t>(k));
         },
         [&](const Rid& rid, const char* tuple) {
-          std::vector<int64_t> values;
-          values.reserve(secondaries_.size());
-          for (IndexDef* index : secondaries_) {
-            int64_t v = schema.GetInt(tuple,
-                                      static_cast<size_t>(index->column));
-            values.push_back(v);
-            feeds_[index->name].emplace_back(v, rid);
-          }
+          OnRowDeleted(feeds, rid, tuple);
           // This path never fills rids_ (no access-path pass produced one);
           // the scrub pass needs the dead slots, so collect them here.
           if (db_->options().scrub_deleted_pages) {
             scrub_rids_.push_back(rid);
-          }
-          if (logging_) {
-            LogRecord rec;
-            rec.type = LogRecordType::kRowDeleted;
-            rec.bd_id = bd_id_;
-            rec.rid = rid;
-            rec.values = std::move(values);
-            db_->log().Append(std::move(rec));
           }
         },
         &deleted));

@@ -1,5 +1,8 @@
 #include "exec/hash_delete.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace bulkdel {
 
 namespace {
@@ -68,13 +71,39 @@ void U64HashSet::Grow() {
   }
 }
 
+RidSet::RidSet(size_t n, const std::function<Rid(size_t)>& rid_at) {
+  if (n == 0) return;
+  uint64_t lo = ~0ULL;
+  uint64_t hi = 0;
+  for (size_t i = 0; i < n; ++i) {
+    Rid rid = rid_at(i);
+    lo = std::min<uint64_t>(lo, rid.page);
+    hi = std::max<uint64_t>(hi, rid.page);
+    max_slot_ = std::max(max_slot_, rid.slot);
+  }
+  slot_bits_ = std::bit_width(max_slot_);
+  uint64_t words = (((hi - lo + 1) << slot_bits_) + 63) / 64;
+  if (words * sizeof(uint64_t) > U64HashSet::EstimateBytes(n)) {
+    hash_ = std::make_unique<U64HashSet>(n);
+    for (size_t i = 0; i < n; ++i) hash_->Insert(rid_at(i).Pack());
+    return;
+  }
+  min_page_ = lo;
+  page_span_ = hi - lo + 1;
+  bits_.assign(words, 0);
+  for (size_t i = 0; i < n; ++i) {
+    Rid rid = rid_at(i);
+    uint64_t bit = ((rid.page - min_page_) << slot_bits_) | rid.slot;
+    bits_[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+}
+
 Status HashDeleteIndexByRids(BTree* index, const std::vector<Rid>& rids,
                              ReorgMode reorg, BtreeBulkDeleteStats* stats) {
-  U64HashSet set(rids.size());
-  for (const Rid& rid : rids) set.Insert(rid.Pack());
+  RidSet set(rids);
   return index->BulkDeleteByPredicate(
-      [&](int64_t, const Rid& rid) { return set.Contains(rid.Pack()); },
-      reorg, stats);
+      [&](int64_t, const Rid& rid) { return set.Contains(rid); }, reorg,
+      stats);
 }
 
 }  // namespace bulkdel

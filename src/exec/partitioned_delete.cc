@@ -15,22 +15,21 @@ size_t MaxItemsForBudget(size_t budget) {
   return std::max<size_t>(m, 8);
 }
 
-/// Deletes one partition: hash-probe by RID over the bounded leaf range.
+/// Deletes one partition: probe by RID over the bounded leaf range.
 Status DeletePartition(BTree* index, const std::vector<KeyRid>& part,
                        ReorgMode reorg, BtreeBulkDeleteStats* agg) {
   if (part.empty()) return Status::OK();
-  U64HashSet set(part.size());
+  RidSet set(part.size(), [&part](size_t i) { return part[i].rid; });
   int64_t lo = part.front().key;
   int64_t hi = part.front().key;
   for (const KeyRid& e : part) {
-    set.Insert(e.rid.Pack());
     lo = std::min(lo, e.key);
     hi = std::max(hi, e.key);
   }
   BtreeBulkDeleteStats stats;
   BULKDEL_RETURN_IF_ERROR(index->BulkDeleteByPredicate(
-      [&](int64_t, const Rid& rid) { return set.Contains(rid.Pack()); },
-      reorg, &stats, lo, hi));
+      [&](int64_t, const Rid& rid) { return set.Contains(rid); }, reorg,
+      &stats, lo, hi));
   agg->entries_deleted += stats.entries_deleted;
   agg->leaves_visited += stats.leaves_visited;
   agg->leaves_freed += stats.leaves_freed;

@@ -82,6 +82,97 @@ TEST(U64HashSetTest, EstimateBytesMonotone) {
   EXPECT_LE(set.bytes(), U64HashSet::EstimateBytes(1000));
 }
 
+/// Checks `set` against a std::set reference over every RID in
+/// [page_lo, page_hi] x [0, max_slot] plus `extra` probes.
+void ExpectRidSetMatches(const RidSet& set, const std::vector<Rid>& rids,
+                         PageId page_lo, PageId page_hi, uint16_t max_slot,
+                         const std::vector<Rid>& extra) {
+  std::set<uint64_t> ref;
+  for (const Rid& rid : rids) ref.insert(rid.Pack());
+  for (PageId p = page_lo; p <= page_hi; ++p) {
+    for (uint32_t s = 0; s <= max_slot; ++s) {
+      Rid rid(p, static_cast<uint16_t>(s));
+      ASSERT_EQ(set.Contains(rid), ref.count(rid.Pack()) == 1)
+          << rid.ToString();
+    }
+  }
+  for (const Rid& rid : extra) {
+    EXPECT_EQ(set.Contains(rid), ref.count(rid.Pack()) == 1)
+        << rid.ToString();
+  }
+}
+
+TEST(RidSetTest, EmptyListContainsNothing) {
+  RidSet set(std::vector<Rid>{});
+  EXPECT_TRUE(set.is_bitmap());
+  EXPECT_EQ(set.bytes(), 0u);
+  ExpectRidSetMatches(set, {}, 0, 3, 7,
+                      {Rid(kInvalidPageId, 0xFFFF), Rid(0, 0xFFFF)});
+}
+
+TEST(RidSetTest, DenseBitmapMatchesReference) {
+  // 10% of the slots of pages [100, 400) with 16 slots a page: the span's
+  // bitmap (300 pages x 16 bits = 600 B) is far below the hash set's bytes.
+  Random rng(42);
+  std::vector<Rid> rids;
+  for (PageId p = 100; p < 400; ++p) {
+    for (uint16_t s = 0; s < 16; ++s) {
+      if (rng.Uniform(10) == 0) rids.emplace_back(p, s);
+    }
+  }
+  // Both ends of the page span, slot 0 and the table's highest slot (15),
+  // and duplicates.
+  rids.emplace_back(100, 0);
+  rids.emplace_back(399, 15);
+  rids.emplace_back(100, 0);
+  rids.emplace_back(250, 7);
+  rids.emplace_back(250, 7);
+  RidSet set(rids);
+  EXPECT_TRUE(set.is_bitmap());
+  EXPECT_LE(set.bytes(), U64HashSet::EstimateBytes(rids.size()));
+  // Outside the span: the pages just beyond it, page 0, slots above the
+  // highest, the invalid page.
+  ExpectRidSetMatches(set, rids, 98, 401, 17,
+                      {Rid(0, 0), Rid(0, 15), Rid(100, 16), Rid(399, 0xFFFF),
+                       Rid(kInvalidPageId, 0), Rid(kInvalidPageId, 0xFFFF)});
+}
+
+TEST(RidSetTest, BitmapCoversPageZeroAndSlotZero) {
+  std::vector<Rid> rids = {Rid(0, 0), Rid(0, 3), Rid(2, 0), Rid(5, 3)};
+  RidSet set(rids);
+  EXPECT_TRUE(set.is_bitmap());
+  ExpectRidSetMatches(set, rids, 0, 7, 5, {Rid(kInvalidPageId, 0)});
+}
+
+TEST(RidSetTest, SparseListFallsBackToHashSet) {
+  // Three RIDs a million pages apart: the span's bitmap would dwarf a hash
+  // set of three items, so the set is that hash set.
+  std::vector<Rid> rids = {Rid(0, 0), Rid(1000000, 0xFFFF),
+                           Rid(2000000, 5), Rid(1000000, 0xFFFF)};
+  RidSet set(rids);
+  EXPECT_FALSE(set.is_bitmap());
+  EXPECT_LE(set.bytes(), U64HashSet::EstimateBytes(rids.size()));
+  ExpectRidSetMatches(
+      set, rids, 0, 2, 7,
+      {Rid(999999, 0xFFFF), Rid(1000000, 0xFFFE), Rid(1000001, 0xFFFF),
+       Rid(2000000, 5), Rid(2000000, 4), Rid(kInvalidPageId, 0xFFFF)});
+}
+
+TEST(RidSetTest, HighestSlotWidensTheBitmap) {
+  // One page holding slot 0xFFFF: 2^16 bits = 8 KB, over the hash set's
+  // bytes for two items, so the set falls back. A highest slot of 1000 takes
+  // 10 bits a page (128 B for one page) and stays a bitmap.
+  RidSet wide(std::vector<Rid>{Rid(7, 0), Rid(7, 0xFFFF)});
+  EXPECT_FALSE(wide.is_bitmap());
+  EXPECT_TRUE(wide.Contains(Rid(7, 0xFFFF)));
+  EXPECT_FALSE(wide.Contains(Rid(7, 0xFFFE)));
+  std::vector<Rid> many;
+  for (uint16_t s = 0; s <= 1000; s += 4) many.emplace_back(7, s);
+  RidSet dense(many);
+  EXPECT_TRUE(dense.is_bitmap());
+  ExpectRidSetMatches(dense, many, 6, 8, 1100, {});
+}
+
 TEST_F(ExecTest, SortedKeysMergeDeleteFromIndex) {
   auto tree = MakeIndex(5000);
   std::vector<int64_t> keys;
