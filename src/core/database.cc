@@ -830,27 +830,4 @@ Status Database::SimulateCrashAndRecover() {
   return RecoverDatabase(this);
 }
 
-Result<BulkDeleteReport> Database::BulkUpdateColumn(
-    const std::string& table, const std::string& set_column, int64_t delta,
-    const std::string& filter_column, int64_t lo, int64_t hi) {
-  ExecContext ctx(this);
-  std::vector<BufferPoolStats> pool_before = pool_->shard_stats();
-  obs::MetricsSnapshot metrics_before = metrics_.Snapshot();
-  Result<BulkDeleteReport> result =
-      ExecuteBulkUpdate(&ctx, table, set_column, delta, filter_column, lo, hi);
-  if (result.ok()) {
-    result->backend =
-        storage_backend() == StorageBackend::kFile ? "file" : "sim";
-    std::vector<BufferPoolStats> pool_after = pool_->shard_stats();
-    result->pool_shards.resize(pool_after.size());
-    result->pool = BufferPoolStats();
-    for (size_t s = 0; s < pool_after.size(); ++s) {
-      result->pool_shards[s] = pool_after[s] - pool_before[s];
-      result->pool += result->pool_shards[s];
-    }
-    result->metrics = metrics_.Snapshot() - metrics_before;
-  }
-  return result;
-}
-
 }  // namespace bulkdel

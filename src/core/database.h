@@ -213,15 +213,6 @@ class Database {
   Result<BulkDeletePlan> ExplainBulkDelete(const BulkDeleteSpec& spec,
                                            Strategy strategy);
 
-  /// Bulk UPDATE via bulk delete + re-insert on the affected index (§1's
-  /// Emp.salary example): sets `set_column` += delta for every row whose
-  /// `filter_column` lies in [lo, hi].
-  Result<BulkDeleteReport> BulkUpdateColumn(const std::string& table,
-                                            const std::string& set_column,
-                                            int64_t delta,
-                                            const std::string& filter_column,
-                                            int64_t lo, int64_t hi);
-
   // -- Maintenance / introspection -------------------------------------------
   /// Flushes everything (pages, metas, catalog) and syncs the log.
   Status Checkpoint();

@@ -22,8 +22,8 @@ class Database;
 /// database handle, the statement-relative clock, per-phase I/O attribution,
 /// and a cooperative cancel flag.
 ///
-/// One ExecContext lives for exactly one statement (BulkDelete / BulkUpdate /
-/// recovery resume). Phases — possibly overlapping, possibly on worker
+/// One ExecContext lives for exactly one statement (BulkDelete / recovery
+/// resume). Phases — possibly overlapping, possibly on worker
 /// threads — measure themselves with PhaseScope; the context collects the
 /// finished PhaseStats and keeps a *root* I/O attribution installed on the
 /// statement thread so pages touched outside any phase are still charged to

@@ -100,15 +100,6 @@ struct RecoveredBulkDelete {
 Result<BulkDeleteReport> ResumeVertical(Database* db,
                                         const RecoveredBulkDelete& state);
 
-/// Bulk UPDATE of one column implemented as bulk delete + bulk re-insert on
-/// the affected index (paper §1's Emp.salary example).
-Result<BulkDeleteReport> ExecuteBulkUpdate(ExecContext* ctx,
-                                           const std::string& table,
-                                           const std::string& set_column,
-                                           int64_t delta,
-                                           const std::string& filter_column,
-                                           int64_t lo, int64_t hi);
-
 }  // namespace bulkdel
 
 #endif  // BULKDEL_CORE_EXECUTORS_H_

@@ -150,9 +150,10 @@ class VerticalRun {
 
   void FinishReport(Stopwatch* total) {
     report_.phases = ctx_->TakePhases();
-    // Attributed total (root + per-phase accounts) rather than a global-
-    // counter delta: under concurrency the global counters interleave other
-    // phases' traffic, while the attributed sum is exactly this statement's.
+    // Attributed total (root + per-phase accounts) rather than a
+    // DiskManager::stats() delta: the disk total also counts concurrent
+    // updaters' and other sessions' traffic, while the attributed sum is
+    // exactly this statement's.
     report_.io = ctx_->AttributedTotal();
     report_.wall_micros = total->ElapsedMicros();
   }

@@ -108,27 +108,8 @@ Status DiskManager::FreePage(PageId page_id) {
 
 Status DiskManager::ReadPage(PageId page_id, char* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  return ReadPageLocked(page_id, out);
-}
-
-Status DiskManager::ReadPageLocked(PageId page_id, char* out) {
-  if (injector_ != nullptr) {
-    BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kDiskRead));
-  }
-  BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
-  Account(page_id, /*is_write=*/false);
-  if (fd_ < 0) {
-    std::memcpy(out, pages_[page_id].get(), kPageSize);
-    return Status::OK();
-  }
-  ssize_t n = ::pread(fd_, out, kPageSize,
-                      static_cast<off_t>(page_id) * kPageSize);
-  if (n < 0) return Status::IOError(std::strerror(errno));
-  if (n < static_cast<ssize_t>(kPageSize)) {
-    // Page beyond current file end (allocated but never written): zeros.
-    std::memset(out + n, 0, kPageSize - n);
-  }
-  return Status::OK();
+  BULKDEL_RETURN_IF_ERROR(ChargeReadLocked(page_id));
+  return LoadPageLocked(page_id, out);
 }
 
 Status DiskManager::WritePage(PageId page_id, const char* data) {
@@ -160,6 +141,24 @@ Status DiskManager::ReadPagePrefetchLocked(PageId page_id, char* out) {
     return injector_->TrippedError();
   }
   BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
+  return LoadPageLocked(page_id, out);
+}
+
+Status DiskManager::ChargePrefetchedRead(PageId page_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ChargeReadLocked(page_id);
+}
+
+Status DiskManager::ChargeReadLocked(PageId page_id) {
+  if (injector_ != nullptr) {
+    BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kDiskRead));
+  }
+  BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
+  Account(page_id, /*is_write=*/false);
+  return Status::OK();
+}
+
+Status DiskManager::LoadPageLocked(PageId page_id, char* out) {
   if (fd_ < 0) {
     std::memcpy(out, pages_[page_id].get(), kPageSize);
     return Status::OK();
@@ -168,18 +167,9 @@ Status DiskManager::ReadPagePrefetchLocked(PageId page_id, char* out) {
                       static_cast<off_t>(page_id) * kPageSize);
   if (n < 0) return Status::IOError(std::strerror(errno));
   if (n < static_cast<ssize_t>(kPageSize)) {
+    // Page beyond current file end (allocated but never written): zeros.
     std::memset(out + n, 0, kPageSize - n);
   }
-  return Status::OK();
-}
-
-Status DiskManager::ChargePrefetchedRead(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (injector_ != nullptr) {
-    BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kDiskRead));
-  }
-  BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
-  Account(page_id, /*is_write=*/false);
   return Status::OK();
 }
 
@@ -214,27 +204,10 @@ Status DiskManager::WriteRun(PageId first, const std::vector<const char*>& datas
   size_t ok_pages = 0;
   Status failure;
   size_t partial_bytes = 0;  // of page `first + ok_pages`, on a fired fault
-  for (size_t i = 0; i < datas.size(); ++i) {
-    PageId page_id = first + static_cast<PageId>(i);
-    if (injector_ != nullptr) {
-      FaultInjector::Hit hit;
-      failure = injector_->CheckWrite(fault_sites::kDiskWrite, &hit,
-                                      "page " + std::to_string(page_id));
-      if (!failure.ok()) break;
-      if (hit.fire) {
-        if (CheckBounds(page_id).ok()) {
-          partial_bytes = hit.mode == FaultMode::kTornWrite
-                              ? kPageSize / 2
-                              : hit.rng % kPageSize;
-        }
-        failure = injector_->TrippedError();
-        break;
-      }
-    }
-    failure = CheckBounds(page_id);
+  for (; ok_pages < datas.size(); ++ok_pages) {
+    failure = ChargeWriteLocked(first + static_cast<PageId>(ok_pages),
+                                &partial_bytes);
     if (!failure.ok()) break;
-    Account(page_id, /*is_write=*/true);
-    ++ok_pages;
   }
   size_t done = 0;
   while (done < ok_pages) {
@@ -342,6 +315,14 @@ void DiskManager::LoadCleanShutdownMeta() {
 }
 
 Status DiskManager::WritePageLocked(PageId page_id, const char* data) {
+  size_t torn_bytes = 0;
+  Status charged = ChargeWriteLocked(page_id, &torn_bytes);
+  if (torn_bytes > 0) (void)StorePageLocked(page_id, data, torn_bytes);
+  BULKDEL_RETURN_IF_ERROR(charged);
+  return StorePageLocked(page_id, data, kPageSize);
+}
+
+Status DiskManager::ChargeWriteLocked(PageId page_id, size_t* torn_bytes) {
   if (injector_ != nullptr) {
     FaultInjector::Hit hit;
     BULKDEL_RETURN_IF_ERROR(injector_->CheckWrite(
@@ -349,28 +330,27 @@ Status DiskManager::WritePageLocked(PageId page_id, const char* data) {
     if (hit.fire) {
       // The crash interrupted this write mid-page: a prefix of the new bytes
       // reaches the medium, the tail keeps its previous content.
-      Status bounds = CheckBounds(page_id);
-      size_t n = hit.mode == FaultMode::kTornWrite ? kPageSize / 2
-                                                   : hit.rng % kPageSize;
-      if (bounds.ok() && n > 0) {
-        if (fd_ < 0) {
-          std::memcpy(pages_[page_id].get(), data, n);
-        } else {
-          (void)::pwrite(fd_, data, n, static_cast<off_t>(page_id) * kPageSize);
-        }
+      if (CheckBounds(page_id).ok()) {
+        *torn_bytes = hit.mode == FaultMode::kTornWrite ? kPageSize / 2
+                                                        : hit.rng % kPageSize;
       }
       return injector_->TrippedError();
     }
   }
   BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
   Account(page_id, /*is_write=*/true);
+  return Status::OK();
+}
+
+Status DiskManager::StorePageLocked(PageId page_id, const char* data,
+                                    size_t bytes) {
   if (fd_ < 0) {
-    std::memcpy(pages_[page_id].get(), data, kPageSize);
+    std::memcpy(pages_[page_id].get(), data, bytes);
     return Status::OK();
   }
-  ssize_t n = ::pwrite(fd_, data, kPageSize,
-                       static_cast<off_t>(page_id) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
+  ssize_t n =
+      ::pwrite(fd_, data, bytes, static_cast<off_t>(page_id) * kPageSize);
+  if (n != static_cast<ssize_t>(bytes)) {
     return Status::IOError(std::strerror(errno));
   }
   return Status::OK();
@@ -394,7 +374,7 @@ IoStats DiskManager::stats() const {
 void DiskManager::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = IoStats();
-  last_accessed_ = kInvalidPageId;
+  unattributed_.last_accessed_ = kInvalidPageId;
 }
 
 Status DiskManager::CheckBounds(PageId page_id) const {
@@ -408,47 +388,23 @@ Status DiskManager::CheckBounds(PageId page_id) const {
 }
 
 void DiskManager::Account(PageId page_id, bool is_write) {
-  if (is_write) {
-    ++stats_.writes;
-  } else {
-    ++stats_.reads;
-  }
-  // Sequential if the head is already at or directly before this page.
+  IoAttribution* attr =
+      tls_attribution_ != nullptr ? tls_attribution_ : &unattributed_;
+  // Sequential if the account's head is already at or directly before this
+  // page. Each account keeps its own head, so the classification depends on
+  // that account's access sequence alone, not on how concurrent phases
+  // interleave on the shared disk.
   bool sequential =
-      last_accessed_ != kInvalidPageId &&
-      (page_id == last_accessed_ || page_id == last_accessed_ + 1);
-  if (sequential) {
-    ++stats_.sequential_accesses;
-    stats_.simulated_micros += model_.sequential_page_micros;
-  } else {
-    ++stats_.random_accesses;
-    stats_.simulated_micros += model_.random_page_micros;
-  }
-  last_accessed_ = page_id;
-
-  // Attributed accounting: classify against the attribution's *own* head so
-  // a phase's seq/random profile does not depend on how concurrent phases
-  // interleave on the shared global head.
-  IoAttribution* attr = tls_attribution_;
-  if (attr == nullptr) return;
-  if (is_write) {
-    attr->writes_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    attr->reads_.fetch_add(1, std::memory_order_relaxed);
-  }
-  bool attr_sequential =
       attr->last_accessed_ != kInvalidPageId &&
       (page_id == attr->last_accessed_ || page_id == attr->last_accessed_ + 1);
-  if (attr_sequential) {
-    attr->sequential_.fetch_add(1, std::memory_order_relaxed);
-    attr->simulated_micros_.fetch_add(model_.sequential_page_micros,
-                                      std::memory_order_relaxed);
-  } else {
-    attr->random_.fetch_add(1, std::memory_order_relaxed);
-    attr->simulated_micros_.fetch_add(model_.random_page_micros,
-                                      std::memory_order_relaxed);
-  }
   attr->last_accessed_ = page_id;
+  IoStats access;
+  (is_write ? access.writes : access.reads) = 1;
+  (sequential ? access.sequential_accesses : access.random_accesses) = 1;
+  access.simulated_micros =
+      sequential ? model_.sequential_page_micros : model_.random_page_micros;
+  attr->Add(access);
+  stats_ += access;
 }
 
 }  // namespace bulkdel

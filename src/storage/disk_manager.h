@@ -61,13 +61,18 @@ struct IoStats {
 
 /// A per-context I/O account. While installed on a thread (via
 /// DiskManager::AttributionScope), every page access that thread performs is
-/// charged here in addition to the DiskManager's global counters.
+/// charged to this one account; accesses made with no attribution installed
+/// go to the DiskManager's own unattributed account. Each access is
+/// classified once, against its account's head, and the same result is added
+/// to DiskManager::stats(), so stats() is the sum of every attribution plus
+/// the unattributed bucket.
 ///
 /// Each attribution carries its *own* disk-head position for the
 /// sequential/random classification, so a phase's I/O profile is a property
 /// of its page-access sequence alone — independent of how concurrently
 /// running phases interleave on the shared disk. That is what makes
-/// per-phase simulated time reproducible across `exec_threads` settings.
+/// per-phase simulated time, and the whole-disk total, reproducible across
+/// `exec_threads` settings.
 ///
 /// Counters are atomics: Snapshot() is safe while other threads are still
 /// accounting into the same attribution.
@@ -89,6 +94,14 @@ class IoAttribution {
 
  private:
   friend class DiskManager;
+  void Add(const IoStats& s) {
+    reads_.fetch_add(s.reads, std::memory_order_relaxed);
+    writes_.fetch_add(s.writes, std::memory_order_relaxed);
+    sequential_.fetch_add(s.sequential_accesses, std::memory_order_relaxed);
+    random_.fetch_add(s.random_accesses, std::memory_order_relaxed);
+    simulated_micros_.fetch_add(s.simulated_micros, std::memory_order_relaxed);
+  }
+
   std::atomic<int64_t> reads_{0};
   std::atomic<int64_t> writes_{0};
   std::atomic<int64_t> sequential_{0};
@@ -175,8 +188,8 @@ class DiskManager {
 
   /// Charges the simulated read of `page_id` as if ReadPage ran now: fault
   /// check, accounting and sequential/random classification against the
-  /// current head, into the calling thread's installed IoAttribution. Called
-  /// by the buffer pool when a demand fetch consumes a prefetched frame.
+  /// calling thread's account. Called by the buffer pool when a demand fetch
+  /// consumes a prefetched frame.
   Status ChargePrefetchedRead(PageId page_id);
 
   /// Writes the contiguous run [first, first + datas.size()) under a single
@@ -226,18 +239,27 @@ class DiskManager {
 
  private:
   Status CheckBounds(PageId page_id) const;
-  /// Single-page read/write bodies; must be called with mu_ held.
-  Status ReadPageLocked(PageId page_id, char* out);
+  /// The bodies below must be called with mu_ held. A read or write is one
+  /// charge step (fault site, bounds, Account) and one data-movement step.
   Status WritePageLocked(PageId page_id, const char* data);
-  /// Raw data movement with bounds check only (no charge, no fault site);
-  /// must be called with mu_ held.
+  /// Bounds-checked data movement with no charge and no fault site.
   Status ReadPagePrefetchLocked(PageId page_id, char* out);
-  /// Classifies the access against the previous head position and charges
-  /// simulated time, both globally and into the calling thread's installed
-  /// IoAttribution (if any). Must be called with mu_ held.
+  /// Checks the `disk.read` site and bounds, then accounts the read.
+  Status ChargeReadLocked(PageId page_id);
+  /// Checks the `disk.write` site and bounds, then accounts the write. When
+  /// a torn/short fault fires on an in-bounds page, sets `*torn_bytes` to the
+  /// length of the prefix that reaches the medium and returns the error.
+  Status ChargeWriteLocked(PageId page_id, size_t* torn_bytes);
+  /// Copies the page from the medium (zeros past the end of the file).
+  Status LoadPageLocked(PageId page_id, char* out);
+  /// Copies the first `bytes` of `data` to the page on the medium.
+  Status StorePageLocked(PageId page_id, const char* data, size_t bytes);
+  /// Classifies the access against the head of the calling thread's
+  /// installed IoAttribution (or unattributed_) and charges simulated time
+  /// to that account and to stats_.
   void Account(PageId page_id, bool is_write);
 
-  /// The calling thread's current I/O account (nullptr = global only).
+  /// The calling thread's current I/O account (nullptr = unattributed_).
   static thread_local IoAttribution* tls_attribution_;
 
   /// Loads the clean-shutdown sidecar (if present and valid) and deletes it;
@@ -261,8 +283,10 @@ class DiskManager {
   std::vector<PageId> free_list_;
   /// Mirror of free_list_ for O(1) double-free detection.
   std::unordered_set<PageId> free_set_;
+  /// Running total of every account's charges.
   IoStats stats_;
-  PageId last_accessed_ = kInvalidPageId;
+  /// The account of accesses made with no IoAttribution installed.
+  IoAttribution unattributed_;
 };
 
 }  // namespace bulkdel

@@ -252,17 +252,6 @@ Status HeapTable::Delete(const Rid& rid, char* deleted_tuple) {
   return Status::OK();
 }
 
-Status HeapTable::UpdateInPlace(const Rid& rid, const char* tuple) {
-  BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(rid.page));
-  HeapPage hp(page.data(), schema_->tuple_size());
-  if (rid.slot >= hp.capacity() || !hp.SlotOccupied(rid.slot)) {
-    return Status::NotFound("no tuple at " + rid.ToString());
-  }
-  std::memcpy(hp.TupleAt(rid.slot), tuple, schema_->tuple_size());
-  page.MarkDirty();
-  return Status::OK();
-}
-
 namespace {
 // Chain accessor handed to BufferPool::PrefetchChain; next_page lives at a
 // fixed offset independent of the tuple size.

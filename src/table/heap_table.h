@@ -71,10 +71,6 @@ class HeapTable {
   /// bytes are copied out first. NotFound if the slot is empty.
   Status Delete(const Rid& rid, char* deleted_tuple = nullptr);
 
-  /// Overwrites the tuple at `rid` in place (fixed-size tuples keep their
-  /// slot, so the RID — and therefore every index entry — stays valid).
-  Status UpdateInPlace(const Rid& rid, const char* tuple);
-
   /// Sequential scan in chain (≈ RID) order. The visitor may not mutate the
   /// table. Stops early on non-OK from the visitor.
   Status Scan(const std::function<Status(const Rid&, const char*)>& visitor);

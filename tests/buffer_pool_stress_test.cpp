@@ -213,12 +213,25 @@ IdentityRun RunWorkload(size_t pool_shards, size_t readahead_pages,
   bd.key_column = "A";
   bd.keys = workload.MakeDeleteKeys(0.15, 42);
 
+  IoStats before = db->disk().stats();
   auto report = db->BulkDelete(bd, Strategy::kVerticalSortMerge);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
+  // Every page access of the statement is charged to one of its accounts,
+  // so the whole-disk delta is exactly the report's total.
+  IoStats delta = db->disk().stats() - before;
   EXPECT_TRUE(db->VerifyIntegrity().ok());
 
   IdentityRun run;
-  if (report.ok()) run.report = *report;
+  if (report.ok()) {
+    run.report = *report;
+    const std::string label = "threads " + std::to_string(exec_threads);
+    EXPECT_EQ(delta.reads, report->io.reads) << label;
+    EXPECT_EQ(delta.writes, report->io.writes) << label;
+    EXPECT_EQ(delta.sequential_accesses, report->io.sequential_accesses)
+        << label;
+    EXPECT_EQ(delta.random_accesses, report->io.random_accesses) << label;
+    EXPECT_EQ(delta.simulated_micros, report->io.simulated_micros) << label;
+  }
   run.disk_total = db->disk().stats();
   return run;
 }

@@ -71,6 +71,54 @@ TEST(DiskManagerTest, SequentialVsRandomAccounting) {
   EXPECT_EQ(s.random_accesses, 10);
 }
 
+TEST(DiskManagerTest, StatsAreTheSumOfEveryAccount) {
+  // Two attributions take turns on one contiguous page stream, with a few
+  // unattributed reads in between. Each access is classified once, against
+  // its own account's head, so the disk total is exactly the sum of the
+  // accounts. A head shared by all accounts would see the interleaved stream
+  // as one sequential run instead.
+  DiskModel model;
+  DiskManager disk(model);
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(disk.AllocatePage().ok());
+  char buf[kPageSize] = {};
+  disk.ResetStats();
+  IoAttribution a;
+  IoAttribution b;
+  PageId next = 10;
+  for (int turn = 0; turn < 12; ++turn) {
+    {
+      DiskManager::AttributionScope scope(turn % 2 == 0 ? &a : &b);
+      ASSERT_TRUE(disk.ReadPage(next++, buf).ok());
+      ASSERT_TRUE(disk.WritePage(next++, buf).ok());
+    }
+    if (turn % 4 == 3) {
+      ASSERT_TRUE(disk.ReadPage(60 + turn / 4, buf).ok());
+    }
+  }
+  // Unattributed: pages 60, 61, 62 — one random access, then sequential.
+  IoStats unattributed;
+  unattributed.reads = 3;
+  unattributed.random_accesses = 1;
+  unattributed.sequential_accesses = 2;
+  unattributed.simulated_micros =
+      model.random_page_micros + 2 * model.sequential_page_micros;
+  // Each turn starts two pages past the account's head: one random access,
+  // then one sequential.
+  IoStats sa = a.Snapshot();
+  EXPECT_EQ(sa.reads, 6);
+  EXPECT_EQ(sa.writes, 6);
+  EXPECT_EQ(sa.random_accesses, 6);
+  EXPECT_EQ(sa.sequential_accesses, 6);
+
+  IoStats expected = sa + b.Snapshot() + unattributed;
+  IoStats total = disk.stats();
+  EXPECT_EQ(total.reads, expected.reads);
+  EXPECT_EQ(total.writes, expected.writes);
+  EXPECT_EQ(total.sequential_accesses, expected.sequential_accesses);
+  EXPECT_EQ(total.random_accesses, expected.random_accesses);
+  EXPECT_EQ(total.simulated_micros, expected.simulated_micros);
+}
+
 TEST(DiskManagerTest, FileBackedRoundTrip) {
   std::string path = ::testing::TempDir() + "/bulkdel_disk_test.db";
   PageId p;

@@ -167,30 +167,6 @@ TEST(DatabaseTest, VerticalWithoutKeyIndexFallsBackToScan) {
             5000u - spec.keys.size());
 }
 
-TEST(DatabaseTest, BulkUpdateColumnMovesIndexEntries) {
-  auto db = *Database::Create(SmallOptions());
-  auto workload = *SetUpPaperDatabase(db.get(), SmallSpec(), {"A", "B"});
-  (void)workload;
-  // Shift B by +1000000000 for rows whose A value is in the lower half.
-  auto report =
-      db->BulkUpdateColumn("R", "B", 1000000000, "A", 0, 20000);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->rows_deleted, 0u);  // rows updated
-  EXPECT_EQ(report->rows_deleted, report->index_entries_deleted);
-  ASSERT_TRUE(db->VerifyIntegrity().ok());
-  // Updated B values are present in the index at their new positions.
-  uint64_t huge = 0;
-  ASSERT_TRUE(db->GetIndex("R", "B")
-                  ->tree
-                  ->RangeScan(1000000000, INT64_MAX,
-                              [&](int64_t, const Rid&) {
-                                ++huge;
-                                return Status::OK();
-                              })
-                  .ok());
-  EXPECT_EQ(huge, report->rows_deleted);
-}
-
 TEST(DatabaseTest, CheckpointPersistsCatalogAndCounts) {
   auto db = *Database::Create(SmallOptions());
   auto workload = *SetUpPaperDatabase(db.get(), SmallSpec(1000), {"A", "B"});
