@@ -49,7 +49,6 @@ Status Database::WireStorage(bool truncate) {
   pool_options.shards = options_.pool_shards != 0
                             ? options_.pool_shards
                             : (options_.exec_threads > 1 ? 8 : 1);
-  pool_options.readahead_pages = options_.readahead_pages;
   pool_options.coalesce_writebacks = options_.coalesce_writebacks;
   pool_ = std::make_unique<BufferPool>(disk_.get(), pool_options);
   catalog_ = std::make_unique<Catalog>(pool_.get());

@@ -64,17 +64,13 @@ struct DatabaseOptions {
   /// 0 = auto: 8 shards when exec_threads > 1, a single shard otherwise. The
   /// pool clamps the request so tiny budgets never starve a shard.
   size_t pool_shards = 0;
-  /// Leaf read-ahead window in pages: how far ahead the B-tree leaf passes
-  /// and the heap table's sorted-RID pass prefetch. 0 disables read-ahead.
-  /// Any value keeps simulated I/O identical (see docs/BUFFERPOOL.md).
-  size_t readahead_pages = 0;
   /// Batch adjacent dirty eviction victims into one sequential write run.
   /// This changes the simulated write classification (random eviction writes
   /// become sequential), so it is off by default and excluded from the
   /// I/O-identity guarantee.
   bool coalesce_writebacks = false;
   /// Record spans and instants into the process-wide obs::TraceRecorder
-  /// (phase begin/end, pool fetch/evict/flush, read-ahead, WAL sync,
+  /// (phase begin/end, pool fetch/evict/flush, WAL sync,
   /// checkpoints) for --perfetto-out export. Also unlocks the clock-reading
   /// latency histograms (bp.fetch_ns, latch waits, wal.sync_ns). Off by
   /// default: the instrumented hot paths then pay one relaxed atomic load.

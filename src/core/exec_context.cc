@@ -58,10 +58,9 @@ PhaseScope::PhaseScope(ExecContext* ctx, std::string name, std::string parent)
     : ctx_(ctx),
       name_(std::move(name)),
       parent_(std::move(parent)),
-      begin_micros_(ctx->ElapsedMicros()),
+      begin_nanos_(MonotonicNanos()),
       thread_id_(ctx->ThreadOrdinal()),
       io_scope_(&attribution_) {
-  if (obs::TraceRecorder::Global().enabled()) begin_nanos_ = MonotonicNanos();
   // Publish the phase to the live statement row (sys.statements). Plain
   // registry memory — never the DiskManager — so simulated I/O stays
   // bit-identical with the observability plane on or off.
@@ -75,18 +74,17 @@ PhaseScope::PhaseScope(ExecContext* ctx, std::string name, std::string parent)
 }
 
 PhaseScope::~PhaseScope() {
-  if (begin_nanos_ != 0) {
-    obs::TraceRecorder::Global().RecordComplete(
-        obs::TraceCategory::kPhase, name_, begin_nanos_, MonotonicNanos(),
-        "items", static_cast<int64_t>(items_), parent_);
-  }
+  const int64_t end_nanos = MonotonicNanos();
+  obs::TraceRecorder::Global().RecordComplete(
+      obs::TraceCategory::kPhase, name_, begin_nanos_, end_nanos, "items",
+      static_cast<int64_t>(items_), parent_);
   PhaseStats stats;
   stats.name = std::move(name_);
   stats.parent = std::move(parent_);
   stats.items = items_;
-  stats.begin_micros = begin_micros_;
-  stats.end_micros = ctx_->ElapsedMicros();
-  stats.wall_micros = stats.end_micros - begin_micros_;
+  stats.begin_micros = (begin_nanos_ - ctx_->epoch_nanos()) / 1000;
+  stats.end_micros = (end_nanos - ctx_->epoch_nanos()) / 1000;
+  stats.wall_micros = stats.end_micros - stats.begin_micros;
   stats.thread_id = thread_id_;
   stats.io = attribution_.Snapshot();
   ctx_->RecordPhase(std::move(stats));

@@ -11,8 +11,8 @@
 
 #include "core/report.h"
 #include "storage/disk_manager.h"
+#include "util/clock.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace bulkdel {
 
@@ -55,8 +55,9 @@ class ExecContext {
   Status cancel_cause() const;
 
   // -- Trace ------------------------------------------------------------------
-  /// Microseconds since the statement started.
-  int64_t ElapsedMicros() const { return epoch_.ElapsedMicros(); }
+  /// MonotonicNanos() when the statement started: the origin of every
+  /// PhaseStats timestamp.
+  int64_t epoch_nanos() const { return epoch_nanos_; }
   /// Dense per-statement ordinal of the calling thread (0 = the thread that
   /// created the context).
   int ThreadOrdinal();
@@ -84,7 +85,7 @@ class ExecContext {
 
  private:
   Database* db_;
-  Stopwatch epoch_;
+  const int64_t epoch_nanos_ = MonotonicNanos();
   uint64_t statement_id_ = 0;
 
   mutable std::mutex mu_;
@@ -102,12 +103,14 @@ class ExecContext {
 
 /// RAII measurement of one execution phase. Construct at phase start on the
 /// thread that runs the phase; the destructor stamps the end time and hands
-/// the finished PhaseStats to the context. Structurally nest- and
-/// overlap-safe: every scope owns its own I/O attribution and stopwatch, so
-/// there is no begin/end pairing to lose — a phase cannot be dropped by a
-/// missing Begin or double End, and concurrent phases cannot corrupt each
-/// other's deltas (the failure modes of the old scrape-the-global-counter
-/// PhaseTracker). Nested scopes attribute I/O to the innermost phase.
+/// the finished PhaseStats to the context. The clock is read once at each
+/// edge; the PhaseStats times and the kPhase trace span both derive from
+/// those two readings. Structurally nest- and overlap-safe: every scope owns
+/// its own I/O attribution and begin reading, so there is no begin/end
+/// pairing to lose — a phase cannot be dropped by a missing Begin or double
+/// End, and concurrent phases cannot corrupt each other's deltas (the
+/// failure modes of the old scrape-the-global-counter PhaseTracker). Nested
+/// scopes attribute I/O to the innermost phase.
 class PhaseScope {
  public:
   PhaseScope(ExecContext* ctx, std::string name, std::string parent = {});
@@ -124,10 +127,8 @@ class PhaseScope {
   std::string name_;
   std::string parent_;
   uint64_t items_ = 0;
-  int64_t begin_micros_;
-  /// Absolute MonotonicNanos at construction when the trace recorder is
-  /// enabled, 0 otherwise (spans share the clock with Stopwatch).
-  int64_t begin_nanos_ = 0;
+  /// MonotonicNanos() at construction.
+  int64_t begin_nanos_;
   int thread_id_;
   IoAttribution attribution_;
   DiskManager::AttributionScope io_scope_;

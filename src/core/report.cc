@@ -79,8 +79,6 @@ void AppendPoolStats(std::string* out, const BufferPoolStats& pool) {
   AppendField(out, "misses", pool.misses);
   AppendField(out, "evictions", pool.evictions);
   AppendField(out, "dirty_writebacks", pool.dirty_writebacks);
-  AppendField(out, "prefetched", pool.prefetched);
-  AppendField(out, "prefetch_hits", pool.prefetch_hits);
   AppendField(out, "coalesced_writebacks", pool.coalesced_writebacks,
               /*comma=*/false);
   *out += '}';
@@ -157,8 +155,6 @@ BufferPoolStats PoolStatsFromJson(const JsonValue& v) {
   pool.misses = v.IntOr("misses");
   pool.evictions = v.IntOr("evictions");
   pool.dirty_writebacks = v.IntOr("dirty_writebacks");
-  pool.prefetched = v.IntOr("prefetched");
-  pool.prefetch_hits = v.IntOr("prefetch_hits");
   pool.coalesced_writebacks = v.IntOr("coalesced_writebacks");
   return pool;
 }

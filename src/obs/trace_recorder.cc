@@ -16,8 +16,6 @@ const char* TraceCategoryName(TraceCategory category) {
       return "sched";
     case TraceCategory::kPool:
       return "pool";
-    case TraceCategory::kReadahead:
-      return "readahead";
     case TraceCategory::kDisk:
       return "disk";
     case TraceCategory::kWal:

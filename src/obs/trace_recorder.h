@@ -23,13 +23,12 @@ enum class TraceCategory : uint8_t {
   kPhase,       ///< executor phases (one span per PhaseScope)
   kSched,       ///< phase-DAG scheduler dispatch
   kPool,        ///< buffer pool fetch/evict/flush
-  kReadahead,   ///< read-ahead issue / consume
   kDisk,        ///< disk manager write runs
   kWal,         ///< log append/sync
   kCheckpoint,  ///< phase-end checkpoints
   kLatch,       ///< latch acquisition waits
 };
-inline constexpr int kNumTraceCategories = 8;
+inline constexpr int kNumTraceCategories = 7;
 
 const char* TraceCategoryName(TraceCategory category);
 const std::vector<const char*>& KnownTraceCategories();

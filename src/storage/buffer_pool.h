@@ -63,11 +63,6 @@ struct BufferPoolStats {
   int64_t misses = 0;
   int64_t evictions = 0;
   int64_t dirty_writebacks = 0;
-  /// Pages read ahead of demand by PrefetchChain/PrefetchPages. A prefetch
-  /// read counts here (not under misses); the demand fetch that later finds
-  /// the page resident counts under both hits and prefetch_hits.
-  int64_t prefetched = 0;
-  int64_t prefetch_hits = 0;
   /// Extra dirty neighbors written as part of a coalesced eviction run
   /// (beyond the victim itself). Zero unless coalesce_writebacks is on.
   int64_t coalesced_writebacks = 0;
@@ -77,8 +72,6 @@ struct BufferPoolStats {
     misses += o.misses;
     evictions += o.evictions;
     dirty_writebacks += o.dirty_writebacks;
-    prefetched += o.prefetched;
-    prefetch_hits += o.prefetch_hits;
     coalesced_writebacks += o.coalesced_writebacks;
     return *this;
   }
@@ -88,8 +81,6 @@ struct BufferPoolStats {
     d.misses = misses - o.misses;
     d.evictions = evictions - o.evictions;
     d.dirty_writebacks = dirty_writebacks - o.dirty_writebacks;
-    d.prefetched = prefetched - o.prefetched;
-    d.prefetch_hits = prefetch_hits - o.prefetch_hits;
     d.coalesced_writebacks = coalesced_writebacks - o.coalesced_writebacks;
     return d;
   }
@@ -101,9 +92,6 @@ struct BufferPoolStats {
 struct BufferPoolOptions {
   size_t budget_bytes = 0;
   size_t shards = 1;
-  /// Leaf read-ahead window: how many chain pages PrefetchChain brings in
-  /// per announcement. 0 disables read-ahead.
-  size_t readahead_pages = 0;
   /// Batch dirty eviction victims with adjacent-page-id dirty neighbors into
   /// one sequential WriteRun. This genuinely changes the simulated write
   /// classification (random evictions become sequential runs), so it is OFF
@@ -134,7 +122,7 @@ struct BufferPoolOptions {
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, size_t budget_bytes)
-      : BufferPool(disk, BufferPoolOptions{budget_bytes, 1, 0, false}) {}
+      : BufferPool(disk, BufferPoolOptions{budget_bytes, 1, false}) {}
   BufferPool(DiskManager* disk, BufferPoolOptions options);
 
   BufferPool(const BufferPool&) = delete;
@@ -167,32 +155,6 @@ class BufferPool {
   /// crash switch for the recovery tests: volatile state vanishes, the
   /// DiskManager keeps only what was flushed.
   void DiscardAllForCrashTest();
-
-  /// Reads ahead along a page chain: starting at `start`, brings up to
-  /// `max_pages` chain pages into the pool unpinned, following
-  /// `next_of(page bytes)` to find each successor (the B-tree passes hand in
-  /// the right-sibling accessor). Simulated I/O stays bit-identical to a run
-  /// without read-ahead by construction, via two rules. First, the physical
-  /// prefetch read is uncharged; the simulated read is charged when a demand
-  /// fetch consumes the frame (under that caller's IoAttribution), so the
-  /// charge sequence IS the demand-access sequence — pages prefetched but
-  /// never demanded cost nothing, matching the run that never read them.
-  /// Second, prefetch never displaces demand-resident pages: it uses only
-  /// free frames and frames holding not-yet-consumed prefetched pages, and
-  /// the demand path reclaims unconsumed prefetch frames before evicting a
-  /// real victim. The set of demand-resident pages, the eviction sequence
-  /// and every write-back are therefore identical to a run with read-ahead
-  /// off, even under eviction pressure (where prefetch degrades to a no-op).
-  /// Returns the number of chain pages covered (resident or fetched).
-  size_t PrefetchChain(PageId start, size_t max_pages,
-                       const std::function<PageId(const char*)>& next_of);
-
-  /// Reads ahead an explicitly announced page list (ascending ids; the heap
-  /// table's sorted-RID pass knows its upcoming pages exactly). Contiguous
-  /// stretches are fetched with one DiskManager::ReadRunPrefetch. Same
-  /// charge-on-consumption and never-write rules as PrefetchChain; returns
-  /// pages covered.
-  size_t PrefetchPages(const PageId* ids, size_t n);
 
   /// Installs the WAL rule: log records become durable before the page
   /// changes they describe. `appended_seq` is the log's count of appended
@@ -227,7 +189,6 @@ class BufferPool {
   /// Fig. 9 memory sweep labels report.
   size_t budget_bytes() const { return budget_bytes_; }
   size_t num_shards() const { return shards_.size(); }
-  size_t readahead_pages() const { return options_.readahead_pages; }
   /// Aggregate over all shards.
   BufferPoolStats stats() const;
   /// Per-shard counters, in shard-index order.
@@ -243,7 +204,6 @@ class BufferPool {
     int pin_count = 0;
     bool dirty = false;
     bool in_use = false;
-    bool prefetched = false;
     /// The log's appended sequence at the last unpin while dirty: a
     /// write-back must first make the log durable through it.
     uint64_t wal_seq = 0;
@@ -258,9 +218,6 @@ class BufferPool {
     std::vector<size_t> free_frames;
     std::unordered_map<PageId, size_t> page_table;
     std::list<size_t> lru;  // front = most recent, back = victim candidate
-    /// Frames holding prefetched pages no demand fetch has consumed yet.
-    /// Kept so the reclaim scan in frame acquisition is skipped when zero.
-    size_t prefetched_frames = 0;
     BufferPoolStats stats;
   };
 
@@ -277,13 +234,6 @@ class BufferPool {
   /// LRU victim. Called with the shard latch held. Writes back the victim if
   /// dirty (coalescing adjacent dirty neighbors when enabled).
   Result<size_t> AcquireFrameLocked(Shard& shard);
-  /// The prefetch path's frame source: a free frame or a reclaimed
-  /// unconsumed-prefetch frame, never a demand-resident victim (the identity
-  /// rule — see PrefetchChain). Returns false when neither exists.
-  bool TryAcquireCleanFrameLocked(Shard& shard, size_t* frame);
-  /// Drops the least-recent frame still holding an unconsumed prefetched
-  /// page and returns its index; false if there is none.
-  bool ReclaimPrefetchedFrameLocked(Shard& shard, size_t* frame);
 
   /// Locks every shard in index order (the global-operation lock order).
   std::vector<std::unique_lock<std::mutex>> LockAllShards() const;

@@ -108,57 +108,11 @@ Status DiskManager::FreePage(PageId page_id) {
 
 Status DiskManager::ReadPage(PageId page_id, char* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  BULKDEL_RETURN_IF_ERROR(ChargeReadLocked(page_id));
-  return LoadPageLocked(page_id, out);
-}
-
-Status DiskManager::WritePage(PageId page_id, const char* data) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return WritePageLocked(page_id, data);
-}
-
-Status DiskManager::ReadPagePrefetch(PageId page_id, char* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReadPagePrefetchLocked(page_id, out);
-}
-
-Status DiskManager::ReadRunPrefetch(PageId first,
-                                    const std::vector<char*>& outs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BULKDEL_RETURN_IF_ERROR(
-        ReadPagePrefetchLocked(first + static_cast<PageId>(i), outs[i]));
-  }
-  return Status::OK();
-}
-
-Status DiskManager::ReadPagePrefetchLocked(PageId page_id, char* out) {
-  // No fault-site check and no accounting: the simulated charge (and the
-  // read fault check) happen in ChargePrefetchedRead when a demand fetch
-  // consumes the page. A tripped injector still fails the physical read so
-  // prefetching stops with everything else.
-  if (injector_ != nullptr && injector_->tripped()) {
-    return injector_->TrippedError();
-  }
-  BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
-  return LoadPageLocked(page_id, out);
-}
-
-Status DiskManager::ChargePrefetchedRead(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ChargeReadLocked(page_id);
-}
-
-Status DiskManager::ChargeReadLocked(PageId page_id) {
   if (injector_ != nullptr) {
     BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kDiskRead));
   }
   BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
   Account(page_id, /*is_write=*/false);
-  return Status::OK();
-}
-
-Status DiskManager::LoadPageLocked(PageId page_id, char* out) {
   if (fd_ < 0) {
     std::memcpy(out, pages_[page_id].get(), kPageSize);
     return Status::OK();
@@ -171,6 +125,11 @@ Status DiskManager::LoadPageLocked(PageId page_id, char* out) {
     std::memset(out + n, 0, kPageSize - n);
   }
   return Status::OK();
+}
+
+Status DiskManager::WritePage(PageId page_id, const char* data) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return WritePageLocked(page_id, data);
 }
 
 void DiskManager::SetMetrics(obs::MetricsRegistry* metrics) {

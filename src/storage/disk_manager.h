@@ -175,23 +175,6 @@ class DiskManager {
   /// Writes `kPageSize` bytes from `data` to `page_id`.
   Status WritePage(PageId page_id, const char* data);
 
-  /// Physically reads `page_id` WITHOUT charging simulated I/O or checking
-  /// the read fault site. The buffer pool's read-ahead uses this: the charge
-  /// is deferred to ChargePrefetchedRead() at the moment a demand fetch
-  /// consumes the page, so the simulated cost sequence stays exactly the
-  /// demand-access sequence regardless of how far ahead the pool reads.
-  Status ReadPagePrefetch(PageId page_id, char* out);
-
-  /// ReadPagePrefetch over the contiguous run [first, first + outs.size())
-  /// under a single mutex acquisition.
-  Status ReadRunPrefetch(PageId first, const std::vector<char*>& outs);
-
-  /// Charges the simulated read of `page_id` as if ReadPage ran now: fault
-  /// check, accounting and sequential/random classification against the
-  /// calling thread's account. Called by the buffer pool when a demand fetch
-  /// consumes a prefetched frame.
-  Status ChargePrefetchedRead(PageId page_id);
-
   /// Writes the contiguous run [first, first + datas.size()) under a single
   /// mutex acquisition; the per-page accounting and fault semantics match the
   /// equivalent sequence of WritePage calls exactly (a torn/short fault still
@@ -239,19 +222,14 @@ class DiskManager {
 
  private:
   Status CheckBounds(PageId page_id) const;
-  /// The bodies below must be called with mu_ held. A read or write is one
-  /// charge step (fault site, bounds, Account) and one data-movement step.
+  /// The bodies below must be called with mu_ held. A write is one charge
+  /// step (fault site, bounds, Account) and one data-movement step, split so
+  /// WriteRun can charge a whole run before it moves any data.
   Status WritePageLocked(PageId page_id, const char* data);
-  /// Bounds-checked data movement with no charge and no fault site.
-  Status ReadPagePrefetchLocked(PageId page_id, char* out);
-  /// Checks the `disk.read` site and bounds, then accounts the read.
-  Status ChargeReadLocked(PageId page_id);
   /// Checks the `disk.write` site and bounds, then accounts the write. When
   /// a torn/short fault fires on an in-bounds page, sets `*torn_bytes` to the
   /// length of the prefix that reaches the medium and returns the error.
   Status ChargeWriteLocked(PageId page_id, size_t* torn_bytes);
-  /// Copies the page from the medium (zeros past the end of the file).
-  Status LoadPageLocked(PageId page_id, char* out);
   /// Copies the first `bytes` of `data` to the page on the medium.
   Status StorePageLocked(PageId page_id, const char* data, size_t bytes);
   /// Classifies the access against the head of the calling thread's

@@ -1,13 +1,11 @@
-// Multi-threaded buffer-pool stress (pin/unpin/dirty/evict/prefetch across
-// shards; the tier-1 build runs it under ASan/UBSan, the tsan job under
-// TSan), plus the I/O-identity acceptance tests: simulated DiskStats totals
-// must be unchanged by shard count and by read-ahead, serial and parallel,
-// and coalesced write-behind must batch adjacent dirty evictions when (and
-// only when) enabled.
+// Multi-threaded buffer-pool stress (pin/unpin/dirty/evict across shards;
+// the tier-1 build runs it under ASan/UBSan, the tsan job under TSan), plus
+// the I/O-identity acceptance test: simulated DiskStats totals must be
+// unchanged by shard count, serial and parallel, and coalesced write-behind
+// must batch adjacent dirty evictions when (and only when) enabled.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -92,12 +90,11 @@ TEST(BufferPoolStressTest, ConcurrentPinDirtyEvictAcrossShards) {
   EXPECT_GT(stats.dirty_writebacks, 0);
 }
 
-TEST(BufferPoolStressTest, ConcurrentPrefetchAndDemandFetch) {
+TEST(BufferPoolStressTest, ConcurrentMissesOnSharedPages) {
   DiskManager disk;
   BufferPoolOptions options;
   options.budget_bytes = 128 * kPageSize;
   options.shards = 4;
-  options.readahead_pages = 16;
   BufferPool pool(&disk, options);
 
   std::vector<PageId> pages;
@@ -110,17 +107,12 @@ TEST(BufferPoolStressTest, ConcurrentPrefetchAndDemandFetch) {
   }
   ASSERT_TRUE(pool.Reset().ok());
 
-  // Readers demand-fetch while announcers prefetch the same id ranges: the
+  // Two readers demand-fetch the same pages in opposite orders through a
+  // pool half their size: they race to place and evict the same ids, and the
   // pool must never serve wrong contents or double-place a page.
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < pages.size(); i += 16) {
-        size_t n = std::min<size_t>(16, pages.size() - i);
-        pool.PrefetchPages(pages.data() + i, n);
-      }
-    });
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < pages.size(); ++i) {
         size_t at = t == 0 ? i : pages.size() - 1 - i;
@@ -181,7 +173,7 @@ TEST(BufferPoolStressTest, CoalescedWritebackBatchesAdjacentDirtyEvictions) {
 }
 
 // ---------------------------------------------------------------------------
-// I/O identity across shard counts and read-ahead windows
+// I/O identity across shard counts
 // ---------------------------------------------------------------------------
 
 struct IdentityRun {
@@ -189,13 +181,12 @@ struct IdentityRun {
   IoStats disk_total;
 };
 
-IdentityRun RunWorkload(size_t pool_shards, size_t readahead_pages,
-                        int exec_threads, size_t memory_budget) {
+IdentityRun RunWorkload(size_t pool_shards, int exec_threads,
+                        size_t memory_budget) {
   DatabaseOptions options;
   options.memory_budget_bytes = memory_budget;
   options.exec_threads = exec_threads;
   options.pool_shards = pool_shards;
-  options.readahead_pages = readahead_pages;
   auto db = *Database::Create(options);
 
   WorkloadSpec spec;
@@ -204,8 +195,7 @@ IdentityRun RunWorkload(size_t pool_shards, size_t readahead_pages,
   spec.tuple_size = 64;
   auto workload = *SetUpPaperDatabase(db.get(), spec, {"A", "B", "C"});
   // Start the measured statement from a cold cache: deterministic regardless
-  // of how load-time evictions fell, and the initial free frames let
-  // read-ahead engage (prefetch only ever uses free or speculative frames).
+  // of how load-time evictions fell.
   EXPECT_TRUE(db->pool().Reset().ok());
 
   BulkDeleteSpec bd;
@@ -277,8 +267,8 @@ TEST(IoIdentityTest, ShardCountDoesNotChangeSimulatedIo) {
   // scheduler's cross-thread identity test relies on.
   constexpr size_t kResident = 16ull << 20;
   for (int threads : {1, 4}) {
-    IdentityRun one = RunWorkload(1, 0, threads, kResident);
-    IdentityRun eight = RunWorkload(8, 0, threads, kResident);
+    IdentityRun one = RunWorkload(1, threads, kResident);
+    IdentityRun eight = RunWorkload(8, threads, kResident);
     ExpectIoIdentical(one, eight,
                       "shards 1 vs 8, threads " + std::to_string(threads));
     EXPECT_EQ(one.disk_total.reads, eight.disk_total.reads);
@@ -287,35 +277,9 @@ TEST(IoIdentityTest, ShardCountDoesNotChangeSimulatedIo) {
               eight.disk_total.simulated_micros);
   }
   // The effective shard count is visible in the report's per-shard stats.
-  IdentityRun eight = RunWorkload(8, 0, 1, kResident);
+  IdentityRun eight = RunWorkload(8, 1, kResident);
   EXPECT_EQ(eight.report.pool_shards.size(), 8u);
   EXPECT_GT(eight.report.pool.hits, 0);
-}
-
-TEST(IoIdentityTest, ReadAheadDoesNotChangeSimulatedIo) {
-  // Tight budget (≈1 MB for a ~2.4 MB working set): the delete passes evict
-  // constantly and read-ahead genuinely fires — prefetch charges on
-  // consumption, so the simulated trace must still be bit-identical to the
-  // no-read-ahead run. Serial only: under eviction pressure the page-access
-  // interleaving of concurrent phases is schedule-dependent with or without
-  // read-ahead, so exact identity is only defined for the serial order.
-  constexpr size_t kTight = 1ull << 20;
-  for (size_t shards : {size_t{1}, size_t{8}}) {
-    IdentityRun off = RunWorkload(shards, 0, 1, kTight);
-    IdentityRun on = RunWorkload(shards, 16, 1, kTight);
-    ExpectIoIdentical(off, on,
-                      "readahead 0 vs 16, shards " + std::to_string(shards));
-    EXPECT_EQ(off.disk_total.reads, on.disk_total.reads);
-    EXPECT_EQ(off.disk_total.writes, on.disk_total.writes);
-    EXPECT_EQ(off.disk_total.sequential_accesses,
-              on.disk_total.sequential_accesses);
-    EXPECT_EQ(off.disk_total.random_accesses, on.disk_total.random_accesses);
-    EXPECT_EQ(off.disk_total.simulated_micros, on.disk_total.simulated_micros);
-    // Prove read-ahead actually engaged rather than trivially matching.
-    EXPECT_GT(on.report.pool.prefetched, 0)
-        << "read-ahead never fired at shards " << shards;
-    EXPECT_EQ(off.report.pool.prefetched, 0);
-  }
 }
 
 // ---------------------------------------------------------------------------

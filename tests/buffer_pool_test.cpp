@@ -374,8 +374,6 @@ TEST_F(BufferPoolTest, DiscardAllForCrashTestZeroesStats) {
   EXPECT_EQ(after.misses, 0);
   EXPECT_EQ(after.evictions, 0);
   EXPECT_EQ(after.dirty_writebacks, 0);
-  EXPECT_EQ(after.prefetched, 0);
-  EXPECT_EQ(after.prefetch_hits, 0);
   EXPECT_EQ(after.coalesced_writebacks, 0);
 }
 
@@ -536,92 +534,6 @@ TEST_F(BufferPoolWalRuleTest, FlushAllSyncsTheWholeTail) {
   ASSERT_EQ(forced_.size(), 1u);
   EXPECT_EQ(forced_[0], 4u);
   EXPECT_EQ(durable_, 4u);
-}
-
-TEST(BufferPoolPrefetchTest, PrefetchPagesChargesOnConsumption) {
-  DiskManager disk;
-  BufferPoolOptions options;
-  options.budget_bytes = 32 * kPageSize;
-  options.readahead_pages = 8;
-  BufferPool pool(&disk, options);
-
-  std::vector<PageId> ids;
-  for (int i = 0; i < 4; ++i) {
-    auto guard = pool.NewPage();
-    ASSERT_TRUE(guard.ok());
-    guard->data()[0] = static_cast<char>('a' + i);
-    guard->MarkDirty();
-    ids.push_back(guard->page_id());
-  }
-  ASSERT_TRUE(pool.Reset().ok());
-  disk.ResetStats();
-  pool.ResetStats();
-
-  // The physical reads happen here, but no simulated I/O is charged yet:
-  // the cost model charges at consumption so runs with and without
-  // read-ahead produce identical simulated traces.
-  EXPECT_EQ(pool.PrefetchPages(ids.data(), ids.size()), ids.size());
-  EXPECT_EQ(disk.stats().reads, 0);
-  EXPECT_EQ(pool.stats().prefetched, static_cast<int64_t>(ids.size()));
-
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto guard = pool.FetchPage(ids[i]);
-    ASSERT_TRUE(guard.ok());
-    EXPECT_EQ(guard->data()[0], static_cast<char>('a' + i));
-  }
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(disk.stats().reads, static_cast<int64_t>(ids.size()));
-  EXPECT_EQ(stats.hits, static_cast<int64_t>(ids.size()));
-  EXPECT_EQ(stats.prefetch_hits, static_cast<int64_t>(ids.size()));
-  EXPECT_EQ(stats.misses, 0);
-}
-
-TEST(BufferPoolPrefetchTest, PrefetchChainFollowsLinksAndNeverWrites) {
-  DiskManager disk;
-  BufferPoolOptions options;
-  options.budget_bytes = 8 * kPageSize;
-  options.readahead_pages = 8;
-  BufferPool pool(&disk, options);
-
-  // Build a 6-page chain: bytes [4,8) of each page hold the next page id
-  // (same layout the B-tree right-sibling link uses).
-  std::vector<PageId> chain;
-  for (int i = 0; i < 6; ++i) {
-    auto guard = pool.NewPage();
-    ASSERT_TRUE(guard.ok());
-    chain.push_back(guard->page_id());
-    guard->MarkDirty();
-  }
-  for (size_t i = 0; i < chain.size(); ++i) {
-    auto guard = pool.FetchPage(chain[i]);
-    ASSERT_TRUE(guard.ok());
-    StoreU32(guard->data() + 4,
-             i + 1 < chain.size() ? chain[i + 1] : kInvalidPageId);
-    guard->MarkDirty();
-  }
-  ASSERT_TRUE(pool.Reset().ok());
-  int64_t writes_before = disk.stats().writes;
-
-  auto next_of = [](const char* data) -> PageId { return LoadU32(data + 4); };
-  size_t covered = pool.PrefetchChain(chain.front(), 6, next_of);
-  EXPECT_EQ(covered, chain.size());
-  EXPECT_EQ(pool.stats().prefetched, static_cast<int64_t>(chain.size()));
-  // The never-write rule: prefetch may evict clean frames but must not
-  // trigger a single disk write.
-  EXPECT_EQ(disk.stats().writes, writes_before);
-
-  // Now dirty every frame: a further prefetch cannot place anything without
-  // evicting a dirty victim, so it must cover zero pages and write nothing.
-  std::vector<PageId> extra;
-  for (int i = 0; i < 8; ++i) {
-    auto guard = pool.NewPage();
-    ASSERT_TRUE(guard.ok());
-    extra.push_back(guard->page_id());
-    guard->MarkDirty();
-  }
-  writes_before = disk.stats().writes;
-  EXPECT_EQ(pool.PrefetchChain(chain.front(), 6, next_of), 0u);
-  EXPECT_EQ(disk.stats().writes, writes_before);
 }
 
 }  // namespace

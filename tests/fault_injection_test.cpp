@@ -237,8 +237,6 @@ TEST(BufferPoolFaultTest, CrashDiscardZeroesPoolStats) {
   EXPECT_EQ(after.misses, 0);
   EXPECT_EQ(after.evictions, 0);
   EXPECT_EQ(after.dirty_writebacks, 0);
-  EXPECT_EQ(after.prefetched, 0);
-  EXPECT_EQ(after.prefetch_hits, 0);
   EXPECT_EQ(after.coalesced_writebacks, 0);
   // And the frames really are gone: the next fetch misses.
   ASSERT_TRUE(pool.FetchPage(ids[0]).ok());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -250,7 +251,10 @@ TEST(ObsReportJsonTest, MetricsSnapshotRoundTrips) {
 // metrics never perturb it (tier-1 acceptance criterion for this subsystem).
 // ---------------------------------------------------------------------------
 
-BulkDeleteReport RunTracedDelete(int exec_threads, bool trace_spans) {
+/// With `chrome_trace` set, the run's exported trace is stored there before
+/// the recorder is reset.
+BulkDeleteReport RunTracedDelete(int exec_threads, bool trace_spans,
+                                 std::string* chrome_trace = nullptr) {
   RecorderGuard guard;  // each run starts from a clean, disabled recorder
   DatabaseOptions options;
   options.memory_budget_bytes = 4ull << 20;
@@ -278,6 +282,9 @@ BulkDeleteReport RunTracedDelete(int exec_threads, bool trace_spans) {
         report->metrics.FindHistogram(obs::metric_names::kBpFetchNs);
     EXPECT_NE(fetch, nullptr);
     if (fetch != nullptr) EXPECT_GT(fetch->count, 0);
+  }
+  if (chrome_trace != nullptr) {
+    *chrome_trace = obs::TraceRecorder::Global().ToChromeTraceJson();
   }
   return report.ok() ? *report : BulkDeleteReport{};
 }
@@ -322,6 +329,30 @@ TEST(ObsIdentityTest, SimulatedIoBitIdenticalTraceOnOffParallel) {
   BulkDeleteReport off = RunTracedDelete(4, /*trace_spans=*/false);
   BulkDeleteReport on = RunTracedDelete(4, /*trace_spans=*/true);
   ExpectSameSimulatedIo(off, on);
+}
+
+TEST(ObsTimingTest, PhaseSpansShareTheReportsClockReadings) {
+  // A phase's trace span and its PhaseStats come from the same two clock
+  // readings: the span's duration is the report's wall time up to the
+  // truncation of each edge to whole microseconds.
+  std::string trace;
+  BulkDeleteReport report = RunTracedDelete(4, /*trace_spans=*/true, &trace);
+  ASSERT_FALSE(report.phases.empty());
+  auto parsed = json::Parse(trace);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  size_t matched = 0;
+  for (const json::Value& e : events->array) {
+    if (e.StringOr("cat") != "phase" || e.StringOr("ph") != "X") continue;
+    const PhaseStats* p = FindPhase(report, e.StringOr("name"));
+    ASSERT_NE(p, nullptr) << e.StringOr("name");
+    EXPECT_LT(std::abs(e.DoubleOr("dur") - static_cast<double>(p->wall_micros)),
+              1.0)
+        << p->name;
+    ++matched;
+  }
+  EXPECT_EQ(matched, report.phases.size());
 }
 
 TEST(ObsIdentityTest, UntracedRunStillCountsClockFreeMetrics) {
