@@ -123,6 +123,24 @@ Result<PageId> BTree::DescendToLeaf(const KeyRid& probe) {
   }
 }
 
+template <typename Visit>
+Status BTree::WalkChain(PageId first, Visit&& visit) {
+  for (PageId cur = first; cur != kInvalidPageId;) {
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
+    BTreeNode node(guard.data());
+    BULKDEL_ASSIGN_OR_RETURN(bool more, visit(guard, node));
+    if (!more) break;
+    cur = node.right_sibling();
+  }
+  return Status::OK();
+}
+
+template <typename Visit>
+Status BTree::WalkLeaves(const KeyRid& start, Visit&& visit) {
+  BULKDEL_ASSIGN_OR_RETURN(PageId first, DescendToLeaf(start));
+  return WalkChain(first, std::forward<Visit>(visit));
+}
+
 // ---------------------------------------------------------------------------
 // Insert
 // ---------------------------------------------------------------------------
@@ -342,29 +360,19 @@ Status BTree::Delete(int64_t key, const Rid& rid) {
 }
 
 Status BTree::DeleteKey(int64_t key, Rid* deleted_rid) {
-  BULKDEL_ASSIGN_OR_RETURN(PageId start, DescendToLeaf(KeyRid::Min(key)));
-  PageId cur = start;
-  while (cur != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      uint16_t pos = node.LeafLowerBound(key);
-      if (pos < node.count()) {
-        if (node.LeafKey(pos) != key) {
-          return Status::NotFound("key " + std::to_string(key) +
-                                  " not indexed");
-        }
-        Rid rid = node.LeafRid(pos);
-        if (deleted_rid != nullptr) *deleted_rid = rid;
-        guard.Release();
-        return Delete(key, rid);
-      }
-      next = node.right_sibling();
-    }
-    cur = next;
+  std::optional<Rid> found;
+  BULKDEL_RETURN_IF_ERROR(WalkLeaves(
+      KeyRid::Min(key), [&](PageGuard&, BTreeNode node) -> Result<bool> {
+        uint16_t pos = node.LeafLowerBound(key);
+        if (pos == node.count()) return true;
+        if (node.LeafKey(pos) == key) found = node.LeafRid(pos);
+        return false;
+      }));
+  if (!found.has_value()) {
+    return Status::NotFound("key " + std::to_string(key) + " not indexed");
   }
-  return Status::NotFound("key " + std::to_string(key) + " not indexed");
+  if (deleted_rid != nullptr) *deleted_rid = *found;
+  return Delete(key, *found);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,53 +391,42 @@ Result<std::vector<Rid>> BTree::Search(int64_t key) {
 Status BTree::RangeScan(
     int64_t lo, int64_t hi,
     const std::function<Status(int64_t, const Rid&)>& visitor) {
-  BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(lo)));
-  while (cur != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      uint16_t n = node.count();
-      for (uint16_t pos = node.LeafLowerBound(lo); pos < n; ++pos) {
-        int64_t k = node.LeafKey(pos);
-        if (k > hi) return Status::OK();
-        BULKDEL_RETURN_IF_ERROR(visitor(k, node.LeafRid(pos)));
-      }
-      next = node.right_sibling();
-    }
-    cur = next;
-  }
-  return Status::OK();
+  return WalkLeaves(
+      KeyRid::Min(lo), [&](PageGuard&, BTreeNode node) -> Result<bool> {
+        for (uint16_t pos = node.LeafLowerBound(lo); pos < node.count();
+             ++pos) {
+          int64_t k = node.LeafKey(pos);
+          if (k > hi) return false;
+          BULKDEL_RETURN_IF_ERROR(visitor(k, node.LeafRid(pos)));
+        }
+        return true;
+      });
 }
 
 Status BTree::ScanAll(
     const std::function<Status(int64_t, const Rid&, uint16_t)>& visitor) {
-  BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(kMinKey)));
-  while (cur != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      uint16_t n = node.count();
-      for (uint16_t pos = 0; pos < n; ++pos) {
-        BULKDEL_RETURN_IF_ERROR(
-            visitor(node.LeafKey(pos), node.LeafRid(pos), node.LeafFlags(pos)));
-      }
-      next = node.right_sibling();
-    }
-    cur = next;
-  }
-  return Status::OK();
+  return WalkLeaves(
+      KeyRid::Min(kMinKey), [&](PageGuard&, BTreeNode node) -> Result<bool> {
+        for (uint16_t pos = 0; pos < node.count(); ++pos) {
+          BULKDEL_RETURN_IF_ERROR(visitor(node.LeafKey(pos), node.LeafRid(pos),
+                                          node.LeafFlags(pos)));
+        }
+        return true;
+      });
 }
 
 Result<std::vector<PageId>> BTree::LeafChain() {
+  BULKDEL_ASSIGN_OR_RETURN(PageId first, DescendToLeaf(KeyRid::Min(kMinKey)));
+  return LeafChain(first);
+}
+
+Result<std::vector<PageId>> BTree::LeafChain(PageId first) {
   std::vector<PageId> chain;
-  BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(kMinKey)));
-  while (cur != kInvalidPageId) {
-    chain.push_back(cur);
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-    cur = BTreeNode(guard.data()).right_sibling();
-  }
+  BULKDEL_RETURN_IF_ERROR(
+      WalkChain(first, [&](PageGuard& guard, BTreeNode) -> Result<bool> {
+        chain.push_back(guard.page_id());
+        return true;
+      }));
   return chain;
 }
 
@@ -476,14 +473,13 @@ Status BTree::RemoveChildAtLevel(uint8_t parent_level, PageId child,
   }
   // Locate the owner node; walk the level chain right as a safety net.
   int idx = -1;
-  while (cur != kInvalidPageId) {
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-    BTreeNode node(guard.data());
-    idx = node.FindChild(child);
-    if (idx >= 0) break;
-    cur = node.right_sibling();
-  }
-  if (cur == kInvalidPageId || idx < 0) {
+  BULKDEL_RETURN_IF_ERROR(
+      WalkChain(cur, [&](PageGuard& guard, BTreeNode node) -> Result<bool> {
+        cur = guard.page_id();
+        idx = node.FindChild(child);
+        return idx < 0;
+      }));
+  if (idx < 0) {
     return Status::Corruption("parent of freed node " + std::to_string(child) +
                               " not found at level " +
                               std::to_string(parent_level));
@@ -725,90 +721,91 @@ namespace {
 using Verdict = BTreeNode::LeafVerdict;
 }  // namespace
 
+template <typename Leaf>
+Status BTree::BulkLeafPass(const std::optional<KeyRid>& start,
+                           ReorgMode reorg, BulkPass& pass,
+                           BtreeBulkDeleteStats* stats, Leaf&& leaf) {
+  if (start.has_value()) {
+    BULKDEL_RETURN_IF_ERROR(WalkLeaves(
+        *start, [&](PageGuard& guard, BTreeNode node) -> Result<bool> {
+          ++pass.stats.leaves_visited;
+          BULKDEL_RETURN_IF_ERROR(leaf(guard, node));
+          return !pass.done;
+        }));
+  }
+  BULKDEL_RETURN_IF_ERROR(FinishBulkDelete(pass, reorg));
+  if (stats != nullptr) *stats = pass.stats;
+  return Status::OK();
+}
+
+template <typename Match>
+void BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
+                        uint16_t from, Match&& match) {
+  KeyRid probe = node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
+  uint16_t removed = node.LeafCompact(from, [&](uint16_t pos) {
+    Verdict verdict = match(pos);
+    if (verdict == Verdict::kStop) pass.done = true;
+    if (verdict != Verdict::kDrop) return verdict;
+    if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
+      ++pass.stats.skipped_undeletable;
+      return Verdict::kKeep;
+    }
+    Rid rid = node.LeafRid(pos);
+    if (pass.deleted_rids != nullptr) pass.deleted_rids->push_back(rid);
+    if (pass.on_delete != nullptr && *pass.on_delete) {
+      (*pass.on_delete)(node.LeafKey(pos), rid);
+    }
+    return Verdict::kDrop;
+  });
+  pass.stats.entries_deleted += removed;
+  if (removed > 0) guard.MarkDirty();
+  if (node.count() == 0 && height_ > 1) {
+    pass.empties.push_back(EmptyLeaf{guard.page_id(), probe});
+  }
+}
+
 Status BTree::BulkDeleteSortedKeys(
     const std::vector<int64_t>& keys, ReorgMode reorg,
     std::vector<Rid>* deleted_rids, BtreeBulkDeleteStats* stats,
     const std::function<void(int64_t, const Rid&)>& on_delete) {
-  BtreeBulkDeleteStats local;
-  std::vector<EmptyLeaf> empties;
-  if (!keys.empty()) {
-    BULKDEL_ASSIGN_OR_RETURN(PageId cur,
-                             DescendToLeaf(KeyRid::Min(keys.front())));
-    size_t i = 0;
-    while (cur != kInvalidPageId && i < keys.size()) {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      ++local.leaves_visited;
-      KeyRid probe0 =
-          node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-      // Merge the leaf with the sorted key list.
-      uint16_t removed = node.LeafCompact(0, [&](uint16_t pos) {
-        int64_t k = node.LeafKey(pos);
-        while (i < keys.size() && keys[i] < k) ++i;
-        if (i == keys.size()) return Verdict::kStop;
-        if (k < keys[i]) return Verdict::kKeep;
-        if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
-          ++local.skipped_undeletable;
-          return Verdict::kKeep;
-        }
-        Rid rid = node.LeafRid(pos);
-        if (deleted_rids != nullptr) deleted_rids->push_back(rid);
-        if (on_delete) on_delete(k, rid);
-        return Verdict::kDrop;
+  BulkPass pass(deleted_rids, &on_delete);
+  std::optional<KeyRid> start;
+  if (!keys.empty()) start = KeyRid::Min(keys.front());
+  size_t i = 0;
+  return BulkLeafPass(
+      start, reorg, pass, stats, [&](PageGuard& guard, BTreeNode node) {
+        // Merge the leaf with the sorted key list.
+        CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
+          int64_t k = node.LeafKey(pos);
+          while (i < keys.size() && keys[i] < k) ++i;
+          if (i == keys.size()) return Verdict::kStop;
+          return k < keys[i] ? Verdict::kKeep : Verdict::kDrop;
+        });
+        return Status::OK();
       });
-      local.entries_deleted += removed;
-      if (removed > 0) guard.MarkDirty();
-      if (node.count() == 0 && height_ > 1) {
-        empties.push_back(EmptyLeaf{cur, probe0});
-      }
-      cur = node.right_sibling();
-    }
-  }
-  entry_count_ -= local.entries_deleted;
-  BULKDEL_RETURN_IF_ERROR(FinishBulkDelete(std::move(empties), reorg, &local));
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
 }
 
 Status BTree::BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
                                       ReorgMode reorg,
                                       BtreeBulkDeleteStats* stats) {
-  BtreeBulkDeleteStats local;
-  std::vector<EmptyLeaf> empties;
-  if (!entries.empty()) {
-    BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(entries.front()));
-    size_t i = 0;
-    while (cur != kInvalidPageId && i < entries.size()) {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      ++local.leaves_visited;
-      KeyRid probe0 =
-          node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-      // Merge the leaf with the sorted entry list.
-      uint16_t removed = node.LeafCompact(0, [&](uint16_t pos) {
-        KeyRid e = node.LeafEntryAt(pos);
-        while (i < entries.size() && entries[i] < e) ++i;
-        if (i == entries.size()) return Verdict::kStop;
-        if (e < entries[i]) return Verdict::kKeep;
-        ++i;
-        if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
-          ++local.skipped_undeletable;
-          return Verdict::kKeep;
-        }
-        return Verdict::kDrop;
+  BulkPass pass(nullptr, nullptr);
+  std::optional<KeyRid> start;
+  if (!entries.empty()) start = entries.front();
+  size_t i = 0;
+  return BulkLeafPass(
+      start, reorg, pass, stats, [&](PageGuard& guard, BTreeNode node) {
+        // Merge the leaf with the sorted entry list.
+        CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
+          KeyRid e = node.LeafEntryAt(pos);
+          while (i < entries.size() && entries[i] < e) ++i;
+          if (i == entries.size()) return Verdict::kStop;
+          if (e < entries[i]) return Verdict::kKeep;
+          // The list is used up: fetch no leaf to the right.
+          if (++i == entries.size()) pass.done = true;
+          return Verdict::kDrop;
+        });
+        return Status::OK();
       });
-      local.entries_deleted += removed;
-      if (removed > 0) guard.MarkDirty();
-      if (node.count() == 0 && height_ > 1) {
-        empties.push_back(EmptyLeaf{cur, probe0});
-      }
-      cur = node.right_sibling();
-    }
-  }
-  entry_count_ -= local.entries_deleted;
-  BULKDEL_RETURN_IF_ERROR(FinishBulkDelete(std::move(empties), reorg, &local));
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
 }
 
 Status BTree::BulkDeleteByPredicate(
@@ -816,47 +813,20 @@ Status BTree::BulkDeleteByPredicate(
     BtreeBulkDeleteStats* stats, std::optional<int64_t> lo,
     std::optional<int64_t> hi,
     const std::function<void(int64_t, const Rid&)>& on_delete) {
-  BtreeBulkDeleteStats local;
-  std::vector<EmptyLeaf> empties;
-  PageId cur;
-  {
-    BULKDEL_ASSIGN_OR_RETURN(
-        PageId start, DescendToLeaf(KeyRid::Min(lo.has_value() ? *lo : kMinKey)));
-    cur = start;
-  }
-  bool done = false;
-  while (cur != kInvalidPageId && !done) {
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-    BTreeNode node(guard.data());
-    ++local.leaves_visited;
-    KeyRid probe0 =
-        node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-    uint16_t removed = node.LeafCompact(0, [&](uint16_t pos) {
-      int64_t k = node.LeafKey(pos);
-      if (hi.has_value() && k > *hi) {
-        done = true;
-        return Verdict::kStop;
-      }
-      Rid rid = node.LeafRid(pos);
-      if ((lo.has_value() && k < *lo) || !pred(k, rid)) return Verdict::kKeep;
-      if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
-        ++local.skipped_undeletable;
-        return Verdict::kKeep;
-      }
-      if (on_delete) on_delete(k, rid);
-      return Verdict::kDrop;
-    });
-    local.entries_deleted += removed;
-    if (removed > 0) guard.MarkDirty();
-    if (node.count() == 0 && height_ > 1) {
-      empties.push_back(EmptyLeaf{cur, probe0});
-    }
-    cur = node.right_sibling();
-  }
-  entry_count_ -= local.entries_deleted;
-  BULKDEL_RETURN_IF_ERROR(FinishBulkDelete(std::move(empties), reorg, &local));
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
+  BulkPass pass(nullptr, &on_delete);
+  return BulkLeafPass(
+      KeyRid::Min(lo.value_or(kMinKey)), reorg, pass, stats,
+      [&](PageGuard& guard, BTreeNode node) {
+        CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
+          int64_t k = node.LeafKey(pos);
+          if (hi.has_value() && k > *hi) return Verdict::kStop;
+          if ((lo.has_value() && k < *lo) || !pred(k, node.LeafRid(pos))) {
+            return Verdict::kKeep;
+          }
+          return Verdict::kDrop;
+        });
+        return Status::OK();
+      });
 }
 
 Status BTree::BulkDeleteRange(
@@ -866,149 +836,104 @@ Status BTree::BulkDeleteRange(
         on_leaf_drop,
     const std::function<void(int64_t, const Rid&)>& on_delete,
     std::vector<PageId>* dropped_pages) {
+  BulkPass pass(deleted_rids, &on_delete);
+  std::optional<KeyRid> start;
+  if (lo <= hi) start = KeyRid::Min(lo);
   deferred_frees_ = dropped_pages;
-  Status status = BulkDeleteRangeLocked(lo, hi, reorg, deleted_rids, stats,
-                                        on_leaf_drop, on_delete);
+  Status status = BulkLeafPass(
+      start, reorg, pass, stats,
+      [&](PageGuard& guard, BTreeNode node) -> Status {
+        uint16_t count = node.count();
+        // Leaf-run fast path: every entry covered by [lo, hi] and none pinned
+        // undeletable — the leaf dies whole: one drop record, no write, no
+        // per-entry removal.
+        bool run_leaf = count > 0 && height_ > 1 && node.LeafKey(0) >= lo &&
+                        node.LeafKey(static_cast<uint16_t>(count - 1)) <= hi;
+        for (uint16_t pos = 0; run_leaf && pos < count; ++pos) {
+          run_leaf = !(node.LeafFlags(pos) & BTreeNode::kEntryUndeletable);
+        }
+        if (run_leaf) {
+          std::vector<KeyRid> harvest;
+          harvest.reserve(count);
+          for (uint16_t pos = 0; pos < count; ++pos) {
+            harvest.push_back(node.LeafEntryAt(pos));
+          }
+          if (on_leaf_drop) {
+            BULKDEL_RETURN_IF_ERROR(on_leaf_drop(guard.page_id(), harvest));
+          }
+          if (deleted_rids != nullptr) {
+            for (const KeyRid& e : harvest) deleted_rids->push_back(e.rid);
+          }
+          if (pass.run.empty()) pass.run_left = node.left_sibling();
+          pass.run.push_back(EmptyLeaf{guard.page_id(), harvest.front()});
+          pass.stats.entries_deleted += count;
+          ++pass.stats.leaves_dropped;
+          return Status::OK();
+        }
+        // Boundary (or marker-pinned) leaf: splice any open run out of the
+        // chain before the per-entry pass mutates this leaf.
+        if (!pass.run.empty()) {
+          node.set_left_sibling(pass.run_left);
+          guard.MarkDirty();
+          BULKDEL_RETURN_IF_ERROR(CloseLeafRun(pass));
+        }
+        uint16_t from = count > 0 ? node.LeafLowerBound(lo) : 0;
+        CompactLeaf(pass, guard, node, from, [&](uint16_t pos) {
+          return node.LeafKey(pos) > hi ? Verdict::kStop : Verdict::kDrop;
+        });
+        return Status::OK();
+      });
   deferred_frees_ = nullptr;
   return status;
 }
 
-Status BTree::BulkDeleteRangeLocked(
-    int64_t lo, int64_t hi, ReorgMode reorg, std::vector<Rid>* deleted_rids,
-    BtreeBulkDeleteStats* stats,
-    const std::function<Status(PageId, const std::vector<KeyRid>&)>&
-        on_leaf_drop,
-    const std::function<void(int64_t, const Rid&)>& on_delete) {
-  BtreeBulkDeleteStats local;
-  std::vector<EmptyLeaf> empties;
-  // Contiguous dropped-leaf runs are spliced out of the sibling chain with
-  // two boundary writes (the left neighbor's right pointer and the right
-  // neighbor's left pointer); the dropped leaves themselves are never
-  // modified, so the only per-leaf charge is the read that harvested their
-  // entries. Parent maintenance dirties one inner page per fan-out children.
-  std::vector<EmptyLeaf> run;
-  PageId run_left = kInvalidPageId;
-  auto close_run = [&]() -> Status {
-    if (run.empty()) return Status::OK();
-    if (run_left != kInvalidPageId) {
-      PageId next;
-      {
-        BULKDEL_ASSIGN_OR_RETURN(PageGuard guard,
-                                 pool_->FetchPage(run.back().page));
-        next = BTreeNode(guard.data()).right_sibling();
-      }
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(run_left));
-      BTreeNode left_node(guard.data());
-      left_node.set_right_sibling(next);
-      guard.MarkDirty();
+Status BTree::CloseLeafRun(BulkPass& pass) {
+  // The dropped leaves themselves are never modified, so the only per-leaf
+  // charge is the read that harvested their entries. Parent maintenance
+  // dirties one inner page per fan-out children.
+  if (pass.run.empty()) return Status::OK();
+  if (pass.run_left != kInvalidPageId) {
+    PageId next;
+    {
+      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard,
+                               pool_->FetchPage(pass.run.back().page));
+      next = BTreeNode(guard.data()).right_sibling();
     }
-    for (const EmptyLeaf& d : run) {
-      if (d.page == root_) {
-        // Root collapse promoted this dropped leaf to be the whole tree: it
-        // survives as the empty root, so it must actually be emptied (the
-        // one dropped leaf whose image is written) — and unhooked from its
-        // freed former neighbors.
-        BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(d.page));
-        BTreeNode node(guard.data());
-        node.set_count(0);
-        node.set_left_sibling(kInvalidPageId);
-        node.set_right_sibling(kInvalidPageId);
-        guard.MarkDirty();
-        continue;
-      }
-      BULKDEL_RETURN_IF_ERROR(FreeNode(d.page));
-      if (height_ > 1) {
-        BULKDEL_RETURN_IF_ERROR(RemoveChildAtLevel(1, d.page, d.probe));
-      }
-      ++local.leaves_freed;
-    }
-    run.clear();
-    return Status::OK();
-  };
-  if (lo <= hi) {
-    BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(lo)));
-    bool done = false;
-    while (cur != kInvalidPageId && !done) {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      ++local.leaves_visited;
-      uint16_t count = node.count();
-      KeyRid probe0 = count > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
-      // Leaf-run fast path: every entry covered by [lo, hi] and none pinned
-      // undeletable — the leaf dies whole: one drop record, no write, no
-      // per-entry removal.
-      bool run_leaf = count > 0 && height_ > 1 && node.LeafKey(0) >= lo &&
-                      node.LeafKey(static_cast<uint16_t>(count - 1)) <= hi;
-      if (run_leaf) {
-        for (uint16_t pos = 0; pos < count; ++pos) {
-          if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
-            run_leaf = false;
-            break;
-          }
-        }
-      }
-      if (run_leaf) {
-        std::vector<KeyRid> harvest;
-        harvest.reserve(count);
-        for (uint16_t pos = 0; pos < count; ++pos) {
-          harvest.push_back(node.LeafEntryAt(pos));
-        }
-        if (on_leaf_drop) BULKDEL_RETURN_IF_ERROR(on_leaf_drop(cur, harvest));
-        if (deleted_rids != nullptr) {
-          for (const KeyRid& e : harvest) deleted_rids->push_back(e.rid);
-        }
-        if (run.empty()) run_left = node.left_sibling();
-        run.push_back(EmptyLeaf{cur, probe0});
-        local.entries_deleted += count;
-        ++local.leaves_dropped;
-        cur = node.right_sibling();
-        continue;
-      }
-      // Boundary (or marker-pinned) leaf: splice any open run out of the
-      // chain before the per-entry pass mutates this leaf.
-      if (!run.empty()) {
-        node.set_left_sibling(run_left);
-        guard.MarkDirty();
-        BULKDEL_RETURN_IF_ERROR(close_run());
-      }
-      // Per-entry removal.
-      uint16_t from = count > 0 ? node.LeafLowerBound(lo) : 0;
-      uint16_t removed = node.LeafCompact(from, [&](uint16_t pos) {
-        int64_t k = node.LeafKey(pos);
-        if (k > hi) {
-          done = true;
-          return Verdict::kStop;
-        }
-        if (node.LeafFlags(pos) & BTreeNode::kEntryUndeletable) {
-          ++local.skipped_undeletable;
-          return Verdict::kKeep;
-        }
-        Rid rid = node.LeafRid(pos);
-        if (deleted_rids != nullptr) deleted_rids->push_back(rid);
-        if (on_delete) on_delete(k, rid);
-        return Verdict::kDrop;
-      });
-      local.entries_deleted += removed;
-      if (removed > 0) guard.MarkDirty();
-      if (node.count() == 0 && height_ > 1) {
-        empties.push_back(EmptyLeaf{cur, probe0});
-      }
-      cur = node.right_sibling();
-    }
-    // A run still open here ran off the right end of the chain (or the range
-    // covered everything up to a leaf we never fetched): splice it out now.
-    BULKDEL_RETURN_IF_ERROR(close_run());
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(pass.run_left));
+    BTreeNode left_node(guard.data());
+    left_node.set_right_sibling(next);
+    guard.MarkDirty();
   }
-  entry_count_ -= local.entries_deleted;
-  BULKDEL_RETURN_IF_ERROR(FinishBulkDelete(std::move(empties), reorg, &local));
-  if (stats != nullptr) *stats = local;
+  for (const EmptyLeaf& d : pass.run) {
+    if (d.page == root_) {
+      // Root collapse promoted this dropped leaf to be the whole tree: it
+      // survives as the empty root, so it must actually be emptied (the
+      // one dropped leaf whose image is written) — and unhooked from its
+      // freed former neighbors.
+      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(d.page));
+      BTreeNode node(guard.data());
+      node.set_count(0);
+      node.set_left_sibling(kInvalidPageId);
+      node.set_right_sibling(kInvalidPageId);
+      guard.MarkDirty();
+      continue;
+    }
+    BULKDEL_RETURN_IF_ERROR(FreeNode(d.page));
+    if (height_ > 1) {
+      BULKDEL_RETURN_IF_ERROR(RemoveChildAtLevel(1, d.page, d.probe));
+    }
+    ++pass.stats.leaves_freed;
+  }
+  pass.run.clear();
   return Status::OK();
 }
 
-Status BTree::FinishBulkDelete(std::vector<EmptyLeaf> empties, ReorgMode reorg,
-                               BtreeBulkDeleteStats* stats) {
+Status BTree::FinishBulkDelete(BulkPass& pass, ReorgMode reorg) {
+  // A run still open here ran off the right end of the chain: splice it out.
+  BULKDEL_RETURN_IF_ERROR(CloseLeafRun(pass));
+  entry_count_ -= pass.stats.entries_deleted;
   // Free-at-empty: reclaim completely empty leaves [9] and fix their parents.
-  for (const EmptyLeaf& e : empties) {
+  for (const EmptyLeaf& e : pass.empties) {
     // Root collapse during an earlier iteration may have promoted this leaf
     // to be the (empty) root; an empty root leaf is a legal empty tree.
     if (e.page == root_) continue;
@@ -1017,7 +942,7 @@ Status BTree::FinishBulkDelete(std::vector<EmptyLeaf> empties, ReorgMode reorg,
     if (height_ > 1) {
       BULKDEL_RETURN_IF_ERROR(RemoveChildAtLevel(1, e.page, e.probe));
     }
-    ++stats->leaves_freed;
+    ++pass.stats.leaves_freed;
   }
   switch (reorg) {
     case ReorgMode::kFreeAtEmpty:
@@ -1036,32 +961,26 @@ Status BTree::MergeLookupSortedKeys(
     const std::vector<int64_t>& keys,
     const std::function<Status(int64_t, const Rid&)>& visitor) {
   if (keys.empty()) return Status::OK();
-  BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(keys.front())));
   size_t i = 0;
-  while (cur != kInvalidPageId && i < keys.size()) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      uint16_t pos = 0;
-      while (pos < node.count() && i < keys.size()) {
-        int64_t k = node.LeafKey(pos);
-        if (k < keys[i]) {
-          pos = node.LeafLowerBound(keys[i]);
-          continue;
+  return WalkLeaves(
+      KeyRid::Min(keys.front()),
+      [&](PageGuard&, BTreeNode node) -> Result<bool> {
+        uint16_t pos = 0;
+        while (pos < node.count() && i < keys.size()) {
+          int64_t k = node.LeafKey(pos);
+          if (k < keys[i]) {
+            pos = node.LeafLowerBound(keys[i]);
+            continue;
+          }
+          if (k > keys[i]) {
+            ++i;
+            continue;
+          }
+          BULKDEL_RETURN_IF_ERROR(visitor(k, node.LeafRid(pos)));
+          ++pos;
         }
-        if (k > keys[i]) {
-          ++i;
-          continue;
-        }
-        BULKDEL_RETURN_IF_ERROR(visitor(k, node.LeafRid(pos)));
-        ++pos;
-      }
-      next = node.right_sibling();
-    }
-    cur = next;
-  }
-  return Status::OK();
+        return i < keys.size();
+      });
 }
 
 Result<uint64_t> BTree::CountMatchingSortedKeys(
@@ -1076,23 +995,19 @@ Result<uint64_t> BTree::CountMatchingSortedKeys(
 }
 
 Status BTree::ClearUndeletableFlags() {
-  BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(kMinKey)));
-  while (cur != kInvalidPageId) {
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-    BTreeNode node(guard.data());
-    bool modified = false;
-    uint16_t n = node.count();
-    for (uint16_t i = 0; i < n; ++i) {
-      if (node.LeafFlags(i) & BTreeNode::kEntryUndeletable) {
-        node.SetLeafFlags(
-            i, node.LeafFlags(i) & ~BTreeNode::kEntryUndeletable);
-        modified = true;
-      }
-    }
-    if (modified) guard.MarkDirty();
-    cur = node.right_sibling();
-  }
-  return Status::OK();
+  return WalkLeaves(
+      KeyRid::Min(kMinKey), [](PageGuard& guard, BTreeNode node) -> Result<bool> {
+        bool modified = false;
+        for (uint16_t i = 0; i < node.count(); ++i) {
+          if (node.LeafFlags(i) & BTreeNode::kEntryUndeletable) {
+            node.SetLeafFlags(
+                i, node.LeafFlags(i) & ~BTreeNode::kEntryUndeletable);
+            modified = true;
+          }
+        }
+        if (modified) guard.MarkDirty();
+        return true;
+      });
 }
 
 Status BTree::RecountFromScan() {
@@ -1103,21 +1018,21 @@ Status BTree::RecountFromScan() {
   int levels = 0;
   while (level_head != kInvalidPageId) {
     PageId next_head = kInvalidPageId;
-    PageId cur = level_head;
     bool leaf_level = false;
-    while (cur != kInvalidPageId) {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      BTreeNode node(guard.data());
-      leaf_level = node.is_leaf();
-      if (cur == level_head && !leaf_level) next_head = node.Child(0);
-      if (leaf_level) {
-        ++leaves;
-        entries += node.count();
-      } else {
-        ++inners;
-      }
-      cur = node.right_sibling();
-    }
+    BULKDEL_RETURN_IF_ERROR(WalkChain(
+        level_head, [&](PageGuard& guard, BTreeNode node) -> Result<bool> {
+          leaf_level = node.is_leaf();
+          if (guard.page_id() == level_head && !leaf_level) {
+            next_head = node.Child(0);
+          }
+          if (leaf_level) {
+            ++leaves;
+            entries += node.count();
+          } else {
+            ++inners;
+          }
+          return true;
+        }));
     ++levels;
     if (leaf_level) break;
     level_head = next_head;

@@ -57,6 +57,15 @@ struct BtreeBulkDeleteStats {
   /// (fully covered by [lo, hi]); also counted in leaves_freed.
   uint64_t leaves_dropped = 0;
   uint64_t skipped_undeletable = 0;
+
+  BtreeBulkDeleteStats& operator+=(const BtreeBulkDeleteStats& other) {
+    entries_deleted += other.entries_deleted;
+    leaves_visited += other.leaves_visited;
+    leaves_freed += other.leaves_freed;
+    leaves_dropped += other.leaves_dropped;
+    skipped_undeletable += other.skipped_undeletable;
+    return *this;
+  }
 };
 
 /// B-link tree (B⁺-tree with sibling chains on every level [10]) mapping
@@ -68,8 +77,11 @@ struct BtreeBulkDeleteStats {
 ///  * leaf-level sequential scans via the sibling chain,
 ///  * bulk load from a sorted entry stream (for drop & create),
 ///  * the paper's leaf-level bulk-delete primitives: merge with a sorted
-///    key/entry list, and predicate probing (hash/partitioned plans), with
-///    pluggable reorganization (§2.3).
+///    key/entry list, predicate probing (hash/partitioned plans) and key
+///    ranges, with pluggable reorganization (§2.3). All four are one pass,
+///    BulkLeafPass: each entry point supplies only its per-entry verdict
+///    (the range pass also its whole-leaf drop), and every leaf-chain walk
+///    goes through WalkChain.
 ///
 /// Thread model: structural operations are single-writer; the txn layer
 /// serializes writers with an index latch and uses per-entry "undeletable"
@@ -257,27 +269,63 @@ class BTree {
   /// single child, promote the child.
   Status MaybeCollapseRoot();
 
+  /// The one leaf-chain walk (it walks an inner level as well): fetches the
+  /// chain from `first` left to right and calls `visit(guard, node)` ->
+  /// Result<bool> with each page pinned, unpinning it before the next fetch;
+  /// false stops the walk. WalkLeaves first descends to the leaf `start`
+  /// routes to.
+  template <typename Visit>
+  Status WalkChain(PageId first, Visit&& visit);
+  template <typename Visit>
+  Status WalkLeaves(const KeyRid& start, Visit&& visit);
+  Result<std::vector<PageId>> LeafChain(PageId first);
+
   /// A leaf a bulk pass emptied; FinishBulkDelete frees it (free-at-empty).
-  /// Each pass removes a leaf's entries with BTreeNode::LeafCompact.
   struct EmptyLeaf {
     PageId page;
     KeyRid probe;  // smallest entry before the pass touched the leaf
   };
-  Status FinishBulkDelete(std::vector<EmptyLeaf> empties, ReorgMode reorg,
-                          BtreeBulkDeleteStats* stats);
-  /// BulkDeleteRange body; runs with `deferred_frees_` installed.
-  Status BulkDeleteRangeLocked(
-      int64_t lo, int64_t hi, ReorgMode reorg, std::vector<Rid>* deleted_rids,
-      BtreeBulkDeleteStats* stats,
-      const std::function<Status(PageId, const std::vector<KeyRid>&)>&
-          on_leaf_drop,
-      const std::function<void(int64_t, const Rid&)>& on_delete);
+  /// State of one bulk pass.
+  struct BulkPass {
+    BulkPass(std::vector<Rid>* rids,
+             const std::function<void(int64_t, const Rid&)>* on_del)
+        : deleted_rids(rids), on_delete(on_del) {}
+    std::vector<Rid>* deleted_rids;
+    const std::function<void(int64_t, const Rid&)>* on_delete;
+    BtreeBulkDeleteStats stats;
+    std::vector<EmptyLeaf> empties;
+    /// Set by a kStop verdict, or by a merge whose input ran out: the walk
+    /// fetches no further leaf.
+    bool done = false;
+    /// The range pass's open run of whole dropped leaves, and the leaf left
+    /// of it.
+    std::vector<EmptyLeaf> run;
+    PageId run_left = kInvalidPageId;
+  };
+  /// The one bulk pass: walks the leaves from `start` (none when empty),
+  /// handing each to `leaf(guard, node)` -> Status until the chain ends or
+  /// `pass.done`, then FinishBulkDelete; fills `*stats` on success.
+  template <typename Leaf>
+  Status BulkLeafPass(const std::optional<KeyRid>& start, ReorgMode reorg,
+                      BulkPass& pass, BtreeBulkDeleteStats* stats, Leaf&& leaf);
+  /// The per-entry step of every bulk pass: one LeafCompact of the pinned
+  /// leaf from entry `from` by the caller's verdict `match(pos)`. A kDrop of
+  /// a kEntryUndeletable entry is kept (skipped_undeletable); each removed
+  /// entry goes to deleted_rids and on_delete. Marks the leaf dirty when it
+  /// lost entries and collects it when it emptied.
+  template <typename Match>
+  void CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
+                   uint16_t from, Match&& match);
+  /// Splices the range pass's open run out of the sibling chain (one write
+  /// to its left neighbour) and frees its leaves.
+  Status CloseLeafRun(BulkPass& pass);
+  /// Closes an open run, frees the emptied leaves, runs the reorganization
+  /// and persists the meta page.
+  Status FinishBulkDelete(BulkPass& pass, ReorgMode reorg);
 
   // Reorganization routines (defined in reorg.cc).
   Status CompactAndRebuild();
   Status IncrementalBaseNodeReorg();
-  /// Rebuilds all inner levels from the current (non-empty) leaf chain.
-  Status RebuildInnerLevels();
   /// Builds inner levels over `children` (pairs of max-composite and page),
   /// freeing nothing; sets root_/height_/num_inner_.
   Status BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,

@@ -25,7 +25,7 @@ struct LeafEntryBuf {
 
 /// Reads all entries of a leaf into a local buffer (bounds pin time).
 Status LoadLeafEntries(BufferPool* pool, PageId page,
-                       std::vector<LeafEntryBuf>* out, PageId* right) {
+                       std::vector<LeafEntryBuf>* out) {
   BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool->FetchPage(page));
   BTreeNode node(guard.data());
   out->clear();
@@ -34,8 +34,47 @@ Status LoadLeafEntries(BufferPool* pool, PageId page,
     out->push_back(LeafEntryBuf{node.LeafKey(i), node.LeafRid(i),
                                 node.LeafFlags(i)});
   }
-  if (right != nullptr) *right = node.right_sibling();
   return Status::OK();
+}
+
+/// Shifts the entries of the leaves `pages` (in chain order) maximally to
+/// the left, `cap` per leaf, and sets every written leaf's count. Returns
+/// the index of the last leaf that keeps entries; an exactly-full last leaf
+/// followed by leftovers, or no entries at all, leaves the tail leaf empty,
+/// and at least one leaf is kept.
+Result<size_t> PackLeaves(BufferPool* pool, uint16_t cap,
+                          const std::vector<PageId>& pages) {
+  size_t write_i = 0;
+  uint16_t write_idx = 0;
+  std::vector<LeafEntryBuf> buf;
+  for (PageId page : pages) {
+    BULKDEL_RETURN_IF_ERROR(LoadLeafEntries(pool, page, &buf));
+    for (const LeafEntryBuf& e : buf) {
+      if (write_idx == cap) {
+        BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
+                                 pool->FetchPage(pages[write_i]));
+        BTreeNode wnode(wguard.data());
+        wnode.set_count(cap);
+        wguard.MarkDirty();
+        ++write_i;
+        write_idx = 0;
+      }
+      BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
+                               pool->FetchPage(pages[write_i]));
+      BTreeNode wnode(wguard.data());
+      wnode.SetLeafEntry(write_idx, e.key, e.rid, e.flags);
+      wguard.MarkDirty();
+      ++write_idx;
+    }
+  }
+  {
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard, pool->FetchPage(pages[write_i]));
+    BTreeNode wnode(wguard.data());
+    wnode.set_count(write_idx);
+    wguard.MarkDirty();
+  }
+  if (write_idx == 0 && write_i > 0) --write_i;
+  return write_i;
 }
 }  // namespace
 
@@ -67,75 +106,14 @@ Status BTree::FreeInnerLevels() {
   return Status::OK();
 }
 
-Status BTree::RebuildInnerLevels() {
-  BULKDEL_ASSIGN_OR_RETURN(PageId leftmost, DescendToLeaf(KeyRid::Min(kMinKey)));
-  BULKDEL_RETURN_IF_ERROR(FreeInnerLevels());
-
-  std::vector<std::pair<KeyRid, PageId>> leaves;
-  PageId cur = leftmost;
-  while (cur != kInvalidPageId) {
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-    BTreeNode node(guard.data());
-    KeyRid max_entry = node.count() > 0 ? node.LeafEntryAt(node.count() - 1)
-                                        : KeyRid::Min(kMinKey);
-    leaves.emplace_back(max_entry, cur);
-    cur = node.right_sibling();
-  }
-  return BuildUpperLevels(std::move(leaves), 1.0);
-}
-
 Status BTree::CompactAndRebuild() {
   BULKDEL_ASSIGN_OR_RETURN(PageId leftmost, DescendToLeaf(KeyRid::Min(kMinKey)));
   BULKDEL_RETURN_IF_ERROR(FreeInnerLevels());
+  BULKDEL_ASSIGN_OR_RETURN(std::vector<PageId> pages, LeafChain(leftmost));
 
-  // Collect the leaf chain.
-  std::vector<PageId> pages;
-  {
-    PageId cur = leftmost;
-    while (cur != kInvalidPageId) {
-      pages.push_back(cur);
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-      cur = BTreeNode(guard.data()).right_sibling();
-    }
-  }
-
-  // Shift all entries maximally to the left ("beyond base node delimiters"),
-  // writing each page once.
-  const uint16_t cap = leaf_capacity();
-  size_t write_i = 0;
-  uint16_t write_idx = 0;
-  std::vector<LeafEntryBuf> buf;
-  for (size_t read_i = 0; read_i < pages.size(); ++read_i) {
-    BULKDEL_RETURN_IF_ERROR(LoadLeafEntries(pool_, pages[read_i], &buf,
-                                            nullptr));
-    for (const LeafEntryBuf& e : buf) {
-      if (write_idx == cap) {
-        BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
-                                 pool_->FetchPage(pages[write_i]));
-        BTreeNode wnode(wguard.data());
-        wnode.set_count(cap);
-        wguard.MarkDirty();
-        ++write_i;
-        write_idx = 0;
-      }
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
-                               pool_->FetchPage(pages[write_i]));
-      BTreeNode wnode(wguard.data());
-      wnode.SetLeafEntry(write_idx, e.key, e.rid, e.flags);
-      wguard.MarkDirty();
-      ++write_idx;
-    }
-  }
-  {
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
-                             pool_->FetchPage(pages[write_i]));
-    BTreeNode wnode(wguard.data());
-    wnode.set_count(write_idx);
-    wguard.MarkDirty();
-  }
-  // An exactly-full last page followed by leftovers, or a zero-entry tree,
-  // leaves the tail page empty; keep at least one leaf.
-  if (write_idx == 0 && write_i > 0) --write_i;
+  // Shift all entries maximally to the left ("beyond base node delimiters").
+  BULKDEL_ASSIGN_OR_RETURN(size_t write_i,
+                           PackLeaves(pool_, leaf_capacity(), pages));
 
   // Terminate the chain at the last kept leaf and free the tail.
   {
@@ -172,8 +150,6 @@ Status BTree::IncrementalBaseNodeReorg() {
     base = BTreeNode(guard.data()).Child(0);
   }
 
-  const uint16_t cap = leaf_capacity();
-  std::vector<LeafEntryBuf> buf;
   while (base != kInvalidPageId) {
     PageId next_base;
     std::vector<PageId> children;
@@ -188,37 +164,8 @@ Status BTree::IncrementalBaseNodeReorg() {
 
     // Compact this subtree's leaves in place (reorganization unit = the
     // base node's children, Fig. 6 of the paper).
-    size_t write_i = 0;
-    uint16_t write_idx = 0;
-    for (size_t read_i = 0; read_i < children.size(); ++read_i) {
-      BULKDEL_RETURN_IF_ERROR(
-          LoadLeafEntries(pool_, children[read_i], &buf, nullptr));
-      for (const LeafEntryBuf& e : buf) {
-        if (write_idx == cap) {
-          BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
-                                   pool_->FetchPage(children[write_i]));
-          BTreeNode wnode(wguard.data());
-          wnode.set_count(cap);
-          wguard.MarkDirty();
-          ++write_i;
-          write_idx = 0;
-        }
-        BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
-                                 pool_->FetchPage(children[write_i]));
-        BTreeNode wnode(wguard.data());
-        wnode.SetLeafEntry(write_idx, e.key, e.rid, e.flags);
-        wguard.MarkDirty();
-        ++write_idx;
-      }
-    }
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard wguard,
-                               pool_->FetchPage(children[write_i]));
-      BTreeNode wnode(wguard.data());
-      wnode.set_count(write_idx);
-      wguard.MarkDirty();
-    }
-    if (write_idx == 0 && write_i > 0) --write_i;
+    BULKDEL_ASSIGN_OR_RETURN(size_t write_i,
+                             PackLeaves(pool_, leaf_capacity(), children));
 
     // Bridge the leaf chain over the freed tail and free it.
     if (write_i + 1 < children.size()) {

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/executors.h"
 #include "core/phase_scheduler.h"
@@ -616,10 +617,7 @@ class VerticalRun {
                 slice, last ? db_->options().reorg : ReorgMode::kFreeAtEmpty,
                 &chunk_stats));
           }
-          stats.entries_deleted += chunk_stats.entries_deleted;
-          stats.leaves_visited += chunk_stats.leaves_visited;
-          stats.leaves_freed += chunk_stats.leaves_freed;
-          stats.skipped_undeletable += chunk_stats.skipped_undeletable;
+          stats += chunk_stats;
           if (last) break;
         }
         break;
@@ -997,64 +995,48 @@ class VerticalRun {
       db_->log().Append(std::move(rec));
       db_->log().Sync();
       db_->log().TruncateCompleted();
+    }
+    // Pages freed only after the End record, in this order (the allocator's
+    // reuse order follows it):
+    //  * spilled delete-list pages (with logging);
+    //  * side-file spill pages whose ops were staged back during catch-up,
+    //    and the orphaned ones a resumed run inherited: before the End record
+    //    truncated the kSideFileSpill records, freeing them could have let a
+    //    reallocation reuse an id that a post-crash recovery would free
+    //    again — on a live page;
+    //  * extent-dropped heap pages: freeing them earlier would let the
+    //    allocator alias them while a post-crash recovery could still
+    //    re-process their kExtentDrop records;
+    //  * the index nodes the leaf-run pass detached.
+    // A resumed run can re-drop an extent or a leaf whose detach write was
+    // lost, so its recovered lists may overlap this run's: each page is freed
+    // once. Freeing through the pool drops a cached frame for an emptied
+    // node, which must not be written back over a reallocated page; the
+    // spill pages never have one.
+    std::vector<PageId> free_after_end;
+    std::unordered_set<PageId> listed;
+    auto free_after = [&](std::vector<PageId> pages) {
+      for (PageId p : pages) {
+        if (listed.insert(p).second) free_after_end.push_back(p);
+      }
+    };
+    if (logging_) {
       for (std::vector<PageId>& pages : spilled_pages_) {
-        for (PageId p : pages) {
-          BULKDEL_RETURN_IF_ERROR(db_->disk().FreePage(p));
-          NoteFreedPage(p);
-        }
+        free_after(std::move(pages));
       }
       spilled_pages_.clear();
     }
-    // Side-file spill pages whose ops were staged back during catch-up are
-    // reclaimed only now: before the End record truncated the kSideFileSpill
-    // records, freeing them could have let a reallocation reuse an id that a
-    // post-crash recovery would free again — on a live page. Ditto for the
-    // orphaned spill pages a resumed run inherited from those records.
     for (auto& index : table_->indices) {
-      for (PageId p : index->cc->side_file.TakeReclaimablePages()) {
-        BULKDEL_RETURN_IF_ERROR(db_->disk().FreePage(p));
-        NoteFreedPage(p);
-      }
+      free_after(index->cc->side_file.TakeReclaimablePages());
     }
-    for (PageId p : recovered_sidefile_pages_) {
-      BULKDEL_RETURN_IF_ERROR(db_->disk().FreePage(p));
+    free_after(std::exchange(recovered_sidefile_pages_, {}));
+    free_after(std::exchange(extent_pages_, {}));
+    free_after(std::exchange(recovered_extent_pages_, {}));
+    free_after(std::exchange(dropped_leaf_pages_, {}));
+    free_after(std::exchange(recovered_leaf_pages_, {}));
+    for (PageId p : free_after_end) {
+      BULKDEL_RETURN_IF_ERROR(db_->pool().DeletePage(p));
       NoteFreedPage(p);
-    }
-    recovered_sidefile_pages_.clear();
-    // Extent-dropped heap pages are freed only now, after the End record:
-    // freeing them earlier would let the allocator alias them while a
-    // post-crash recovery could still re-process their kExtentDrop records.
-    // The two sources (this run's drops, recovered drops already detached
-    // before the crash) can overlap on a resume, so free each page once.
-    if (!extent_pages_.empty() || !recovered_extent_pages_.empty()) {
-      std::vector<PageId> to_free = extent_pages_;
-      for (PageId p : recovered_extent_pages_) {
-        if (std::find(to_free.begin(), to_free.end(), p) == to_free.end()) {
-          to_free.push_back(p);
-        }
-      }
-      BULKDEL_RETURN_IF_ERROR(table_->table->FreeDroppedPages(to_free));
-      for (PageId p : to_free) NoteFreedPage(p);
-      extent_pages_.clear();
-      recovered_extent_pages_.clear();
-    }
-    // Likewise the index nodes the leaf-run pass detached. A resumed run can
-    // re-drop a leaf whose detach write was lost, so the recovered and live
-    // lists may overlap — free each page once (pool drop: a cached frame for
-    // the emptied node must not be written back over a reallocated page).
-    if (!dropped_leaf_pages_.empty() || !recovered_leaf_pages_.empty()) {
-      std::vector<PageId> to_free = dropped_leaf_pages_;
-      for (PageId p : recovered_leaf_pages_) {
-        if (std::find(to_free.begin(), to_free.end(), p) == to_free.end()) {
-          to_free.push_back(p);
-        }
-      }
-      for (PageId p : to_free) {
-        BULKDEL_RETURN_IF_ERROR(db_->pool().DeletePage(p));
-        NoteFreedPage(p);
-      }
-      dropped_leaf_pages_.clear();
-      recovered_leaf_pages_.clear();
     }
     if (db_->options().scrub_deleted_pages) {
       BULKDEL_RETURN_IF_ERROR(ScrubAfterEnd());

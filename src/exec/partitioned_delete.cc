@@ -30,10 +30,7 @@ Status DeletePartition(BTree* index, const std::vector<KeyRid>& part,
   BULKDEL_RETURN_IF_ERROR(index->BulkDeleteByPredicate(
       [&](int64_t, const Rid& rid) { return set.Contains(rid); }, reorg,
       &stats, lo, hi));
-  agg->entries_deleted += stats.entries_deleted;
-  agg->leaves_visited += stats.leaves_visited;
-  agg->leaves_freed += stats.leaves_freed;
-  agg->skipped_undeletable += stats.skipped_undeletable;
+  *agg += stats;
   return Status::OK();
 }
 }  // namespace

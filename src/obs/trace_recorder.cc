@@ -62,7 +62,8 @@ struct RecorderId {
 
 void CopyTruncated(char* dst, size_t cap, std::string_view src) {
   size_t n = std::min(cap - 1, src.size());
-  std::memcpy(dst, src.data(), n);
+  // An empty string_view may carry a null data(), which memcpy must not get.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

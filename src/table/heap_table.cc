@@ -110,6 +110,42 @@ void HeapTable::BumpOccupancy(PageId page, int delta) {
                             delta);
 }
 
+template <typename Visit>
+Status HeapTable::WalkChain(Visit&& visit) {
+  PageId current = first_data_page_;
+  while (current != kInvalidPageId) {
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(current));
+    HeapPage hp(page.data(), schema_->tuple_size());
+    current = hp.next_page();
+    BULKDEL_RETURN_IF_ERROR(visit(page, hp));
+  }
+  return Status::OK();
+}
+
+template <typename Pick>
+uint64_t HeapTable::DeleteSlots(
+    PageGuard& page,
+    const std::function<void(const Rid&, const char*)>& on_delete,
+    Pick&& pick) {
+  HeapPage hp(page.data(), schema_->tuple_size());
+  const bool was_full = hp.IsFull();
+  uint64_t deleted = 0;
+  pick([&](uint16_t slot) {
+    if (slot >= hp.capacity() || !hp.SlotOccupied(slot)) return false;
+    if (on_delete) on_delete(Rid(page.page_id(), slot), hp.TupleAt(slot));
+    hp.Delete(slot);
+    ++deleted;
+    return true;
+  });
+  if (deleted > 0) {
+    page.MarkDirty();
+    tuple_count_ -= deleted;
+    BumpOccupancy(page.page_id(), -static_cast<int>(deleted));
+    if (was_full && !hp.IsFull()) pages_with_space_.push_back(page.page_id());
+  }
+  return deleted;
+}
+
 
 Result<Rid> HeapTable::Insert(const char* tuple) {
   // Try pages known to have space first (slots freed by deletes).
@@ -236,40 +272,27 @@ bool HeapTable::Exists(const Rid& rid) {
 
 Status HeapTable::Delete(const Rid& rid, char* deleted_tuple) {
   BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(rid.page));
-  HeapPage hp(page.data(), schema_->tuple_size());
-  if (rid.slot >= hp.capacity() || !hp.SlotOccupied(rid.slot)) {
-    return Status::NotFound("no tuple at " + rid.ToString());
-  }
-  if (deleted_tuple != nullptr) {
-    std::memcpy(deleted_tuple, hp.TupleAt(rid.slot), schema_->tuple_size());
-  }
-  bool was_full = hp.IsFull();
-  hp.Delete(rid.slot);
-  page.MarkDirty();
-  --tuple_count_;
-  BumpOccupancy(rid.page, -1);
-  if (was_full) pages_with_space_.push_back(rid.page);
+  uint64_t deleted = DeleteSlots(
+      page,
+      [&](const Rid&, const char* tuple) {
+        if (deleted_tuple == nullptr) return;
+        std::memcpy(deleted_tuple, tuple, schema_->tuple_size());
+      },
+      [&](auto&& erase) { erase(rid.slot); });
+  if (deleted == 0) return Status::NotFound("no tuple at " + rid.ToString());
   return Status::OK();
 }
 
 Status HeapTable::Scan(
     const std::function<Status(const Rid&, const char*)>& visitor) {
-  PageId current = first_data_page_;
-  while (current != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(current));
-      HeapPage hp(page.data(), schema_->tuple_size());
-      uint16_t cap = hp.capacity();
-      for (uint16_t slot = 0; slot < cap; ++slot) {
-        if (!hp.SlotOccupied(slot)) continue;
-        BULKDEL_RETURN_IF_ERROR(visitor(Rid(current, slot), hp.TupleAt(slot)));
-      }
-      next = hp.next_page();
+  return WalkChain([&](PageGuard& page, HeapPage& hp) {
+    for (uint16_t slot = 0; slot < hp.capacity(); ++slot) {
+      if (!hp.SlotOccupied(slot)) continue;
+      BULKDEL_RETURN_IF_ERROR(
+          visitor(Rid(page.page_id(), slot), hp.TupleAt(slot)));
     }
-    current = next;
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status HeapTable::ScanDeleteIf(
@@ -277,37 +300,17 @@ Status HeapTable::ScanDeleteIf(
     const std::function<void(const Rid&, const char*)>& on_delete,
     uint64_t* deleted_count) {
   uint64_t deleted = 0;
-  PageId current = first_data_page_;
-  while (current != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(current));
-      HeapPage hp(page.data(), schema_->tuple_size());
-      bool was_full = hp.IsFull();
-      bool modified = false;
-      uint16_t cap = hp.capacity();
-      uint64_t page_deleted = 0;
-      for (uint16_t slot = 0; slot < cap; ++slot) {
-        if (!hp.SlotOccupied(slot)) continue;
-        Rid rid(current, slot);
-        const char* tuple = hp.TupleAt(slot);
-        if (!pred(rid, tuple)) continue;
-        if (on_delete) on_delete(rid, tuple);
-        hp.Delete(slot);
-        modified = true;
-        ++page_deleted;
+  BULKDEL_RETURN_IF_ERROR(WalkChain([&](PageGuard& page, HeapPage& hp) {
+    deleted += DeleteSlots(page, on_delete, [&](auto&& erase) {
+      for (uint16_t slot = 0; slot < hp.capacity(); ++slot) {
+        if (hp.SlotOccupied(slot) &&
+            pred(Rid(page.page_id(), slot), hp.TupleAt(slot))) {
+          erase(slot);
+        }
       }
-      if (modified) {
-        page.MarkDirty();
-        deleted += page_deleted;
-        BumpOccupancy(current, -static_cast<int>(page_deleted));
-        if (was_full && !hp.IsFull()) pages_with_space_.push_back(current);
-      }
-      next = hp.next_page();
-    }
-    current = next;
-  }
-  tuple_count_ -= deleted;
+    });
+    return Status::OK();
+  }));
   if (deleted_count != nullptr) *deleted_count = deleted;
   return Status::OK();
 }
@@ -316,35 +319,29 @@ Status HeapTable::BulkDeleteSortedRids(
     const std::vector<Rid>& rids,
     const std::function<void(const Rid&, const char*)>& on_delete,
     uint64_t* deleted_count, uint64_t* missing) {
+  return DeleteSortedRids(rids, {}, on_delete, deleted_count, missing);
+}
+
+Status HeapTable::DeleteSortedRids(
+    const std::vector<Rid>& rids, const std::unordered_set<PageId>& unread,
+    const std::function<void(const Rid&, const char*)>& on_delete,
+    uint64_t* deleted_count, uint64_t* missing) {
   uint64_t deleted = 0;
   uint64_t absent = 0;
-  size_t i = 0;
-  while (i < rids.size()) {
-    PageId page_id = rids[i].page;
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(page_id));
-    HeapPage hp(page.data(), schema_->tuple_size());
-    bool was_full = hp.IsFull();
-    bool modified = false;
-    uint64_t page_deleted = 0;
-    for (; i < rids.size() && rids[i].page == page_id; ++i) {
-      uint16_t slot = rids[i].slot;
-      if (slot >= hp.capacity() || !hp.SlotOccupied(slot)) {
-        ++absent;
-        continue;
-      }
-      if (on_delete) on_delete(rids[i], hp.TupleAt(slot));
-      hp.Delete(slot);
-      modified = true;
-      ++page_deleted;
+  for (size_t i = 0; i < rids.size();) {
+    const PageId page_id = rids[i].page;
+    size_t end = i;
+    while (end < rids.size() && rids[end].page == page_id) ++end;
+    if (unread.count(page_id) == 0) {
+      BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(page_id));
+      deleted += DeleteSlots(page, on_delete, [&](auto&& erase) {
+        for (size_t k = i; k < end; ++k) {
+          if (!erase(rids[k].slot)) ++absent;
+        }
+      });
     }
-    if (modified) {
-      page.MarkDirty();
-      deleted += page_deleted;
-      BumpOccupancy(page_id, -static_cast<int>(page_deleted));
-      if (was_full && !hp.IsFull()) pages_with_space_.push_back(page_id);
-    }
+    i = end;
   }
-  tuple_count_ -= deleted;
   if (deleted_count != nullptr) *deleted_count = deleted;
   if (missing != nullptr) *missing = absent;
   return Status::OK();
@@ -354,20 +351,11 @@ Status HeapTable::EnsureExtentMap() {
   if (extent_map_valid_) return Status::OK();
   extents_.clear();
   extent_pos_.clear();
-  PageId current = first_data_page_;
-  while (current != kInvalidPageId) {
-    PageId next;
-    uint32_t live;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(current));
-      HeapPage hp(page.data(), schema_->tuple_size());
-      live = hp.live_count();
-      next = hp.next_page();
-    }
-    extent_pos_[current] = extents_.size();
-    extents_.push_back(Extent{current, live});
-    current = next;
-  }
+  BULKDEL_RETURN_IF_ERROR(WalkChain([&](PageGuard& page, HeapPage& hp) {
+    extent_pos_[page.page_id()] = extents_.size();
+    extents_.push_back(Extent{page.page_id(), hp.live_count()});
+    return Status::OK();
+  }));
   extent_map_valid_ = true;
   return Status::OK();
 }
@@ -389,11 +377,11 @@ Status HeapTable::BulkDeleteSortedRidsExtentDrop(
   for (const Rid& r : rids) ++doomed[r.page];
   std::unordered_set<PageId> forced(force_drop.begin(), force_drop.end());
   std::unordered_set<PageId> drops;
-  std::unordered_set<PageId> skip;
+  std::unordered_set<PageId> unread;  // drops, and pages not in the chain
   for (const auto& [page, n] : doomed) {
     auto it = extent_pos_.find(page);
     if (it == extent_pos_.end()) {
-      skip.insert(page);  // not in the chain: nothing of it is visible
+      unread.insert(page);  // not in the chain: nothing of it is visible
       continue;
     }
     if (forced.count(page) || extents_[it->second].occupied == n) {
@@ -405,36 +393,11 @@ Status HeapTable::BulkDeleteSortedRidsExtentDrop(
     // re-derived after their index entries died): still re-drop if chained.
     if (extent_pos_.count(page)) drops.insert(page);
   }
+  unread.insert(drops.begin(), drops.end());
 
   // Boundary pages: the ordinary one-pass read-modify-write merge.
-  size_t i = 0;
-  while (i < rids.size()) {
-    PageId page_id = rids[i].page;
-    if (drops.count(page_id) || skip.count(page_id)) {
-      for (; i < rids.size() && rids[i].page == page_id; ++i) {
-      }
-      continue;
-    }
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(page_id));
-    HeapPage hp(page.data(), schema_->tuple_size());
-    bool was_full = hp.IsFull();
-    bool modified = false;
-    uint64_t page_deleted = 0;
-    for (; i < rids.size() && rids[i].page == page_id; ++i) {
-      uint16_t slot = rids[i].slot;
-      if (slot >= hp.capacity() || !hp.SlotOccupied(slot)) continue;
-      if (on_delete) on_delete(rids[i], hp.TupleAt(slot));
-      hp.Delete(slot);
-      modified = true;
-      ++page_deleted;
-    }
-    if (modified) {
-      page.MarkDirty();
-      deleted += page_deleted;
-      BumpOccupancy(page_id, -static_cast<int>(page_deleted));
-      if (was_full && !hp.IsFull()) pages_with_space_.push_back(page_id);
-    }
-  }
+  BULKDEL_RETURN_IF_ERROR(
+      DeleteSortedRids(rids, unread, on_delete, &deleted, nullptr));
 
   if (!drops.empty()) {
     // Log every drop first (record-before-mutation), then splice: a crash
@@ -445,6 +408,7 @@ Status HeapTable::BulkDeleteSortedRidsExtentDrop(
       BULKDEL_RETURN_IF_ERROR(on_drop(e.page, e.occupied));
       if (dropped_out != nullptr) dropped_out->push_back(e.page);
       deleted += e.occupied;
+      tuple_count_ -= e.occupied;
     }
     // Splice the chain around the dropped runs, touching only the kept
     // predecessor of each run — never the dropped pages themselves.
@@ -480,15 +444,7 @@ Status HeapTable::BulkDeleteSortedRidsExtentDrop(
     }
   }
 
-  tuple_count_ -= deleted;
   if (deleted_count != nullptr) *deleted_count = deleted;
-  return Status::OK();
-}
-
-Status HeapTable::FreeDroppedPages(const std::vector<PageId>& pages) {
-  for (PageId page : pages) {
-    BULKDEL_RETURN_IF_ERROR(pool_->DeletePage(page));
-  }
   return Status::OK();
 }
 
@@ -529,17 +485,11 @@ Status HeapTable::RecountFromScan() {
 }
 
 Status HeapTable::Drop() {
-  PageId current = first_data_page_;
-  while (current != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(current));
-      HeapPage hp(page.data(), schema_->tuple_size());
-      next = hp.next_page();
-    }
-    BULKDEL_RETURN_IF_ERROR(pool_->DeletePage(current));
-    current = next;
-  }
+  BULKDEL_RETURN_IF_ERROR(WalkChain([&](PageGuard& page, HeapPage&) {
+    PageId id = page.page_id();
+    page.Release();
+    return pool_->DeletePage(id);
+  }));
   BULKDEL_RETURN_IF_ERROR(pool_->DeletePage(header_page_));
   first_data_page_ = last_data_page_ = kInvalidPageId;
   tuple_count_ = 0;

@@ -28,6 +28,11 @@ namespace bulkdel {
 /// The header page persists {first, last, count, pages}; the in-memory copy
 /// is authoritative between FlushMeta() calls, and RecountFromScan() rebuilds
 /// the count after a crash.
+///
+/// Every chain walk (Scan, ScanDeleteIf, EnsureExtentMap, Drop) is WalkChain,
+/// and every delete (Delete, ScanDeleteIf, BulkDeleteSortedRids and the
+/// extent-drop pass's boundary pages) removes a page's tuples with the one
+/// per-page step, DeleteSlots.
 class HeapTable {
  public:
   /// Creates a new empty table; allocates its header page.
@@ -100,7 +105,7 @@ class HeapTable {
   /// `on_drop(page, tuples)` fires once per dropped page before the splice
   /// (the recovery layer logs kExtentDrop); an error aborts with the page
   /// intact. Dropped pages are appended to `dropped_out` and stay allocated —
-  /// the caller frees them with FreeDroppedPages() once the statement's End
+  /// the caller frees them (BufferPool::DeletePage) once the statement's End
   /// record is durable (freeing earlier would let the allocator alias them
   /// before the drop is recoverable). `force_drop` (crash resume) names
   /// pages whose kExtentDrop record is already durable: if still chained
@@ -112,10 +117,6 @@ class HeapTable {
       const std::function<Status(PageId, uint64_t)>& on_drop,
       const std::function<void(const Rid&, const char*)>& on_delete,
       uint64_t* deleted_count, std::vector<PageId>* dropped_out);
-
-  /// Frees pages previously detached by the extent-drop pass (idempotent —
-  /// DiskManager::FreePage tolerates re-frees after a crash replay).
-  Status FreeDroppedPages(const std::vector<PageId>& pages);
 
   /// Verified-erasure support (DatabaseOptions::scrub_deleted_pages): zeroes
   /// the tuple bytes of every *unoccupied* slot among `rids` (grouped by
@@ -147,6 +148,29 @@ class HeapTable {
 
   Status AppendDataPage(PageId* new_page);
   Status LoadMeta();
+
+  /// The one chain walk: fetches the data pages in chain order and calls
+  /// `visit(page, hp)` -> Status with each pinned. The successor is read
+  /// before `visit`, so `visit` may release (and free) the page.
+  template <typename Visit>
+  Status WalkChain(Visit&& visit);
+
+  /// The one per-page delete step: `pick(erase)` calls `erase(slot)` for
+  /// each slot to delete on the pinned `page`; `erase` deletes the slot's
+  /// tuple if it holds one (`on_delete` sees it first) and says whether it
+  /// did. Then the page's bookkeeping: dirty mark, tuple count, extent-map
+  /// occupancy and pages_with_space_. Returns the number deleted.
+  template <typename Pick>
+  uint64_t DeleteSlots(
+      PageGuard& page,
+      const std::function<void(const Rid&, const char*)>& on_delete,
+      Pick&& pick);
+
+  /// BulkDeleteSortedRids that leaves the pages in `unread` unread.
+  Status DeleteSortedRids(
+      const std::vector<Rid>& rids, const std::unordered_set<PageId>& unread,
+      const std::function<void(const Rid&, const char*)>& on_delete,
+      uint64_t* deleted_count, uint64_t* missing);
 
   /// Extent-map occupancy bookkeeping. A page the valid map does not know
   /// invalidates the map (fail safe: the next extent-drop rebuilds it).

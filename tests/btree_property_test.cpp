@@ -487,6 +487,98 @@ TEST_F(LeafCompactionTest, RangeEmptiesAFullRootLeaf) {
   ExpectMatchesModel(tree);
 }
 
+TEST_P(BTreePropertyTest, BulkDeleteRangeMatchesModel) {
+  // Random [lo, hi] ranges over a tree with kEntryUndeletable markers
+  // interleaved: the range pass (whole-leaf drops plus the per-entry
+  // boundary leaves) and the reorganization after it must leave exactly the
+  // model's entries, markers included.
+  auto tree = MakeTree();
+  std::multiset<Entry> model;  // (key, packed RID, flags)
+  Random rng(4242);
+  const int key_space = GetParam().key_space;
+  const uint16_t kPinned = BTreeNode::kEntryUndeletable;
+  auto insert = [&](int n, PageId first_page) {
+    for (int i = 0; i < n; ++i) {
+      KeyRid e(rng.UniformInt(0, key_space - 1),
+               Rid(static_cast<PageId>(first_page + i / 32),
+                   static_cast<uint16_t>(i % 32)));
+      uint16_t flags = rng.Bernoulli(0.05) ? kPinned : 0;
+      ASSERT_TRUE(tree.Insert(e.key, e.rid, flags).ok());
+      model.emplace(e.key, e.rid.Pack(), flags);
+    }
+  };
+  auto expect_matches_model = [&](int round) {
+    Status inv = tree.CheckInvariants();
+    ASSERT_TRUE(inv.ok()) << "round " << round << ": " << inv.ToString();
+    std::vector<Entry> got;
+    ASSERT_TRUE(tree.ScanAll([&](int64_t k, const Rid& rid, uint16_t flags) {
+                      got.emplace_back(k, rid.Pack(), flags);
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(got, std::vector<Entry>(model.begin(), model.end()))
+        << "round " << round;
+    EXPECT_EQ(tree.entry_count(), model.size()) << "round " << round;
+  };
+
+  insert(3000, 1);
+  uint64_t leaves_dropped = 0;
+  for (int round = 0; round < 6; ++round) {
+    if (round == 3) {
+      // The index comes back on-line, then a fresh batch arrives pinned.
+      ASSERT_TRUE(tree.ClearUndeletableFlags().ok());
+      std::multiset<Entry> cleared;
+      for (const auto& [k, rid, flags] : model) cleared.emplace(k, rid, 0);
+      model = std::move(cleared);
+      insert(500, 1000);
+    }
+    int64_t lo = rng.UniformInt(0, key_space - 1);
+    int64_t hi = lo + rng.UniformInt(0, key_space / 3);
+    if (round == 4) hi = lo - 1;  // inverted: deletes nothing
+    if (round == 5) {
+      lo = -1;
+      hi = key_space;
+    }
+    uint64_t expect_deleted = 0;
+    uint64_t expect_skipped = 0;
+    for (auto it = model.begin(); it != model.end();) {
+      int64_t k = std::get<0>(*it);
+      if (k < lo || k > hi) {
+        ++it;
+      } else if (std::get<2>(*it) & kPinned) {
+        ++expect_skipped;
+        ++it;
+      } else {
+        it = model.erase(it);
+        ++expect_deleted;
+      }
+    }
+
+    std::vector<Rid> deleted_rids;
+    std::vector<PageId> dropped;
+    uint64_t harvested = 0;
+    uint64_t one_by_one = 0;
+    BtreeBulkDeleteStats stats;
+    Status s = tree.BulkDeleteRange(
+        lo, hi, GetParam().reorg, &deleted_rids, &stats,
+        [&](PageId, const std::vector<KeyRid>& entries) {
+          harvested += entries.size();
+          return Status::OK();
+        },
+        [&](int64_t, const Rid&) { ++one_by_one; },
+        round % 2 == 1 ? &dropped : nullptr);
+    ASSERT_TRUE(s.ok()) << "round " << round << ": " << s.ToString();
+    EXPECT_EQ(stats.entries_deleted, expect_deleted) << "round " << round;
+    EXPECT_EQ(stats.skipped_undeletable, expect_skipped) << "round " << round;
+    EXPECT_EQ(deleted_rids.size(), expect_deleted) << "round " << round;
+    EXPECT_EQ(harvested + one_by_one, expect_deleted) << "round " << round;
+    leaves_dropped += stats.leaves_dropped;
+    for (PageId p : dropped) ASSERT_TRUE(pool_.DeletePage(p).ok());
+    expect_matches_model(round);
+  }
+  EXPECT_GT(leaves_dropped, 0u);  // the whole-leaf path ran too
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BTreePropertyTest,
     ::testing::Values(
