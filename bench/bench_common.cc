@@ -28,8 +28,6 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
       config.exec_threads =
           static_cast<int>(std::strtol(arg + 10, nullptr, 10));
       if (config.exec_threads < 1) config.exec_threads = 1;
-    } else if (std::strncmp(arg, "--pool-shards=", 14) == 0) {
-      config.pool_shards = std::strtoull(arg + 14, nullptr, 10);
     } else if (std::strncmp(arg, "--backend=", 10) == 0) {
       config.backend = arg + 10;
       if (config.backend != "sim" && config.backend != "file") {
@@ -48,7 +46,7 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf(
           "flags: --tuples=N --tuple-size=BYTES --seed=N --threads=N "
-          "--pool-shards=N --backend=sim|file "
+          "--backend=sim|file "
           "--db-dir=PATH --wal-group-commit=0|1 --trace-out=FILE "
           "--perfetto-out=FILE\n"
           "paper scale: --tuples=1000000 --tuple-size=512\n");
@@ -65,7 +63,6 @@ Result<BenchDb> BuildBenchDb(const BenchConfig& config,
   DatabaseOptions options;
   options.memory_budget_bytes = memory_bytes;
   options.exec_threads = config.exec_threads;
-  options.pool_shards = config.pool_shards;
   options.trace_spans = !config.perfetto_out.empty();
   options.wal_group_commit = config.wal_group_commit;
   if (config.backend == "file") {

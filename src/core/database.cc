@@ -44,11 +44,6 @@ Status Database::WireStorage(bool truncate) {
   log_->SetGroupCommit(options_.wal_group_commit);
   BufferPoolOptions pool_options;
   pool_options.budget_bytes = options_.memory_budget_bytes;
-  // Auto shard choice: parallel phases want striping, the serial executor
-  // gains nothing from it.
-  pool_options.shards = options_.pool_shards != 0
-                            ? options_.pool_shards
-                            : (options_.exec_threads > 1 ? 8 : 1);
   pool_options.coalesce_writebacks = options_.coalesce_writebacks;
   pool_ = std::make_unique<BufferPool>(disk_.get(), pool_options);
   catalog_ = std::make_unique<Catalog>(pool_.get());
@@ -654,7 +649,7 @@ Result<BulkDeleteReport> Database::BulkDeleteWithCascadePath(
   // attribution and the cancel flag. Created before FK planning so the
   // fk-plan / cascade phases land in the statement's trace.
   ExecContext ctx(this);
-  std::vector<BufferPoolStats> pool_before = pool_->shard_stats();
+  BufferPoolStats pool_before = pool_->stats();
   obs::MetricsSnapshot metrics_before = metrics_.Snapshot();
 
   // Phase A, read-only (§2.1 done right): derive the doomed value set once,
@@ -716,13 +711,7 @@ Result<BulkDeleteReport> Database::BulkDeleteWithCascadePath(
     // context attributed its own I/O; fold it back in here).
     result->io += cascade_io;
     result->index_entries_deleted += cascade_index_entries;
-    std::vector<BufferPoolStats> pool_after = pool_->shard_stats();
-    result->pool_shards.resize(pool_after.size());
-    result->pool = BufferPoolStats();
-    for (size_t s = 0; s < pool_after.size(); ++s) {
-      result->pool_shards[s] = pool_after[s] - pool_before[s];
-      result->pool += result->pool_shards[s];
-    }
+    result->pool = pool_->stats() - pool_before;
     result->metrics = metrics_.Snapshot() - metrics_before;
   }
   return result;

@@ -57,17 +57,13 @@ struct DatabaseOptions {
   /// Worker threads for the phase-DAG scheduler. 1 (the default) executes
   /// phases inline in the canonical serial order — identical behavior to the
   /// historical linear step list. Higher values let independent
-  /// per-secondary-index phases overlap; simulated I/O totals stay identical
-  /// because attribution classifies sequentiality per phase.
+  /// per-secondary-index phases overlap; attribution classifies
+  /// sequentiality per phase, so simulated I/O stays identical while the
+  /// overlapping phases evict nothing (docs/BUFFERPOOL.md).
   int exec_threads = 1;
-  /// Buffer-pool lock striping: number of sub-pools (see docs/BUFFERPOOL.md).
-  /// 0 = auto: 8 shards when exec_threads > 1, a single shard otherwise. The
-  /// pool clamps the request so tiny budgets never starve a shard.
-  size_t pool_shards = 0;
   /// Batch adjacent dirty eviction victims into one sequential write run.
   /// This changes the simulated write classification (random eviction writes
-  /// become sequential), so it is off by default and excluded from the
-  /// I/O-identity guarantee.
+  /// become sequential), so it is off by default.
   bool coalesce_writebacks = false;
   /// Record spans and instants into the process-wide obs::TraceRecorder
   /// (phase begin/end, pool fetch/evict/flush, WAL sync,

@@ -189,12 +189,7 @@ std::string BulkDeleteReport::ToJson() const {
   AppendIoStats(&out, io);
   out += ",\"pool\":";
   AppendPoolStats(&out, pool);
-  out += ",\"pool_shards\":[";
-  for (size_t i = 0; i < pool_shards.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendPoolStats(&out, pool_shards[i]);
-  }
-  out += "],\"phases\":[";
+  out += ",\"phases\":[";
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseStats& p = phases[i];
     if (i > 0) out += ',';
@@ -254,14 +249,6 @@ Result<BulkDeleteReport> BulkDeleteReport::FromJson(const std::string& json) {
   }
   if (const JsonValue* pool = root.Find("pool")) {
     report.pool = PoolStatsFromJson(*pool);
-  }
-  if (const JsonValue* shards = root.Find("pool_shards")) {
-    if (shards->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument("\"pool_shards\" must be an array");
-    }
-    for (const JsonValue& sv : shards->array) {
-      report.pool_shards.push_back(PoolStatsFromJson(sv));
-    }
   }
   if (const JsonValue* phases = root.Find("phases")) {
     if (phases->kind != JsonValue::Kind::kArray) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -581,7 +582,7 @@ const char* ConcurrencyFlagName(ConcurrencyProtocol protocol) {
   return "unknown";
 }
 
-/// The identity of one sweep case, and a command line that reproduces it.
+/// The identity of one sweep case.
 std::string CaseName(const SweepConfig& config, Strategy strategy, int threads,
                      const std::string& site, uint64_t occurrence,
                      FaultMode mode) {
@@ -604,33 +605,6 @@ std::string CaseName(const SweepConfig& config, Strategy strategy, int threads,
           std::to_string(config.delete_keys_seed) + "/" +
           std::to_string(config.injector_seed);
   return name;
-}
-
-std::string ReproCommand(const SweepConfig& config, Strategy strategy,
-                         int threads, const std::string& site,
-                         uint64_t occurrence, FaultMode mode) {
-  std::string cmd = "bulkdel_crashsweep --strategy=";
-  cmd += StrategyName(strategy);
-  cmd += " --threads=" + std::to_string(threads);
-  cmd += " --concurrency=";
-  cmd += ConcurrencyFlagName(config.concurrency);
-  if (config.backend != "sim") {
-    cmd += " --backend=" + config.backend;
-    cmd += " --dir=" + config.scratch_dir;
-  }
-  if (config.cascade) {
-    cmd += " --cascade";
-  } else if (config.predicate != "keys") {
-    cmd += " --predicate=" + config.predicate;
-  }
-  cmd += " --site=" + site;
-  cmd += " --occurrence=" + std::to_string(occurrence);
-  cmd += " --mode=";
-  cmd += FaultModeName(mode);
-  cmd += " --workload-seed=" + std::to_string(config.workload_seed);
-  cmd += " --keys-seed=" + std::to_string(config.delete_keys_seed);
-  cmd += " --injector-seed=" + std::to_string(config.injector_seed);
-  return cmd;
 }
 
 /// Runs one case and records its outcome in `stats`.
@@ -716,6 +690,46 @@ Status CountOccurrences(const SweepConfig& config, Strategy strategy,
 }
 
 }  // namespace
+
+std::string ReproCommand(const SweepConfig& config, Strategy strategy,
+                         int threads, const std::string& site,
+                         uint64_t occurrence, FaultMode mode) {
+  std::string cmd = "bulkdel_crashsweep --strategy=";
+  cmd += StrategyName(strategy);
+  cmd += " --threads=" + std::to_string(threads);
+  cmd += " --concurrency=";
+  cmd += ConcurrencyFlagName(config.concurrency);
+  if (config.concurrency != ConcurrencyProtocol::kNone) {
+    cmd += " --updater-ops=" + std::to_string(config.updater_ops);
+  }
+  if (config.backend != "sim") {
+    cmd += " --backend=" + config.backend;
+    cmd += " --dir=" + config.scratch_dir;
+  }
+  if (config.cascade) {
+    cmd += " --cascade";
+  } else if (config.predicate != "keys") {
+    cmd += " --predicate=" + config.predicate;
+  }
+  // The workload shape: a repro that fell back to the defaults would replay
+  // a different statement. 32 bytes hold the shortest round-trip form of
+  // any double.
+  char fraction[32];
+  char* fraction_end = std::to_chars(fraction, fraction + sizeof(fraction),
+                                     config.delete_fraction)
+                           .ptr;
+  cmd += " --tuples=" + std::to_string(config.n_tuples);
+  cmd += " --fraction=" + std::string(fraction, fraction_end);
+  cmd += " --memory=" + std::to_string(config.memory_budget_bytes);
+  cmd += " --site=" + site;
+  cmd += " --occurrence=" + std::to_string(occurrence);
+  cmd += " --mode=";
+  cmd += FaultModeName(mode);
+  cmd += " --workload-seed=" + std::to_string(config.workload_seed);
+  cmd += " --keys-seed=" + std::to_string(config.delete_keys_seed);
+  cmd += " --injector-seed=" + std::to_string(config.injector_seed);
+  return cmd;
+}
 
 std::string SweepStats::Summary() const {
   return std::to_string(cases_run) + " cases, " + std::to_string(failures) +

@@ -131,6 +131,14 @@ struct SweepStats {
   std::string Summary() const;
 };
 
+/// The bulkdel_crashsweep command line that replays one case of `config`:
+/// its strategy, threads, site, occurrence and mode, plus every flag of the
+/// scenario and workload shape (tuples, delete fraction, pool budget,
+/// seeds, and the updater op count when a protocol is selected).
+std::string ReproCommand(const SweepConfig& config, Strategy strategy,
+                         int threads, const std::string& site,
+                         uint64_t occurrence, FaultMode mode);
+
 /// Runs the deterministic sweep. Returns non-OK iff the harness itself
 /// breaks (e.g. the uninjected reference run fails); injected-case failures
 /// are reported through `stats`.

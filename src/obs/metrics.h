@@ -19,7 +19,7 @@ namespace obs {
 namespace metric_names {
 /// Histogram, ns: BufferPool::FetchPage end-to-end latency (hit or miss).
 inline constexpr char kBpFetchNs[] = "bp.fetch_ns";
-/// Histogram, ns: wait to acquire the page's shard latch in FetchPage.
+/// Histogram, ns: wait to acquire the pool mutex in FetchPage.
 inline constexpr char kBpLatchWaitNs[] = "bp.latch_wait_ns";
 /// Counter: dirty write-backs (an eviction victim or run, or a FlushAll
 /// sweep) that had to flush the WAL first because a record describing the

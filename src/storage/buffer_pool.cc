@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
@@ -44,39 +45,26 @@ void PageGuard::Release() {
 }
 
 BufferPool::BufferPool(DiskManager* disk, BufferPoolOptions options)
-    : disk_(disk), options_(options), budget_bytes_(options.budget_bytes) {
-  total_frames_ = std::max<size_t>(budget_bytes_ / kPageSize, 4);
-  // Clamp the shard count so every shard keeps at least ~8 frames: a shard
-  // too small to hold a descent path's pins would fail spuriously.
-  size_t shards = std::max<size_t>(options.shards, 1);
-  shards = std::min(shards, std::max<size_t>(total_frames_ / 8, 1));
-  options_.shards = shards;
-  shards_.reserve(shards);
-  size_t base = total_frames_ / shards;
-  size_t rem = total_frames_ % shards;
-  for (size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    size_t n = base + (s < rem ? 1 : 0);
-    shard->frames.resize(n);
-    shard->free_frames.reserve(n);
-    for (size_t i = n; i-- > 0;) shard->free_frames.push_back(i);
-    shards_.push_back(std::move(shard));
-  }
+    : disk_(disk),
+      options_(options),
+      total_frames_(std::max<size_t>(options.budget_bytes / kPageSize, 4)),
+      frames_(total_frames_) {
+  free_frames_.reserve(total_frames_);
+  for (size_t i = total_frames_; i-- > 0;) free_frames_.push_back(i);
 }
 
 Result<PageGuard> BufferPool::NewPage() {
   BULKDEL_ASSIGN_OR_RETURN(PageId page_id, disk_->AllocatePage());
-  Shard& shard = *shards_[ShardOf(page_id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  BULKDEL_ASSIGN_OR_RETURN(size_t f, AcquireFrameLocked(shard));
-  Frame& frame = shard.frames[f];
+  std::lock_guard<std::mutex> lock(mu_);
+  BULKDEL_ASSIGN_OR_RETURN(size_t f, AcquireFrameLocked());
+  Frame& frame = frames_[f];
   frame.page_id = page_id;
   frame.pin_count = 1;
   frame.dirty = true;  // a new page must reach disk even if never modified
   frame.in_use = true;
   if (!frame.data) frame.data = std::make_unique<char[]>(kPageSize);
   std::memset(frame.data.get(), 0, kPageSize);
-  shard.page_table[page_id] = f;
+  page_table_[page_id] = f;
   return PageGuard(this, f, page_id, frame.data.get());
 }
 
@@ -87,105 +75,82 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   const bool timed = fetch_ns_hist_ != nullptr && recorder.enabled();
   const int64_t t0 = timed ? MonotonicNanos() : 0;
-  Shard& shard = *shards_[ShardOf(page_id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(mu_);
   if (timed) {
     int64_t waited = MonotonicNanos() - t0;
     latch_wait_hist_->Observe(waited);
     if (waited > 1000) {
-      recorder.RecordComplete(obs::TraceCategory::kLatch, "pool.shard_latch",
-                              t0, t0 + waited, "page",
+      recorder.RecordComplete(obs::TraceCategory::kLatch, "pool.latch", t0,
+                              t0 + waited, "page",
                               static_cast<int64_t>(page_id));
     }
   }
-  auto it = shard.page_table.find(page_id);
-  if (it != shard.page_table.end()) {
-    ++shard.stats.hits;
-    Frame& frame = shard.frames[it->second];
+  auto it = page_table_.find(page_id);
+  if (it != page_table_.end()) {
+    ++stats_.hits;
+    Frame& frame = frames_[it->second];
     if (frame.pin_count == 0 && frame.in_lru) {
-      shard.lru.erase(frame.lru_it);
+      lru_.erase(frame.lru_it);
       frame.in_lru = false;
     }
     ++frame.pin_count;
     if (timed) fetch_ns_hist_->Observe(MonotonicNanos() - t0);
     return PageGuard(this, it->second, page_id, frame.data.get());
   }
-  ++shard.stats.misses;
+  ++stats_.misses;
   if (recorder.enabled()) {
     recorder.RecordInstant(obs::TraceCategory::kPool, "pool.fetch", "page",
                            static_cast<int64_t>(page_id));
   }
-  BULKDEL_ASSIGN_OR_RETURN(size_t f, AcquireFrameLocked(shard));
-  Frame& frame = shard.frames[f];
+  BULKDEL_ASSIGN_OR_RETURN(size_t f, AcquireFrameLocked());
+  Frame& frame = frames_[f];
   if (!frame.data) frame.data = std::make_unique<char[]>(kPageSize);
   Status read = disk_->ReadPage(page_id, frame.data.get());
   if (!read.ok()) {
-    shard.free_frames.push_back(f);
+    free_frames_.push_back(f);
     return read;
   }
   frame.page_id = page_id;
   frame.pin_count = 1;
   frame.dirty = false;
   frame.in_use = true;
-  shard.page_table[page_id] = f;
+  page_table_[page_id] = f;
   if (timed) fetch_ns_hist_->Observe(MonotonicNanos() - t0);
   return PageGuard(this, f, page_id, frame.data.get());
 }
 
 Status BufferPool::DeletePage(PageId page_id) {
-  Shard& shard = *shards_[ShardOf(page_id)];
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.page_table.find(page_id);
-    if (it != shard.page_table.end()) {
-      Frame& frame = shard.frames[it->second];
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = page_table_.find(page_id);
+    if (it != page_table_.end()) {
+      Frame& frame = frames_[it->second];
       if (frame.pin_count > 0) {
         return Status::FailedPrecondition("DeletePage on pinned page " +
                                           std::to_string(page_id));
       }
       if (frame.in_lru) {
-        shard.lru.erase(frame.lru_it);
+        lru_.erase(frame.lru_it);
         frame.in_lru = false;
       }
       frame.in_use = false;
       frame.dirty = false;
-      shard.free_frames.push_back(it->second);
-      shard.page_table.erase(it);
+      free_frames_.push_back(it->second);
+      page_table_.erase(it);
     }
   }
   return disk_->FreePage(page_id);
 }
 
-std::vector<std::unique_lock<std::mutex>> BufferPool::LockAllShards() const {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  // Index order is the global lock order; every cross-shard operation takes
-  // the latches this way, so they cannot deadlock against each other.
-  for (const auto& shard : shards_) locks.emplace_back(shard->mu);
-  return locks;
-}
-
 Status BufferPool::FlushAllLocked() {
-  // Flush in global page-id order: a checkpoint is a mostly-sequential sweep,
-  // and keeping the order identical across shard counts keeps the simulated
-  // I/O identical too.
-  struct DirtyRef {
-    PageId page_id;
-    Shard* shard;
-    size_t frame;
-  };
-  std::vector<DirtyRef> dirty;
-  for (auto& shard : shards_) {
-    for (size_t i = 0; i < shard->frames.size(); ++i) {
-      if (shard->frames[i].in_use && shard->frames[i].dirty) {
-        dirty.push_back(DirtyRef{shard->frames[i].page_id, shard.get(), i});
-      }
+  // Flush in page-id order: a checkpoint is a mostly-sequential sweep.
+  std::vector<std::pair<PageId, size_t>> dirty;  // (page id, frame)
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    if (frames_[i].in_use && frames_[i].dirty) {
+      dirty.emplace_back(frames_[i].page_id, i);
     }
   }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const DirtyRef& a, const DirtyRef& b) {
-              return a.page_id < b.page_id;
-            });
+  std::sort(dirty.begin(), dirty.end());
   if (dirty.empty()) return Status::OK();
   obs::TraceSpan span(obs::TraceCategory::kPool, "pool.flush", "pages");
   span.set_arg(static_cast<int64_t>(dirty.size()));
@@ -203,19 +168,16 @@ Status BufferPool::FlushAllLocked() {
   size_t i = 0;
   while (i < dirty.size()) {
     size_t j = i + 1;
-    while (j < dirty.size() && dirty[j].page_id == dirty[j - 1].page_id + 1) {
-      ++j;
-    }
+    while (j < dirty.size() && dirty[j].first == dirty[j - 1].first + 1) ++j;
     std::vector<const char*> datas;
     datas.reserve(j - i);
     for (size_t k = i; k < j; ++k) {
-      datas.push_back(
-          dirty[k].shard->frames[dirty[k].frame].data.get());
+      datas.push_back(frames_[dirty[k].second].data.get());
     }
-    BULKDEL_RETURN_IF_ERROR(disk_->WriteRun(dirty[i].page_id, datas));
+    BULKDEL_RETURN_IF_ERROR(disk_->WriteRun(dirty[i].first, datas));
     for (size_t k = i; k < j; ++k) {
-      dirty[k].shard->frames[dirty[k].frame].dirty = false;
-      ++dirty[k].shard->stats.dirty_writebacks;
+      frames_[dirty[k].second].dirty = false;
+      ++stats_.dirty_writebacks;
     }
     i = j;
   }
@@ -223,55 +185,51 @@ Status BufferPool::FlushAllLocked() {
 }
 
 Status BufferPool::FlushAll() {
-  auto locks = LockAllShards();
+  std::lock_guard<std::mutex> lock(mu_);
   return FlushAllLocked();
 }
 
 Status BufferPool::Reset() {
-  // Flush and drop under one continuous hold of every shard latch: a page a
+  // Flush and drop under one continuous hold of the pool mutex: a page a
   // concurrent thread dirties while we sweep cannot slip between the flush
   // and the drop and be discarded with its update unwritten.
-  auto locks = LockAllShards();
+  std::lock_guard<std::mutex> lock(mu_);
   BULKDEL_RETURN_IF_ERROR(FlushAllLocked());
-  for (auto& shard : shards_) {
-    for (size_t i = 0; i < shard->frames.size(); ++i) {
-      Frame& frame = shard->frames[i];
-      if (!frame.in_use) continue;
-      if (frame.pin_count > 0) {
-        return Status::FailedPrecondition("Reset with pinned page " +
-                                          std::to_string(frame.page_id));
-      }
-      if (frame.in_lru) {
-        shard->lru.erase(frame.lru_it);
-        frame.in_lru = false;
-      }
-      frame.in_use = false;
-      shard->page_table.erase(frame.page_id);
-      shard->free_frames.push_back(i);
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    Frame& frame = frames_[i];
+    if (!frame.in_use) continue;
+    if (frame.pin_count > 0) {
+      return Status::FailedPrecondition("Reset with pinned page " +
+                                        std::to_string(frame.page_id));
     }
+    if (frame.in_lru) {
+      lru_.erase(frame.lru_it);
+      frame.in_lru = false;
+    }
+    frame.in_use = false;
+    page_table_.erase(frame.page_id);
+    free_frames_.push_back(i);
   }
   return Status::OK();
 }
 
 void BufferPool::DiscardAllForCrashTest() {
-  auto locks = LockAllShards();
-  for (auto& shard : shards_) {
-    shard->lru.clear();
-    shard->page_table.clear();
-    shard->free_frames.clear();
-    for (size_t i = shard->frames.size(); i-- > 0;) {
-      shard->frames[i] = Frame();
-      shard->free_frames.push_back(i);
-    }
-    // A restarted process has cold counters; carrying pre-crash hit/miss
-    // numbers into recovery double-counts the crash-sweep's per-run I/O.
-    shard->stats = BufferPoolStats();
+  std::lock_guard<std::mutex> lock(mu_);
+  lru_.clear();
+  page_table_.clear();
+  free_frames_.clear();
+  for (size_t i = frames_.size(); i-- > 0;) {
+    frames_[i] = Frame();
+    free_frames_.push_back(i);
   }
+  // A restarted process has cold counters; carrying pre-crash hit/miss
+  // numbers into recovery double-counts the crash-sweep's per-run I/O.
+  stats_ = BufferPoolStats();
 }
 
 void BufferPool::SetWalRule(const std::atomic<uint64_t>* appended_seq,
                             std::function<bool(uint64_t)> sync_to) {
-  auto locks = LockAllShards();
+  std::lock_guard<std::mutex> lock(mu_);
   wal_appended_seq_ = appended_seq;
   wal_sync_to_ = std::move(sync_to);
 }
@@ -284,12 +242,12 @@ void BufferPool::ForceLogLocked(uint64_t seq) {
 }
 
 void BufferPool::SetFaultInjector(FaultInjector* injector) {
-  auto locks = LockAllShards();
+  std::lock_guard<std::mutex> lock(mu_);
   injector_ = injector;
 }
 
 void BufferPool::SetMetrics(obs::MetricsRegistry* metrics) {
-  auto locks = LockAllShards();
+  std::lock_guard<std::mutex> lock(mu_);
   if (metrics == nullptr) {
     fetch_ns_hist_ = nullptr;
     latch_wait_hist_ = nullptr;
@@ -303,66 +261,53 @@ void BufferPool::SetMetrics(obs::MetricsRegistry* metrics) {
 }
 
 BufferPoolStats BufferPool::stats() const {
-  auto locks = LockAllShards();
-  BufferPoolStats total;
-  for (const auto& shard : shards_) total += shard->stats;
-  return total;
-}
-
-std::vector<BufferPoolStats> BufferPool::shard_stats() const {
-  auto locks = LockAllShards();
-  std::vector<BufferPoolStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->stats);
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 void BufferPool::ResetStats() {
-  auto locks = LockAllShards();
-  for (auto& shard : shards_) shard->stats = BufferPoolStats();
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = BufferPoolStats();
 }
 
 void BufferPool::Unpin(size_t frame_index, PageId page_id) {
-  Shard& shard = *shards_[ShardOf(page_id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Frame& frame = shard.frames[frame_index];
+  std::lock_guard<std::mutex> lock(mu_);
+  Frame& frame = frames_[frame_index];
   if (!frame.in_use || frame.page_id != page_id) return;  // already recycled
   // WAL stamp: the caller appended every record describing its change to
   // this page before unpinning, so they all lie at or below the log's
-  // appended sequence now. Read under the shard latch, so successive stamps
+  // appended sequence now. Read under the pool mutex, so successive stamps
   // of one frame never go backwards.
   if (frame.dirty && wal_appended_seq_ != nullptr) {
     frame.wal_seq = wal_appended_seq_->load(std::memory_order_acquire);
   }
   if (frame.pin_count > 0 && --frame.pin_count == 0) {
-    shard.lru.push_front(frame_index);
-    frame.lru_it = shard.lru.begin();
+    lru_.push_front(frame_index);
+    frame.lru_it = lru_.begin();
     frame.in_lru = true;
   }
 }
 
 void BufferPool::MarkDirtyFrame(size_t frame_index, PageId page_id) {
-  Shard& shard = *shards_[ShardOf(page_id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Frame& frame = shard.frames[frame_index];
+  std::lock_guard<std::mutex> lock(mu_);
+  Frame& frame = frames_[frame_index];
   if (frame.in_use && frame.page_id == page_id) frame.dirty = true;
 }
 
-Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
-  if (!shard.free_frames.empty()) {
-    size_t f = shard.free_frames.back();
-    shard.free_frames.pop_back();
+Result<size_t> BufferPool::AcquireFrameLocked() {
+  if (!free_frames_.empty()) {
+    size_t f = free_frames_.back();
+    free_frames_.pop_back();
     return f;
   }
-  if (shard.lru.empty()) {
+  if (lru_.empty()) {
     return Status::ResourceExhausted(
-        "buffer pool: all frames pinned (shard capacity " +
-        std::to_string(shard.frames.size()) + " of " +
-        std::to_string(total_frames_) + " total)");
+        "buffer pool: all " + std::to_string(total_frames_) +
+        " frames pinned");
   }
-  size_t victim = shard.lru.back();
-  shard.lru.pop_back();
-  Frame& frame = shard.frames[victim];
+  size_t victim = lru_.back();
+  lru_.pop_back();
+  Frame& frame = frames_[victim];
   frame.in_lru = false;
   if (obs::TraceRecorder::Global().enabled()) {
     obs::TraceRecorder::Global().RecordInstant(
@@ -383,18 +328,18 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
       uint64_t run_seq = frame.wal_seq;
       PageId first = frame.page_id;
       while (true) {
-        auto it = shard.page_table.find(first - 1);
-        if (first == 0 || it == shard.page_table.end()) break;
-        Frame& left = shard.frames[it->second];
+        auto it = page_table_.find(first - 1);
+        if (first == 0 || it == page_table_.end()) break;
+        Frame& left = frames_[it->second];
         if (!left.dirty || left.pin_count > 0) break;
         run_seq = std::max(run_seq, left.wal_seq);
         first = first - 1;
       }
       PageId last = frame.page_id;
       while (true) {
-        auto it = shard.page_table.find(last + 1);
-        if (it == shard.page_table.end()) break;
-        Frame& right = shard.frames[it->second];
+        auto it = page_table_.find(last + 1);
+        if (it == page_table_.end()) break;
+        Frame& right = frames_[it->second];
         if (!right.dirty || right.pin_count > 0) break;
         run_seq = std::max(run_seq, right.wal_seq);
         last = last + 1;
@@ -403,27 +348,25 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
       std::vector<const char*> datas;
       datas.reserve(last - first + 1);
       for (PageId p = first; p <= last; ++p) {
-        datas.push_back(
-            shard.frames[shard.page_table.find(p)->second].data.get());
+        datas.push_back(frames_[page_table_.find(p)->second].data.get());
       }
       BULKDEL_RETURN_IF_ERROR(disk_->WriteRun(first, datas));
       for (PageId p = first; p <= last; ++p) {
-        shard.frames[shard.page_table.find(p)->second].dirty = false;
-        ++shard.stats.dirty_writebacks;
+        frames_[page_table_.find(p)->second].dirty = false;
+        ++stats_.dirty_writebacks;
       }
-      shard.stats.coalesced_writebacks +=
-          static_cast<int64_t>(last - first);
+      stats_.coalesced_writebacks += static_cast<int64_t>(last - first);
     } else {
       ForceLogLocked(frame.wal_seq);
       BULKDEL_RETURN_IF_ERROR(
           disk_->WritePage(frame.page_id, frame.data.get()));
-      ++shard.stats.dirty_writebacks;
+      ++stats_.dirty_writebacks;
       frame.dirty = false;
     }
   }
-  shard.page_table.erase(frame.page_id);
+  page_table_.erase(frame.page_id);
   frame.in_use = false;
-  ++shard.stats.evictions;
+  ++stats_.evictions;
   return victim;
 }
 

@@ -53,7 +53,7 @@ class PageGuard {
 
  private:
   BufferPool* pool_ = nullptr;
-  size_t frame_ = 0;  // slot index within the page's shard
+  size_t frame_ = 0;  // slot index in the pool's frame array
   PageId page_id_ = kInvalidPageId;
   char* data_ = nullptr;
 };
@@ -67,14 +67,6 @@ struct BufferPoolStats {
   /// (beyond the victim itself). Zero unless coalesce_writebacks is on.
   int64_t coalesced_writebacks = 0;
 
-  BufferPoolStats& operator+=(const BufferPoolStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    dirty_writebacks += o.dirty_writebacks;
-    coalesced_writebacks += o.coalesced_writebacks;
-    return *this;
-  }
   BufferPoolStats operator-(const BufferPoolStats& o) const {
     BufferPoolStats d;
     d.hits = hits - o.hits;
@@ -86,43 +78,34 @@ struct BufferPoolStats {
   }
 };
 
-/// Construction knobs. `shards` is a request: the pool clamps it so every
-/// shard keeps a workable number of frames (tiny pools collapse to fewer
-/// shards rather than starve).
+/// Construction knobs.
 struct BufferPoolOptions {
   size_t budget_bytes = 0;
-  size_t shards = 1;
   /// Batch dirty eviction victims with adjacent-page-id dirty neighbors into
   /// one sequential WriteRun. This genuinely changes the simulated write
   /// classification (random evictions become sequential runs), so it is OFF
-  /// by default and excluded from the I/O-identity guarantee.
+  /// by default.
   bool coalesce_writebacks = false;
 };
 
-/// Fixed-budget LRU buffer pool over a DiskManager, lock-striped into
-/// `shards` sub-pools keyed by PageId.
+/// Fixed-budget LRU buffer pool over a DiskManager.
 ///
 /// The byte budget models the experiment's "available main memory": the
 /// paper varies it between 2 and 10 MB (Fig. 9). The pool never holds more
-/// than budget/kPageSize frames in total; every miss beyond a shard's share
-/// evicts that shard's least-recently-used unpinned frame, writing it back
-/// if dirty.
+/// than budget/kPageSize frames; every miss beyond that evicts the
+/// least-recently-used unpinned frame, writing it back if dirty.
 ///
-/// Sharding: pages map to shards by extent ((page_id / 16) % shards), so a
-/// contiguous leaf chain stays mostly within one shard (which is what makes
-/// eviction-run coalescing find neighbors) while distinct indices — living
-/// in distinct extent ranges — land on distinct shards and stop contending
-/// on one mutex under parallel phases. LRU, page table, free list and stats
-/// are all per-shard; FlushAll/Reset/DiscardAllForCrashTest lock every shard
-/// in index order and preserve the global page-id-ordered checkpoint sweep.
+/// One frame array, page table, free list, LRU list and stats block, all
+/// guarded by one mutex, so the eviction order is a function of the
+/// page-access sequence alone (docs/BUFFERPOOL.md).
 ///
-/// Thread safety: all operations are internally synchronized per shard.
-/// Concurrent mutation of the *contents* of distinct pinned pages is safe;
-/// callers serialize access to the same page with higher-level latches.
+/// Thread safety: every operation takes the pool mutex. Concurrent mutation
+/// of the *contents* of distinct pinned pages is safe; callers serialize
+/// access to the same page with higher-level latches.
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, size_t budget_bytes)
-      : BufferPool(disk, BufferPoolOptions{budget_bytes, 1, false}) {}
+      : BufferPool(disk, BufferPoolOptions{budget_bytes, false}) {}
   BufferPool(DiskManager* disk, BufferPoolOptions options);
 
   BufferPool(const BufferPool&) = delete;
@@ -137,15 +120,15 @@ class BufferPool {
   /// Drops `page_id` from the pool (must be unpinned) and frees it on disk.
   Status DeletePage(PageId page_id);
 
-  /// Writes back every dirty frame across all shards in one page-id-ordered
-  /// sweep (adjacent ids batched into sequential WriteRuns — same per-page
-  /// charges, fewer disk-mutex round trips). Frames stay resident.
+  /// Writes back every dirty frame in one page-id-ordered sweep (adjacent
+  /// ids batched into sequential WriteRuns — same per-page charges, fewer
+  /// disk-mutex round trips). Frames stay resident.
   Status FlushAll();
 
   /// Writes back and drops every frame (must all be unpinned). Used to
   /// simulate a clean shutdown or to reset cache state between benchmark
-  /// phases. All shard latches are held from the flush through the frame
-  /// drop, so a page dirtied by a concurrent thread either misses the sweep
+  /// phases. The pool mutex is held from the flush through the frame drop,
+  /// so a page dirtied by a concurrent thread either misses the sweep
   /// entirely (and survives resident) or is flushed before being dropped —
   /// never dropped with an unwritten update.
   Status Reset();
@@ -165,9 +148,9 @@ class BufferPool {
   /// return whether it had to flush the log to do so (counted by
   /// bp.wal_forced_writebacks). FlushAll passes the whole appended tail
   /// instead, since it may write pinned frames whose stamp is not final.
-  /// `sync_to` runs with at least the affected shard's latch held (all of
-  /// them during a flush sweep) and must not call back into the pool. With
-  /// no rule installed, unpin and write-back do no log work at all.
+  /// `sync_to` runs with the pool mutex held and must not call back into
+  /// the pool. With no rule installed, unpin and write-back do no log work
+  /// at all.
   void SetWalRule(const std::atomic<uint64_t>* appended_seq,
                   std::function<bool(uint64_t)> sync_to);
 
@@ -180,19 +163,14 @@ class BufferPool {
 
   /// Installs a fault injector on the write-back paths (nullptr = none; the
   /// injector must outlive the pool): `pool.evict` fires before a dirty
-  /// eviction victim is written back (now inside the victim's shard),
-  /// `pool.flush` before a cross-shard FlushAll sweep.
+  /// eviction victim is written back, `pool.flush` before a FlushAll sweep.
   void SetFaultInjector(FaultInjector* injector);
 
   size_t capacity_frames() const { return total_frames_; }
   /// The configured byte budget (not rounded down to whole frames): what the
   /// Fig. 9 memory sweep labels report.
-  size_t budget_bytes() const { return budget_bytes_; }
-  size_t num_shards() const { return shards_.size(); }
-  /// Aggregate over all shards.
+  size_t budget_bytes() const { return options_.budget_bytes; }
   BufferPoolStats stats() const;
-  /// Per-shard counters, in shard-index order.
-  std::vector<BufferPoolStats> shard_stats() const;
   void ResetStats();
   DiskManager* disk() { return disk_; }
 
@@ -212,49 +190,37 @@ class BufferPool {
     bool in_lru = false;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Frame> frames;
-    std::vector<size_t> free_frames;
-    std::unordered_map<PageId, size_t> page_table;
-    std::list<size_t> lru;  // front = most recent, back = victim candidate
-    BufferPoolStats stats;
-  };
-
-  /// Pages map to shards by extent so adjacent ids share a shard.
-  static constexpr PageId kShardExtentPages = 16;
-  size_t ShardOf(PageId page_id) const {
-    return (page_id / kShardExtentPages) % shards_.size();
-  }
-
   void Unpin(size_t frame, PageId page_id);
   void MarkDirtyFrame(size_t frame, PageId page_id);
 
-  /// Finds a frame in `shard` to host a new page: a never-used frame or the
-  /// LRU victim. Called with the shard latch held. Writes back the victim if
-  /// dirty (coalescing adjacent dirty neighbors when enabled).
-  Result<size_t> AcquireFrameLocked(Shard& shard);
+  /// Finds a frame to host a new page: a never-used frame or the LRU victim.
+  /// Called with mu_ held. Writes back the victim if dirty (coalescing
+  /// adjacent dirty neighbors when enabled).
+  Result<size_t> AcquireFrameLocked();
 
-  /// Locks every shard in index order (the global-operation lock order).
-  std::vector<std::unique_lock<std::mutex>> LockAllShards() const;
-  /// The page-id-ordered dirty sweep; all shard latches must be held.
+  /// The page-id-ordered dirty sweep; mu_ must be held.
   Status FlushAllLocked();
 
-  DiskManager* disk_;
-  BufferPoolOptions options_;
-  size_t budget_bytes_;
-  size_t total_frames_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   /// Forces the log through `seq` before a write-back (the WAL rule).
-  /// Called with the writing shard's latch held; no-op without a rule.
+  /// Called with mu_ held; no-op without a rule.
   void ForceLogLocked(uint64_t seq);
 
-  /// The WAL rule (SetWalRule). Read under any shard latch; written under
-  /// all of them.
+  DiskManager* disk_;
+  const BufferPoolOptions options_;
+  const size_t total_frames_;
+
+  mutable std::mutex mu_;
+  std::vector<Frame> frames_;
+  std::vector<size_t> free_frames_;
+  std::unordered_map<PageId, size_t> page_table_;
+  std::list<size_t> lru_;  // front = most recent, back = victim candidate
+  BufferPoolStats stats_;
+
+  /// The WAL rule (SetWalRule), written and read under mu_.
   const std::atomic<uint64_t>* wal_appended_seq_ = nullptr;
   std::function<bool(uint64_t)> wal_sync_to_;
   FaultInjector* injector_ = nullptr;
-  /// Written under all shard latches (SetMetrics); read on the fetch path.
+  /// Written under mu_ (SetMetrics); read on the fetch path.
   obs::Histogram* fetch_ns_hist_ = nullptr;
   obs::Histogram* latch_wait_hist_ = nullptr;
   obs::Counter* wal_forced_counter_ = nullptr;

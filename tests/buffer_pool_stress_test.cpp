@@ -1,8 +1,9 @@
-// Multi-threaded buffer-pool stress (pin/unpin/dirty/evict across shards;
-// the tier-1 build runs it under ASan/UBSan, the tsan job under TSan), plus
-// the I/O-identity acceptance test: simulated DiskStats totals must be
-// unchanged by shard count, serial and parallel, and coalesced write-behind
-// must batch adjacent dirty evictions when (and only when) enabled.
+// Multi-threaded buffer-pool stress (pin/unpin/dirty/evict from several
+// threads; the tier-1 build runs it under ASan/UBSan, the tsan job under
+// TSan), plus the I/O-identity acceptance test: simulated DiskStats totals
+// must be unchanged by the executor's thread count, and coalesced
+// write-behind must batch adjacent dirty evictions when (and only when)
+// enabled.
 
 #include <gtest/gtest.h>
 
@@ -22,18 +23,14 @@ namespace bulkdel {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Raw-pool stress across shards
+// Raw-pool stress
 // ---------------------------------------------------------------------------
 
-TEST(BufferPoolStressTest, ConcurrentPinDirtyEvictAcrossShards) {
+TEST(BufferPoolStressTest, ConcurrentPinDirtyEvict) {
   DiskManager disk;
-  BufferPoolOptions options;
-  // 64 frames over 4 shards, 4 threads x 64 private pages: every thread
-  // misses constantly and evictions (including dirty write-backs) happen on
-  // every shard while the others are fetching.
-  options.budget_bytes = 64 * kPageSize;
-  options.shards = 4;
-  BufferPool pool(&disk, options);
+  // 64 frames, 4 threads x 64 private pages: evictions (including dirty
+  // write-backs) of one thread's pages happen while the others are fetching.
+  BufferPool pool(&disk, 64 * kPageSize);
 
   constexpr int kThreads = 4;
   constexpr int kPagesPerThread = 64;
@@ -92,10 +89,7 @@ TEST(BufferPoolStressTest, ConcurrentPinDirtyEvictAcrossShards) {
 
 TEST(BufferPoolStressTest, ConcurrentMissesOnSharedPages) {
   DiskManager disk;
-  BufferPoolOptions options;
-  options.budget_bytes = 128 * kPageSize;
-  options.shards = 4;
-  BufferPool pool(&disk, options);
+  BufferPool pool(&disk, 128 * kPageSize);
 
   std::vector<PageId> pages;
   for (int i = 0; i < 256; ++i) {
@@ -138,12 +132,11 @@ TEST(BufferPoolStressTest, CoalescedWritebackBatchesAdjacentDirtyEvictions) {
     DiskManager disk;
     BufferPoolOptions options;
     options.budget_bytes = 16 * kPageSize;
-    options.shards = 1;
     options.coalesce_writebacks = coalesce;
     BufferPool pool(&disk, options);
 
     // Fill the pool with 16 adjacent dirty pages, then fault in fresh ones:
-    // each eviction finds a run of dirty neighbors in the same shard.
+    // each eviction finds a run of dirty neighbors.
     std::vector<PageId> first_wave;
     for (int i = 0; i < 16; ++i) {
       auto guard = pool.NewPage();
@@ -173,7 +166,7 @@ TEST(BufferPoolStressTest, CoalescedWritebackBatchesAdjacentDirtyEvictions) {
 }
 
 // ---------------------------------------------------------------------------
-// I/O identity across shard counts
+// I/O identity across thread counts
 // ---------------------------------------------------------------------------
 
 struct IdentityRun {
@@ -181,12 +174,12 @@ struct IdentityRun {
   IoStats disk_total;
 };
 
-IdentityRun RunWorkload(size_t pool_shards, int exec_threads,
-                        size_t memory_budget) {
+IdentityRun RunWorkload(int exec_threads, Strategy strategy,
+                        size_t memory_budget, bool coalesce_writebacks) {
   DatabaseOptions options;
   options.memory_budget_bytes = memory_budget;
   options.exec_threads = exec_threads;
-  options.pool_shards = pool_shards;
+  options.coalesce_writebacks = coalesce_writebacks;
   auto db = *Database::Create(options);
 
   WorkloadSpec spec;
@@ -203,18 +196,19 @@ IdentityRun RunWorkload(size_t pool_shards, int exec_threads,
   bd.key_column = "A";
   bd.keys = workload.MakeDeleteKeys(0.15, 42);
 
+  const std::string label = std::string(StrategyName(strategy)) +
+                            ", threads " + std::to_string(exec_threads);
   IoStats before = db->disk().stats();
-  auto report = db->BulkDelete(bd, Strategy::kVerticalSortMerge);
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  auto report = db->BulkDelete(bd, strategy);
+  EXPECT_TRUE(report.ok()) << label << ": " << report.status().ToString();
   // Every page access of the statement is charged to one of its accounts,
   // so the whole-disk delta is exactly the report's total.
   IoStats delta = db->disk().stats() - before;
-  EXPECT_TRUE(db->VerifyIntegrity().ok());
+  EXPECT_TRUE(db->VerifyIntegrity().ok()) << label;
 
   IdentityRun run;
   if (report.ok()) {
     run.report = *report;
-    const std::string label = "threads " + std::to_string(exec_threads);
     EXPECT_EQ(delta.reads, report->io.reads) << label;
     EXPECT_EQ(delta.writes, report->io.writes) << label;
     EXPECT_EQ(delta.sequential_accesses, report->io.sequential_accesses)
@@ -226,70 +220,132 @@ IdentityRun RunWorkload(size_t pool_shards, int exec_threads,
   return run;
 }
 
+const PhaseStats* FindPhase(const BulkDeleteReport& report,
+                            const std::string& name) {
+  for (const PhaseStats& p : report.phases) {
+    if (p.name == name) return &p;
+  }
+  return nullptr;
+}
+
+void ExpectPhaseIoIdentical(const PhaseStats& p, const PhaseStats& q,
+                            const std::string& label) {
+  EXPECT_EQ(p.io.reads, q.io.reads) << label << " phase " << p.name;
+  EXPECT_EQ(p.io.writes, q.io.writes) << label << " phase " << p.name;
+  EXPECT_EQ(p.io.sequential_accesses, q.io.sequential_accesses)
+      << label << " phase " << p.name;
+  EXPECT_EQ(p.io.random_accesses, q.io.random_accesses)
+      << label << " phase " << p.name;
+  EXPECT_EQ(p.io.simulated_micros, q.io.simulated_micros)
+      << label << " phase " << p.name;
+}
+
+// While concurrent phases evict only pages the earlier phases left, which
+// pages are read and evicted is a function of the statement's page-access
+// sequence through the one LRU. So is which are written back, unless a
+// coalesced run cleans a page a concurrent phase then dirties again.
+void ExpectPageCountsIdentical(const IdentityRun& a, const IdentityRun& b,
+                               const std::string& label, bool writes) {
+  EXPECT_EQ(a.report.io.reads, b.report.io.reads) << label;
+  EXPECT_EQ(a.report.pool.misses, b.report.pool.misses) << label;
+  EXPECT_EQ(a.report.pool.evictions, b.report.pool.evictions) << label;
+  EXPECT_EQ(a.disk_total.reads, b.disk_total.reads) << label;
+  if (!writes) return;
+  EXPECT_EQ(a.report.io.writes, b.report.io.writes) << label;
+  EXPECT_EQ(a.report.pool.dirty_writebacks, b.report.pool.dirty_writebacks)
+      << label;
+  EXPECT_EQ(a.disk_total.writes, b.disk_total.writes) << label;
+}
+
+// Full identity: every charge of the statement, of each phase and of the
+// whole disk.
 void ExpectIoIdentical(const IdentityRun& a, const IdentityRun& b,
                        const std::string& label) {
-  EXPECT_EQ(a.report.io.reads, b.report.io.reads) << label;
-  EXPECT_EQ(a.report.io.writes, b.report.io.writes) << label;
+  ExpectPageCountsIdentical(a, b, label, /*writes=*/true);
   EXPECT_EQ(a.report.io.sequential_accesses, b.report.io.sequential_accesses)
       << label;
   EXPECT_EQ(a.report.io.random_accesses, b.report.io.random_accesses) << label;
   EXPECT_EQ(a.report.io.simulated_micros, b.report.io.simulated_micros)
       << label;
+  EXPECT_EQ(a.report.pool.coalesced_writebacks,
+            b.report.pool.coalesced_writebacks)
+      << label;
+  EXPECT_EQ(a.disk_total.simulated_micros, b.disk_total.simulated_micros)
+      << label;
   ASSERT_EQ(a.report.phases.size(), b.report.phases.size()) << label;
-  for (size_t i = 0; i < a.report.phases.size(); ++i) {
+  for (const PhaseStats& p : a.report.phases) {
     // Phases are recorded in completion order, which is schedule-dependent
     // under exec_threads > 1 — match by name.
-    const PhaseStats& p = a.report.phases[i];
-    const PhaseStats* found = nullptr;
-    for (const PhaseStats& candidate : b.report.phases) {
-      if (candidate.name == p.name) {
-        found = &candidate;
-        break;
-      }
-    }
-    ASSERT_NE(found, nullptr) << label << " phase " << p.name << " missing";
-    const PhaseStats& q = *found;
-    EXPECT_EQ(p.io.reads, q.io.reads) << label << " phase " << p.name;
-    EXPECT_EQ(p.io.writes, q.io.writes) << label << " phase " << p.name;
-    EXPECT_EQ(p.io.sequential_accesses, q.io.sequential_accesses)
-        << label << " phase " << p.name;
-    EXPECT_EQ(p.io.random_accesses, q.io.random_accesses)
-        << label << " phase " << p.name;
-    EXPECT_EQ(p.io.simulated_micros, q.io.simulated_micros)
-        << label << " phase " << p.name;
+    const PhaseStats* q = FindPhase(b.report, p.name);
+    ASSERT_NE(q, nullptr) << label << " phase " << p.name << " missing";
+    ExpectPhaseIoIdentical(p, *q, label);
   }
 }
 
-TEST(IoIdentityTest, ShardCountDoesNotChangeSimulatedIo) {
-  // Generous budget: the working set stays resident, so residency (and
-  // therefore every simulated charge) cannot depend on how frames are
-  // distributed over shards. This is the same precondition the parallel
-  // scheduler's cross-thread identity test relies on.
-  constexpr size_t kResident = 16ull << 20;
-  for (int threads : {1, 4}) {
-    IdentityRun one = RunWorkload(1, threads, kResident);
-    IdentityRun eight = RunWorkload(8, threads, kResident);
-    ExpectIoIdentical(one, eight,
-                      "shards 1 vs 8, threads " + std::to_string(threads));
-    EXPECT_EQ(one.disk_total.reads, eight.disk_total.reads);
-    EXPECT_EQ(one.disk_total.writes, eight.disk_total.writes);
-    EXPECT_EQ(one.disk_total.simulated_micros,
-              eight.disk_total.simulated_micros);
+// The working set (heap plus three indices, 688 pages) stays resident.
+constexpr size_t kResidentBudget = 16ull << 20;
+// 512 frames: every plan below evicts. The traditional and drop & create
+// plans run one phase at a time. The vertical plan's secondary-index passes
+// (index:R.B, index:R.C) run concurrently at 4 threads and evict pages the
+// earlier phases left dirty.
+constexpr size_t kEvictingBudget = 2ull << 20;
+// What the vertical plan runs before its secondary passes fan out.
+const char* const kVerticalSerialPhases[] = {"sort-keys", "index:R.A",
+                                             "table"};
+
+void ExpectThreadCountIdentity(size_t budget, bool coalesce_writebacks) {
+  for (Strategy strategy : {Strategy::kVerticalSortMerge,
+                            Strategy::kTraditionalSorted,
+                            Strategy::kDropCreate}) {
+    const std::string label = std::string(StrategyName(strategy)) +
+                              ", budget " + std::to_string(budget) +
+                              (coalesce_writebacks ? ", coalesced" : "") +
+                              ": threads 1 vs 4";
+    IdentityRun one = RunWorkload(1, strategy, budget, coalesce_writebacks);
+    IdentityRun four = RunWorkload(4, strategy, budget, coalesce_writebacks);
+    EXPECT_GT(one.report.pool.hits, 0) << label;
+    const bool evicts = one.report.pool.evictions > 0;
+    EXPECT_EQ(evicts, budget == kEvictingBudget) << label;
+    if (!evicts || strategy != Strategy::kVerticalSortMerge) {
+      ExpectIoIdentical(one, four, label);
+      continue;
+    }
+    // Concurrent phases that evict: the victims are the same pages, but
+    // which phase pays a dirty write-back (and so whether the write counts
+    // as sequential or random against that phase's disk head, or which
+    // dirty neighbors a coalesced run picks up) depends on the schedule.
+    ExpectPageCountsIdentical(one, four, label,
+                              /*writes=*/!coalesce_writebacks);
+    for (const char* name : kVerticalSerialPhases) {
+      const PhaseStats* p = FindPhase(one.report, name);
+      const PhaseStats* q = FindPhase(four.report, name);
+      ASSERT_NE(p, nullptr) << label << " phase " << name;
+      ASSERT_NE(q, nullptr) << label << " phase " << name;
+      ExpectPhaseIoIdentical(*p, *q, label);
+    }
   }
-  // The effective shard count is visible in the report's per-shard stats.
-  IdentityRun eight = RunWorkload(8, 1, kResident);
-  EXPECT_EQ(eight.report.pool_shards.size(), 8u);
-  EXPECT_GT(eight.report.pool.hits, 0);
+}
+
+TEST(IoIdentityTest, ThreadCountDoesNotChangeSimulatedIoWhenResident) {
+  ExpectThreadCountIdentity(kResidentBudget, /*coalesce_writebacks=*/false);
+}
+
+TEST(IoIdentityTest, ThreadCountDoesNotChangeSimulatedIoWhenEvicting) {
+  ExpectThreadCountIdentity(kEvictingBudget, /*coalesce_writebacks=*/false);
+}
+
+TEST(IoIdentityTest, ThreadCountDoesNotChangeCoalescedIo) {
+  ExpectThreadCountIdentity(kEvictingBudget, /*coalesce_writebacks=*/true);
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard maintenance under live parallel phases
+// Pool-wide maintenance under live parallel phases
 // ---------------------------------------------------------------------------
 
 TEST(BufferPoolStressTest, ConcurrentFlushDuringParallelPhasesIsSafe) {
   // A phase-begin hook runs FlushAll from a worker thread while sibling
-  // phases are fetching and dirtying pages — the cross-shard sweep must
-  // coordinate with per-shard traffic (this is the TSan-checked seam), and
+  // phases are fetching and dirtying pages — the sweep must coordinate with
+  // their fetch traffic (this is the TSan-checked seam), and
   // a concurrent Reset must either succeed (flush-then-drop, losing nothing)
   // or refuse cleanly because pages are pinned; both leave the database
   // consistent.
@@ -299,7 +355,6 @@ TEST(BufferPoolStressTest, ConcurrentFlushDuringParallelPhasesIsSafe) {
   DatabaseOptions options;
   options.memory_budget_bytes = 8ull << 20;
   options.exec_threads = 4;
-  options.pool_shards = 8;
   // The hook only fires on phase threads while a bulk delete is executing,
   // well after `db` is assigned below, so capturing it by reference is safe.
   options.phase_begin_hook = [&](const std::string& phase) {

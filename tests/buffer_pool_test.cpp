@@ -336,24 +336,6 @@ TEST(BufferPoolOptionsTest, BudgetBytesReportsConfiguredValue) {
   EXPECT_EQ(pool.capacity_frames(), 8u);
 }
 
-TEST(BufferPoolOptionsTest, ShardCountHonoredAndClamped) {
-  DiskManager disk;
-  BufferPoolOptions options;
-  options.budget_bytes = 64 * kPageSize;
-  options.shards = 4;
-  BufferPool pool(&disk, options);
-  EXPECT_EQ(pool.num_shards(), 4u);
-  EXPECT_EQ(pool.capacity_frames(), 64u);
-
-  // A tiny pool collapses to fewer shards instead of starving each one.
-  BufferPoolOptions tiny;
-  tiny.budget_bytes = 8 * kPageSize;
-  tiny.shards = 8;
-  BufferPool tiny_pool(&disk, tiny);
-  EXPECT_EQ(tiny_pool.num_shards(), 1u);
-  EXPECT_EQ(tiny_pool.capacity_frames(), 8u);
-}
-
 TEST_F(BufferPoolTest, DiscardAllForCrashTestZeroesStats) {
   std::vector<PageId> ids;
   for (int i = 0; i < 12; ++i) {
@@ -381,14 +363,11 @@ TEST_F(BufferPoolTest, DiscardAllForCrashTestZeroesStats) {
 // released the pool mutex between the inner FlushAll() and re-acquiring it to
 // drop frames, so a page dirtied by a concurrent thread in that window was
 // dropped without write-back. The WAL rule's sync hook fires during Reset's
-// flush sweep (with all shard latches held); we use it as the rendezvous to
+// flush sweep (with the pool mutex held); we use it as the rendezvous to
 // launch a concurrent writer at exactly the vulnerable moment.
 TEST(BufferPoolResetRaceTest, ConcurrentDirtyPageIsNotDroppedUnflushed) {
   DiskManager disk;
-  BufferPoolOptions options;
-  options.budget_bytes = 16 * kPageSize;
-  options.shards = 2;
-  BufferPool pool(&disk, options);
+  BufferPool pool(&disk, 16 * kPageSize);
 
   PageId victim;
   {
@@ -410,7 +389,7 @@ TEST(BufferPoolResetRaceTest, ConcurrentDirtyPageIsNotDroppedUnflushed) {
   std::atomic<bool> fired{false};
   std::thread writer([&] {
     while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    // With the fix this blocks on the shard latch until Reset has dropped
+    // With the fix this blocks on the pool mutex until Reset has dropped
     // every frame, so the update lands strictly after the reset. With the
     // old bug it could slip between flush and drop and be lost.
     auto guard = pool.FetchPage(victim);

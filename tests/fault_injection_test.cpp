@@ -365,6 +365,34 @@ TEST_P(CrashSweepTest, EverySiteRecoversToTheReferenceState) {
   EXPECT_EQ(stats.failures, 0u) << reports;
 }
 
+TEST(CrashSweepReproTest, ReproCarriesTheWorkloadShape) {
+  SweepConfig config;
+  config.n_tuples = 3000;
+  config.delete_fraction = 1;
+  config.memory_budget_bytes = 32768;
+  config.concurrency = ConcurrencyProtocol::kSideFile;
+  config.updater_ops = 9;
+  std::string repro =
+      ReproCommand(config, Strategy::kVerticalHash, 4, fault_sites::kDiskWrite,
+                   5, FaultMode::kCrash);
+  for (const char* flag : {" --tuples=3000", " --fraction=1 ",
+                           " --memory=32768", " --updater-ops=9",
+                           " --concurrency=sidefile", " --threads=4",
+                           " --site=disk.write", " --occurrence=5"}) {
+    EXPECT_NE(repro.find(flag), std::string::npos)
+        << "missing '" << flag << "' in: " << repro;
+  }
+
+  // Fractions print in their shortest round-trip form; without a protocol
+  // there is no updater to size.
+  config.delete_fraction = 0.35;
+  config.concurrency = ConcurrencyProtocol::kNone;
+  repro = ReproCommand(config, Strategy::kVerticalSortMerge, 1,
+                       fault_sites::kDiskWrite, 1, FaultMode::kCrash);
+  EXPECT_NE(repro.find(" --fraction=0.35 "), std::string::npos) << repro;
+  EXPECT_EQ(repro.find("--updater-ops"), std::string::npos) << repro;
+}
+
 /// The multi-table "forget user X" statement: USERS -> ORDERS -> EVENTS with
 /// cascading FKs. A crash at any site must recover to an exact leg prefix
 /// (S0 untouched .. S3 fully forgotten) across all three tables — never a

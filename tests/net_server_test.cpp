@@ -390,7 +390,9 @@ TEST(NetServer, ObservabilityPlaneUnderConcurrentLoad) {
       ++failures;
       return;
     }
-    while (!done.load(std::memory_order_acquire)) {
+    // At least one full scrape + sys.statements round, even when the bulk
+    // delete finishes before this thread is scheduled.
+    do {
       std::string scraped = HttpGetMetrics(http_port, "/metrics");
       if (scraped.substr(0, 15) == "HTTP/1.1 200 OK" &&
           scraped.find("bulkdel_net_conns") != std::string::npos) {
@@ -409,7 +411,7 @@ TEST(NetServer, ObservabilityPlaneUnderConcurrentLoad) {
       } else {
         ++failures;
       }
-    }
+    } while (!done.load(std::memory_order_acquire));
   });
   std::vector<std::thread> updaters;
   for (int t = 0; t < kUpdaters; ++t) {
