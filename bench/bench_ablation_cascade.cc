@@ -241,7 +241,7 @@ int Run(int argc, char** argv) {
       "\nshared-sort: %lld page transfers; per-FK-naive: %lld (%.2fx); "
       "row-at-a-time: %lld\n",
       static_cast<long long>(shared_cost), static_cast<long long>(naive_cost),
-      static_cast<long long>(results[2].reads + results[2].writes), ratio);
+      ratio, static_cast<long long>(results[2].reads + results[2].writes));
   if (shared_cost == 0 || ratio < kMinSharedAdvantage) {
     std::fprintf(stderr,
                  "FAIL: the shared-sort cascade plan must charge at least "

@@ -115,10 +115,25 @@ Status BTree::FreeNode(PageId page) {
 
 Result<PageId> BTree::DescendToLeaf(const KeyRid& probe) {
   PageId cur = root_;
+  int level = -1;  // the level the next node must have; the root's is free
   while (true) {
     BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
     BTreeNode node(guard.data());
+    // A corrupt inner node (read after a crash, say) must surface as an
+    // error: its separators would be read past the page, and a level that
+    // does not drop by one per step could descend forever.
+    if (level >= 0 && node.level() != level) {
+      return Status::Corruption("node " + std::to_string(cur) + " at level " +
+                                std::to_string(node.level()) + ", expected " +
+                                std::to_string(level));
+    }
     if (node.is_leaf()) return cur;
+    if (node.count() > BTreeNode::InnerPageCapacity()) {
+      return Status::Corruption("inner node " + std::to_string(cur) +
+                                " holds " + std::to_string(node.count()) +
+                                " separators, more than a page can");
+    }
+    level = node.level() - 1;
     cur = node.Child(node.ChildIndexFor(probe));
   }
 }

@@ -21,9 +21,9 @@ namespace bulkdel {
 ///   cascade plan. A RESTRICT violation therefore fails the statement
 ///   before any mutation, regardless of the catalog order of the FKs.
 ///
-///   Phase B (execution) — the caller runs the plan's per-child-table bulk
-///   deletes (deepest descendants first, so a child is empty of its own
-///   dependents before its rows die), then deletes the parent rows.
+///   Phase B (execution) — the caller runs the plan's per-child-table
+///   deletes and the parent delete as legs of one vertical statement: one
+///   WAL envelope, one phase DAG, one durability barrier per level.
 ///
 /// `cascade_path` carries the tables already being deleted up-stack to
 /// reject cyclic cascades. See docs/CONSTRAINTS.md.
@@ -37,10 +37,10 @@ struct CascadeChildDelete {
   std::vector<int64_t> keys;
 };
 
-/// The full fan-out of one bulk delete, flattened deepest-first: executing
-/// `children` in order, then the parent delete, preserves the old recursive
-/// execution order exactly (children were always processed before their
-/// parents' rows died).
+/// The full fan-out of one bulk delete, flattened deepest-first. Phase B
+/// runs `children` and the parent delete as legs of one vertical statement
+/// (Database::ExecuteBulkDeletePlanned); each leg's keys were derived from
+/// the pre-statement state, so no leg depends on another.
 struct CascadePlan {
   std::vector<CascadeChildDelete> children;
 

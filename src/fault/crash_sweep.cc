@@ -233,13 +233,8 @@ struct CaseSetup {
   std::shared_ptr<UpdaterDriver> updater;
   /// The tables a case's state is digested over.
   std::vector<std::string> tables;
-  /// The statement as the engine executes it, one WAL statement per leg:
-  /// legs.back() is the swept statement itself, and any earlier legs are
-  /// the cascade legs it flattens into (deepest first). The reference run
-  /// replays them one at a time to capture the statement-prefix states.
-  std::vector<BulkDeleteSpec> legs;
-
-  const BulkDeleteSpec& spec() const { return legs.back(); }
+  /// The swept statement.
+  BulkDeleteSpec spec;
 };
 
 BulkDeleteSpec SortedKeysSpec(const std::string& table,
@@ -295,15 +290,15 @@ Status LoadPaperScenario(const SweepConfig& config, CaseSetup* out) {
                                    config.predicate);
   }
   out->tables = {spec.table_name};
-  out->legs = {std::move(del)};
+  out->spec = std::move(del);
   return Status::OK();
 }
 
 /// The "forget user X" scenario (config.cascade): a deterministic
 /// three-level schema — user u owns orders {2u, 2u+1}, order o owns events
 /// {2o, 2o+1} — with cascading FKs. The swept statement deletes every
-/// stride-th user; the engine flattens it into three WAL statements: the
-/// EVENTS leg, the ORDERS leg and the USERS parent, deepest first.
+/// stride-th user; the engine runs it as one WAL envelope with three legs:
+/// EVENTS, ORDERS and the USERS parent.
 Status LoadCascadeScenario(const SweepConfig& config, CaseSetup* out) {
   Database* db = out->db.get();
   out->tables = {"USERS", "ORDERS", "EVENTS"};
@@ -340,15 +335,8 @@ Status LoadCascadeScenario(const SweepConfig& config, CaseSetup* out) {
                        : n_users;
   if (stride < 1) stride = 1;
   std::vector<int64_t> users;
-  std::vector<int64_t> orders;
-  for (int64_t u = 0; u < n_users; u += stride) {
-    users.push_back(u);
-    orders.push_back(2 * u);
-    orders.push_back(2 * u + 1);
-  }
-  out->legs = {SortedKeysSpec("EVENTS", "B", orders),
-               SortedKeysSpec("ORDERS", "B", users),
-               SortedKeysSpec("USERS", "A", users)};
+  for (int64_t u = 0; u < n_users; u += stride) users.push_back(u);
+  out->spec = SortedKeysSpec("USERS", "A", std::move(users));
   return Status::OK();
 }
 
@@ -398,8 +386,8 @@ Status PrepareCase(const SweepConfig& config, int threads, bool with_injector,
 
   if (out->updater != nullptr) {
     out->updater->db = out->db.get();
-    out->updater->table = out->spec().table;
-    TableDef* table = out->db->GetTable(out->spec().table);
+    out->updater->table = out->spec.table;
+    TableDef* table = out->db->GetTable(out->spec.table);
     for (const auto& index : table->indices) {
       if (!index->options.unique) {
         out->updater->trigger_labels.insert("index:" + index->name);
@@ -413,22 +401,19 @@ Status PrepareCase(const SweepConfig& config, int threads, bool with_injector,
   return Status::OK();
 }
 
-/// The states a recovered case may legally end in. `prefixes[i]` is the
-/// database before leg i runs: S0 the untouched load, then (cascade only)
-/// S1 after the EVENTS leg and S2 after the ORDERS leg. `finals[k]` is the
-/// completed statement plus the first k updater ops (just the completed
-/// statement at k = 0, the only entry when no updater is configured).
+/// The states a recovered case may legally end in: `s0` the untouched load,
+/// and `finals[k]` the completed statement plus the first k updater ops
+/// (just the completed statement at k = 0, the only entry when no updater
+/// is configured).
 struct References {
-  std::vector<CaseState> prefixes;
+  CaseState s0;
   std::vector<CaseState> finals;
 };
 
 /// Strategy-independent — all strategies delete the same rows, the updater
 /// is deterministic, and its inserts land on the same free slots regardless
 /// of the index-processing method — so one serial family of reference runs
-/// on uninjected databases serves the whole sweep. The legs are replayed one
-/// statement at a time; already-deleted children make the later legs' own
-/// cascade planning a no-op, so the end states equal the real statement's.
+/// on uninjected databases serves the whole sweep.
 Status CaptureReferences(const SweepConfig& config, References* refs) {
   int n_updater_ops = config.concurrency == ConcurrencyProtocol::kNone
                           ? 0
@@ -439,14 +424,13 @@ Status CaptureReferences(const SweepConfig& config, References* refs) {
     BULKDEL_RETURN_IF_ERROR(PrepareCase(config, /*threads=*/1,
                                         /*with_injector=*/false,
                                         /*updater_ops_cap=*/k, &setup));
-    for (const BulkDeleteSpec& leg : setup.legs) {
-      if (k == 0) {
-        BULKDEL_RETURN_IF_ERROR(CaptureState(setup.db.get(), setup.tables,
-                                             &refs->prefixes.emplace_back()));
-      }
+    if (k == 0) {
       BULKDEL_RETURN_IF_ERROR(
-          setup.db->BulkDelete(leg, Strategy::kVerticalSortMerge).status());
+          CaptureState(setup.db.get(), setup.tables, &refs->s0));
     }
+    BULKDEL_RETURN_IF_ERROR(
+        setup.db->BulkDelete(setup.spec, Strategy::kVerticalSortMerge)
+            .status());
     if (setup.updater != nullptr && setup.updater->succeeded.load() != k) {
       return Status::Internal(
           "reference run acknowledged " +
@@ -479,7 +463,7 @@ CaseOutcome RunOneCase(const SweepConfig& config, Strategy strategy,
   // passed through the same sites and must not shift the numbering.
   setup.injector->ResetCounts();
   setup.injector->Arm(site, occurrence, mode);
-  auto report = setup.db->BulkDelete(setup.spec(), strategy);
+  auto report = setup.db->BulkDelete(setup.spec, strategy);
 
   if (!setup.injector->tripped()) {
     setup.injector->Disarm();
@@ -546,27 +530,23 @@ CaseOutcome RunOneCase(const SweepConfig& config, Strategy strategy,
     *why = "post-recovery digest failed: " + s.ToString();
     return CaseOutcome::kFailed;
   }
-  // Recovery rolls the one begun WAL statement forward: it finishes with
-  // every acknowledged updater op applied (finals[acked]; plus possibly the
-  // one ambiguous unacknowledged op, finals[acked + 1]). A crash before a
-  // leg's delete list became durable — which also precedes any updater DML
-  // — legitimately drops that leg whole, leaving a statement prefix. Any
-  // other state is lost work, a partially-applied leg or cross-table skew.
+  // Recovery rolls the one begun WAL statement — every leg of it — forward:
+  // it finishes with every acknowledged updater op applied (finals[acked];
+  // plus possibly the one ambiguous unacknowledged op, finals[acked + 1]).
+  // A crash before the statement's opening became durable — which also
+  // precedes any updater DML — legitimately drops it whole, leaving S0. Any
+  // other state is lost work, a partially-applied statement or cross-table
+  // skew.
   if (recovered == refs.finals[acked]) return CaseOutcome::kPassed;
   if (attempted > acked && acked + 1 < refs.finals.size() &&
       recovered == refs.finals[acked + 1]) {
     return CaseOutcome::kPassed;
   }
-  if (acked == 0) {
-    for (const CaseState& prefix : refs.prefixes) {
-      if (recovered == prefix) return CaseOutcome::kPassed;
-    }
-  }
+  if (acked == 0 && recovered == refs.s0) return CaseOutcome::kPassed;
   *why = "recovered state matches neither the completed statement (with " +
-         std::to_string(acked) + " acknowledged updater ops) nor a statement "
-         "prefix S0..S" + std::to_string(refs.prefixes.size() - 1) +
-         ": vs completed: " + DescribeDiff(refs.finals[acked], recovered) +
-         "; vs S0: " + DescribeDiff(refs.prefixes.front(), recovered);
+         std::to_string(acked) + " acknowledged updater ops) nor S0: " +
+         "vs completed: " + DescribeDiff(refs.finals[acked], recovered) +
+         "; vs S0: " + DescribeDiff(refs.s0, recovered);
   return CaseOutcome::kFailed;
 }
 
@@ -665,7 +645,7 @@ Status CountOccurrences(const SweepConfig& config, Strategy strategy,
   BULKDEL_RETURN_IF_ERROR(PrepareCase(config, threads, /*with_injector=*/true,
                                       /*updater_ops_cap=*/-1, &setup));
   setup.injector->ResetCounts();
-  auto report = setup.db->BulkDelete(setup.spec(), strategy);
+  auto report = setup.db->BulkDelete(setup.spec, strategy);
   BULKDEL_RETURN_IF_ERROR(report.status());
   if (setup.updater != nullptr &&
       setup.updater->succeeded.load() != setup.updater->total_ops) {

@@ -28,11 +28,9 @@ Result<std::string> LogicalContentHash(Database* db,
 /// Configuration of one crash-recovery sweep (see docs/FAULTS.md).
 ///
 /// A sweep fixes a scenario — the paper's single table, or the cascade —
-/// and captures its reference states once: the statement-prefix states
-/// S0..S(L-1) (S0 the untouched load; L = 1 for the single table, 3 for the
-/// cascade's flattened legs) and final[k], the completed statement plus the
-/// first k acknowledged updater ops. Then, for each (strategy, exec_threads)
-/// pair, it
+/// and captures its reference states once: S0, the untouched load, and
+/// final[k], the completed statement plus the first k acknowledged updater
+/// ops. Then, for each (strategy, exec_threads) pair, it
 ///   1. runs the bulk delete once uninjected to learn the per-site
 ///      fault-occurrence counts (its end state must equal final[all]),
 ///   2. for every known site and a sample of its occurrences, re-runs the
@@ -40,8 +38,9 @@ Result<std::string> LogicalContentHash(Database* db,
 ///      (site, occurrence), simulates the crash, recovers, and
 ///   3. asserts the recovered state is final[acked], or final[acked + 1]
 ///      when one unacknowledged updater op was attempted, or — only when
-///      acked == 0 — one of the prefixes S0..S(L-1) (a leg whose delete list
-///      never became durable atomically never happened).
+///      acked == 0 — S0 (a statement whose opening never became durable
+///      never happened). A statement is all or nothing: for the cascade,
+///      any other state is a partially-applied forget.
 struct SweepConfig {
   // Workload shape. Small by default: the sweep multiplies every occurrence
   // by a full load + delete + recovery cycle.
@@ -65,12 +64,11 @@ struct SweepConfig {
 
   /// Sweep a multi-table CASCADE statement instead of the single-table
   /// workload: a deterministic USERS -> ORDERS -> EVENTS schema with
-  /// cascading FKs, deleting `delete_fraction` of the users. The cascade
-  /// executes as flattened per-table legs (EVENTS, then ORDERS, then the
-  /// USERS parent), each its own WAL statement, so the acceptable recovered
-  /// states are exactly the leg prefixes S0..S2 and the fully-forgotten
-  /// final state, each checked across all three tables. Ignores `predicate`
-  /// and requires `concurrency == kNone`.
+  /// cascading FKs, deleting `delete_fraction` of the users. The statement
+  /// runs its three tables as legs of one WAL envelope, so the acceptable
+  /// recovered states are S0 and the fully-forgotten final state, each
+  /// checked across all three tables. Ignores `predicate` and requires
+  /// `concurrency == kNone`.
   bool cascade = false;
 
   /// Durability backend under test: "sim" (in-memory pages + WAL image, the

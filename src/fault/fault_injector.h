@@ -51,18 +51,18 @@ inline constexpr char kLogSync[] = "log.sync";
 /// PhaseScheduler, immediately before dispatching a phase body (both the
 /// serial and the worker-pool path).
 inline constexpr char kSchedPhaseStart[] = "sched.phase_start";
-/// VerticalRun::CheckpointPhase, before the checkpoint's meta/pool flush.
+/// VerticalRun::Barrier (detail: the barrier's phase label), before the
+/// level's meta/pool flush.
 inline constexpr char kExecCheckpoint[] = "exec.checkpoint";
-/// VerticalRun::CheckpointPhase, after the pool flush but before the
-/// PhaseDone record is appended and synced — the window where the phase's
-/// page writes are durable but the phase is not yet marked done.
+/// VerticalRun::Barrier, after the pool flush and page-file fsync but before
+/// the level's PhaseDone records are appended and synced — the window where
+/// the passes' page writes are durable but they are not yet marked done.
 inline constexpr char kExecCheckpointPostFlush[] = "exec.checkpoint.post_flush";
 /// VerticalRun::CommitPoint, before the Commit record is appended.
 inline constexpr char kExecCommit[] = "exec.commit";
 /// VerticalRun::FinishRun entry — after every secondary phase completed but
-/// before the finalize flush. With exec_threads > 1 the secondaries'
-/// checkpoints are still deferred (volatile) here, so recovery must re-run
-/// them idempotently.
+/// before the finalize flush. The secondaries' PhaseDone records are still
+/// pending (volatile) here, so recovery must re-run them idempotently.
 inline constexpr char kExecFinalize[] = "exec.finalize";
 /// VerticalRun::FinishRun, after the deferred PhaseDone records are appended
 /// but before the End record is appended and synced.

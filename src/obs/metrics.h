@@ -39,9 +39,10 @@ inline constexpr char kSchedQueueDepth[] = "sched.queue_depth";
 inline constexpr char kLeafPagesReorganized[] = "leaf.pages_reorganized";
 /// Counter: phase bodies dispatched by the scheduler.
 inline constexpr char kSchedPhasesDispatched[] = "sched.phases_dispatched";
-/// Counter: phase-end checkpoints taken inline (durable at phase end).
+/// Counter: key-index and table passes whose PhaseDone a level barrier
+/// recorded.
 inline constexpr char kCkptInline[] = "ckpt.inline";
-/// Counter: phase-end checkpoints deferred to the finalize node.
+/// Counter: secondary-index passes, whose PhaseDone waits for finalize.
 inline constexpr char kCkptDeferred[] = "ckpt.deferred";
 /// Counter: LogManager::Sync calls.
 inline constexpr char kWalSyncs[] = "wal.syncs";

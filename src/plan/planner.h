@@ -44,6 +44,13 @@ class Planner {
   /// for the vertical plan.
   Result<BulkDeletePlan> Choose(const PlannerInput& input) const;
 
+  /// The cheapest vertical plan (per-index method mixing): kOptimizer's
+  /// choice for a table that is one leg of a multi-table statement, which
+  /// runs vertically by construction.
+  Result<BulkDeletePlan> ChooseVertical(const PlannerInput& input) const {
+    return MakeVertical(input, /*forced_method=*/-1);
+  }
+
  private:
   BulkDeletePlan MakeHorizontal(Strategy strategy,
                                 const PlannerInput& input) const;

@@ -500,6 +500,46 @@ TEST_F(BTreeTest, RecountFromScanRepairsMeta) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
+// A descent through a corrupt inner node reports kCorruption instead of
+// reading separators past the page or following a child of the wrong level.
+TEST_F(BTreeTest, DescentThroughCorruptInnerNodeIsCorruption) {
+  auto tree = *BTree::Create(&pool_);
+  for (int64_t k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(tree.Insert(k, Rid(1, static_cast<uint16_t>(k % 100))).ok());
+  }
+  ASSERT_GT(tree.height(), 1);
+  // Rewrites the root page in place through the pool.
+  auto with_root = [&](auto&& mutate) {
+    auto guard = pool_.FetchPage(tree.root());
+    ASSERT_TRUE(guard.ok());
+    mutate(guard->data());
+    guard->MarkDirty();
+  };
+  auto expect_corruption = [&](const char* what) {
+    auto rids = tree.Search(1000);
+    ASSERT_FALSE(rids.ok()) << what;
+    EXPECT_EQ(rids.status().code(), StatusCode::kCorruption)
+        << what << ": " << rids.status().ToString();
+    EXPECT_EQ(tree.Delete(1000, Rid(1, 0)).code(), StatusCode::kCorruption)
+        << what;
+  };
+
+  uint16_t count = 0;
+  with_root([&](char* page) {
+    count = BTreeNode(page).count();
+    BTreeNode(page).set_count(0xffff);
+  });
+  expect_corruption("separator count above the page capacity");
+
+  with_root([&](char* page) { BTreeNode(page).set_count(count); });
+  ASSERT_TRUE(tree.Search(1000).ok());
+
+  // The root claims one level more than its children are at (byte 0 of a
+  // node is its level).
+  with_root([&](char* page) { page[0] = static_cast<char>(page[0] + 1); });
+  expect_corruption("child one level short");
+}
+
 TEST_F(BTreeTest, LeafChainCoversAllLeaves) {
   auto tree = MakeSmallFanout();
   for (int64_t k = 0; k < 200; ++k) ASSERT_TRUE(tree.Insert(k, Rid(1, 0)).ok());

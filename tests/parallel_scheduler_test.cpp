@@ -18,6 +18,7 @@
 #include "core/database.h"
 #include "core/exec_context.h"
 #include "core/phase_scheduler.h"
+#include "fault/crash_sweep.h"
 #include "workload/generator.h"
 
 namespace bulkdel {
@@ -203,6 +204,82 @@ TEST(ParallelVerticalTest, SecondaryPhasesOverlapAtFourThreads) {
       << c->begin_micros << "," << c->end_micros << "]";
   EXPECT_NE(b->thread_id, c->thread_id)
       << "overlapping phases cannot share a thread";
+}
+
+struct CascadeRun {
+  BulkDeleteReport report;
+  std::vector<std::string> hashes;
+};
+
+/// Forgets every 3rd of 3000 users through USERS -> ORD (CASCADE), two
+/// orders per user, at `exec_threads`.
+CascadeRun RunCascade(int exec_threads,
+                      std::function<void(const std::string&)> hook = {}) {
+  DatabaseOptions options;
+  options.memory_budget_bytes = 16ull << 20;  // resident: identical I/O
+  options.exec_threads = exec_threads;
+  options.phase_begin_hook = std::move(hook);
+  auto db = *Database::Create(options);
+  Schema schema = *Schema::PaperStyle(3, 64);
+  for (const char* t : {"USERS", "ORD"}) {
+    EXPECT_TRUE(db->CreateTable(t, schema).ok());
+    EXPECT_TRUE(db->CreateIndex(t, "A", {.unique = true}).ok());
+  }
+  EXPECT_TRUE(db->CreateIndex("ORD", "B").ok());
+  for (int64_t u = 0; u < 3000; ++u) {
+    EXPECT_TRUE(db->InsertRow("USERS", {u, u * 3, u * 5}).ok());
+    EXPECT_TRUE(db->InsertRow("ORD", {2 * u, u, u * 7}).ok());
+    EXPECT_TRUE(db->InsertRow("ORD", {2 * u + 1, u, u * 11}).ok());
+  }
+  EXPECT_TRUE(
+      db->AddForeignKey("ORD", "B", "USERS", "A", FkAction::kCascade).ok());
+  BulkDeleteSpec bd;
+  bd.table = "USERS";
+  bd.key_column = "A";
+  for (int64_t u = 0; u < 3000; u += 3) bd.keys.push_back(u);
+  auto report = db->BulkDelete(bd, Strategy::kVerticalSortMerge);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  CascadeRun run;
+  if (report.ok()) run.report = *report;
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
+  for (const char* t : {"USERS", "ORD"}) {
+    run.hashes.push_back(*LogicalContentHash(db.get(), t));
+  }
+  return run;
+}
+
+TEST(ParallelVerticalTest, CascadeLegsRunConcurrentlyWithSerialResults) {
+  // The ORD leg and the USERS parent are independent legs of one statement,
+  // so their key-index passes share a level of the DAG. Rendezvous them as
+  // above: only a concurrent dispatch releases the barrier promptly.
+  std::atomic<int> key_passes_begun{0};
+  auto rendezvous = [&](const std::string& phase) {
+    if (phase != "index:USERS.A" && phase != "cascade:ORD/index:ORD.B") {
+      return;
+    }
+    ++key_passes_begun;
+    for (int spins = 0; key_passes_begun.load() < 2 && spins < 20000;
+         ++spins) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  CascadeRun parallel = RunCascade(4, rendezvous);
+  CascadeRun serial = RunCascade(1);
+  EXPECT_EQ(key_passes_begun.load(), 2);
+  const PhaseStats* users = FindPhase(parallel.report, "index:USERS.A");
+  const PhaseStats* ord = FindPhase(parallel.report, "cascade:ORD/index:ORD.B");
+  ASSERT_NE(users, nullptr);
+  ASSERT_NE(ord, nullptr);
+  EXPECT_TRUE(users->OverlapsInTime(*ord));
+  EXPECT_NE(users->thread_id, ord->thread_id);
+
+  EXPECT_EQ(parallel.hashes, serial.hashes);
+  EXPECT_EQ(parallel.report.rows_deleted, 1000u);
+  EXPECT_EQ(parallel.report.cascaded_rows, 2000u);
+  EXPECT_EQ(parallel.report.cascade_tables, serial.report.cascade_tables);
+  EXPECT_EQ(parallel.report.io.simulated_micros,
+            serial.report.io.simulated_micros);
+  EXPECT_EQ(parallel.report.phases.size(), serial.report.phases.size());
 }
 
 TEST(ParallelVerticalTest, SecondaryPortionWallTimeShrinksOnMultiCoreHosts) {

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
+#include <string>
 
 #include "core/database.h"
 #include "obs/slow_query_log.h"
@@ -170,19 +172,20 @@ TEST_F(SqlTest, DeleteCascadeSummaryLineAndPhases) {
       << *line;
 
   // Same statement class through ExecuteSql: the report's phase trace must
-  // carry the planning and per-leg cascade labels.
+  // carry the planning phase and every pass of the ORD leg, named
+  // cascade:<table>/<pass>, next to the parent's own passes.
   auto report = ExecuteSql(db.get(), "DELETE FROM USERS WHERE A IN (11, 12)",
                            Strategy::kVerticalSortMerge);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->rows_deleted, 2u);
   EXPECT_EQ(report->cascaded_rows, 4u);
-  bool saw_fk_plan = false, saw_cascade_leg = false;
-  for (const PhaseStats& phase : report->phases) {
-    if (phase.name == "fk-plan") saw_fk_plan = true;
-    if (phase.name == "cascade:ORD") saw_cascade_leg = true;
+  std::set<std::string> phases;
+  for (const PhaseStats& phase : report->phases) phases.insert(phase.name);
+  for (const char* name :
+       {"fk-plan", "cascade:ORD/index:ORD.B", "cascade:ORD/table",
+        "cascade:ORD/index:ORD.A", "index:USERS.A", "table", "finalize"}) {
+    EXPECT_EQ(phases.count(name), 1u) << name << "\n" << report->ToString();
   }
-  EXPECT_TRUE(saw_fk_plan) << report->ToString();
-  EXPECT_TRUE(saw_cascade_leg) << report->ToString();
   // A DELETE with nothing to cascade keeps the plain result line.
   auto plain = ExecuteStatement(db.get(), "DELETE FROM ORD WHERE A IN (40)");
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();

@@ -48,7 +48,7 @@ int Usage(const char* argv0) {
       "  --backend=sim|file   durability backend (default sim)\n"
       "  --predicate=keys|range   statement predicate class (default keys)\n"
       "  --cascade            sweep the multi-table cascade statement\n"
-      "                       (USERS->ORDERS->EVENTS; leg-prefix acceptance)\n"
+      "                       (USERS->ORDERS->EVENTS; S0-or-final acceptance)\n"
       "  --dir=PATH           scratch dir for --backend=file\n"
       "  --updater-ops=N      concurrent-updater DML ops per case (default 6)\n"
       "  --tuples=N --fraction=F --memory=BYTES   workload shape\n"
