@@ -18,7 +18,8 @@ enum class LogRecordType : uint8_t {
   kBegin,
   /// An intermediate delete list was materialized to stable scratch pages
   /// ("the results of the join variants should be materialized to stable
-  /// storage"). `label` names it ("input-keys", "rids", "feed:R.B", ...).
+  /// storage"). `label` names it after its leg's id ("R.A/input-keys",
+  /// "R.A/rids", "R.A/feed:R.B", ...; core/executors.h LegLabel).
   kListMaterialized,
   /// One index entry was removed by the bulk deleter (physiological redo
   /// info: phase label + key + RID). Appended while the leaf is pinned, so the
@@ -73,7 +74,7 @@ inline constexpr uint8_t kNumLogRecordTypes =
 struct LogRecord {
   LogRecordType type = LogRecordType::kBegin;
   uint64_t bd_id = 0;
-  std::string label;            ///< phase / list label, table name for kBegin
+  std::string label;            ///< leg label (LegLabel), table for kBegin
   std::string aux;              ///< key column for kBegin
   std::vector<PageId> pages;    ///< kListMaterialized: scratch pages
   uint64_t count = 0;           ///< kListMaterialized: item count
