@@ -161,8 +161,9 @@ Status BTree::WalkLeaves(const KeyRid& start, Visit&& visit) {
 // ---------------------------------------------------------------------------
 
 Status BTree::Insert(int64_t key, const Rid& rid, uint16_t flags) {
+  bool added = true;
   BULKDEL_ASSIGN_OR_RETURN(std::optional<Split> split,
-                           InsertRec(root_, key, rid, flags));
+                           InsertRec(root_, key, rid, flags, &added));
   if (split.has_value()) {
     // Grow the tree: new root above the old one.
     uint8_t old_level;
@@ -180,14 +181,15 @@ Status BTree::Insert(int64_t key, const Rid& rid, uint16_t flags) {
     root_ = new_root;
     ++height_;
   }
-  ++entry_count_;
+  if (added) ++entry_count_;
   return Status::OK();
 }
 
 Result<std::optional<BTree::Split>> BTree::InsertRec(PageId node_page,
                                                      int64_t key,
                                                      const Rid& rid,
-                                                     uint16_t flags) {
+                                                     uint16_t flags,
+                                                     bool* added) {
   KeyRid probe(key, rid);
   BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(node_page));
   BTreeNode node(guard.data());
@@ -196,6 +198,13 @@ Result<std::optional<BTree::Split>> BTree::InsertRec(PageId node_page,
     // Reject duplicates: exact composite always, same key if unique.
     uint16_t pos = node.LeafLowerBound(probe);
     if (pos < node.count() && node.LeafEntryAt(pos) == probe) {
+      if (flags & BTreeNode::kEntryUndeletable) {
+        node.SetLeafFlags(pos,
+                          static_cast<uint16_t>(node.LeafFlags(pos) | flags));
+        guard.MarkDirty();
+        *added = false;
+        return std::optional<Split>();
+      }
       return Status::AlreadyExists("entry (" + std::to_string(key) + ", " +
                                    rid.ToString() + ") already indexed");
     }
@@ -253,7 +262,7 @@ Result<std::optional<BTree::Split>> BTree::InsertRec(PageId node_page,
   guard.Release();  // keep pin depth bounded during recursion
 
   BULKDEL_ASSIGN_OR_RETURN(std::optional<Split> child_split,
-                           InsertRec(child, key, rid, flags));
+                           InsertRec(child, key, rid, flags, added));
   if (!child_split.has_value()) return std::optional<Split>();
 
   BULKDEL_ASSIGN_OR_RETURN(PageGuard reguard, pool_->FetchPage(node_page));

@@ -110,7 +110,10 @@ class BTree {
 
   /// Inserts (key, rid). `flags` may carry kEntryUndeletable. Fails with
   /// AlreadyExists on duplicate key for unique indices, or on an exactly
-  /// duplicated (key, rid) pair otherwise.
+  /// duplicated (key, rid) pair otherwise, except that an undeletable insert
+  /// of a present (key, rid) marks that entry undeletable instead: it is the
+  /// stale entry of a deleted row whose freed slot the new row reuses, and
+  /// the pending bulk pass must keep it for the new row (§3.1.2).
   Status Insert(int64_t key, const Rid& rid, uint16_t flags = 0);
 
   /// Traditional root-to-leaf delete of the exact entry (key, rid).
@@ -250,8 +253,10 @@ class BTree {
   /// Root-to-leaf descent by composite probe; returns the leaf page id.
   Result<PageId> DescendToLeaf(const KeyRid& probe);
 
+  /// Clears `*added` when it marks an existing entry instead of adding one.
   Result<std::optional<Split>> InsertRec(PageId node_page, int64_t key,
-                                         const Rid& rid, uint16_t flags);
+                                         const Rid& rid, uint16_t flags,
+                                         bool* added);
   Status SplitLeaf(PageGuard& leaf_guard, Split* split);
   Status SplitInner(PageGuard& inner_guard, Split* split);
 

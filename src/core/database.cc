@@ -43,10 +43,8 @@ Status Database::WireStorage(bool truncate) {
     log_ = std::make_unique<LogManager>();
   }
   log_->SetGroupCommit(options_.wal_group_commit);
-  BufferPoolOptions pool_options;
-  pool_options.budget_bytes = options_.memory_budget_bytes;
-  pool_options.coalesce_writebacks = options_.coalesce_writebacks;
-  pool_ = std::make_unique<BufferPool>(disk_.get(), pool_options);
+  pool_ = std::make_unique<BufferPool>(disk_.get(),
+                                      options_.memory_budget_bytes);
   catalog_ = std::make_unique<Catalog>(pool_.get());
   locks_ = std::make_unique<LockManager>();
   if (options_.fault_injector != nullptr) {

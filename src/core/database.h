@@ -63,10 +63,6 @@ struct DatabaseOptions {
   /// sequentiality per phase, so simulated I/O stays identical while the
   /// overlapping phases evict nothing (docs/BUFFERPOOL.md).
   int exec_threads = 1;
-  /// Batch adjacent dirty eviction victims into one sequential write run.
-  /// This changes the simulated write classification (random eviction writes
-  /// become sequential), so it is off by default.
-  bool coalesce_writebacks = false;
   /// Record spans and instants into the process-wide obs::TraceRecorder
   /// (phase begin/end, pool fetch/evict/flush, WAL sync,
   /// checkpoints) for --perfetto-out export. Also unlocks the clock-reading

@@ -44,10 +44,10 @@ void PageGuard::Release() {
   page_id_ = kInvalidPageId;
 }
 
-BufferPool::BufferPool(DiskManager* disk, BufferPoolOptions options)
+BufferPool::BufferPool(DiskManager* disk, size_t budget_bytes)
     : disk_(disk),
-      options_(options),
-      total_frames_(std::max<size_t>(options.budget_bytes / kPageSize, 4)),
+      budget_bytes_(budget_bytes),
+      total_frames_(std::max<size_t>(budget_bytes / kPageSize, 4)),
       frames_(total_frames_) {
   free_frames_.reserve(total_frames_);
   for (size_t i = total_frames_; i-- > 0;) free_frames_.push_back(i);
@@ -64,7 +64,7 @@ Result<PageGuard> BufferPool::NewPage() {
   frame.in_use = true;
   if (!frame.data) frame.data = std::make_unique<char[]>(kPageSize);
   std::memset(frame.data.get(), 0, kPageSize);
-  page_table_[page_id] = f;
+  MapPageLocked(page_id, f);
   return PageGuard(this, f, page_id, frame.data.get());
 }
 
@@ -85,17 +85,16 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
                               static_cast<int64_t>(page_id));
     }
   }
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
+  if (size_t hit = FrameOfLocked(page_id); hit != kNoFrame) {
     ++stats_.hits;
-    Frame& frame = frames_[it->second];
+    Frame& frame = frames_[hit];
     if (frame.pin_count == 0 && frame.in_lru) {
       lru_.erase(frame.lru_it);
       frame.in_lru = false;
     }
     ++frame.pin_count;
     if (timed) fetch_ns_hist_->Observe(MonotonicNanos() - t0);
-    return PageGuard(this, it->second, page_id, frame.data.get());
+    return PageGuard(this, hit, page_id, frame.data.get());
   }
   ++stats_.misses;
   if (recorder.enabled()) {
@@ -114,7 +113,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   frame.pin_count = 1;
   frame.dirty = false;
   frame.in_use = true;
-  page_table_[page_id] = f;
+  MapPageLocked(page_id, f);
   if (timed) fetch_ns_hist_->Observe(MonotonicNanos() - t0);
   return PageGuard(this, f, page_id, frame.data.get());
 }
@@ -122,9 +121,8 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
 Status BufferPool::DeletePage(PageId page_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = page_table_.find(page_id);
-    if (it != page_table_.end()) {
-      Frame& frame = frames_[it->second];
+    if (size_t f = FrameOfLocked(page_id); f != kNoFrame) {
+      Frame& frame = frames_[f];
       if (frame.pin_count > 0) {
         return Status::FailedPrecondition("DeletePage on pinned page " +
                                           std::to_string(page_id));
@@ -135,8 +133,8 @@ Status BufferPool::DeletePage(PageId page_id) {
       }
       frame.in_use = false;
       frame.dirty = false;
-      free_frames_.push_back(it->second);
-      page_table_.erase(it);
+      free_frames_.push_back(f);
+      page_table_[page_id] = kNoFrame;
     }
   }
   return disk_->FreePage(page_id);
@@ -162,25 +160,26 @@ Status BufferPool::FlushAllLocked() {
   if (wal_appended_seq_ != nullptr) {
     ForceLogLocked(wal_appended_seq_->load(std::memory_order_acquire));
   }
-  // Write maximal adjacent-page-id runs with one WriteRun each: per-page
-  // charges and fault checks are identical to page-at-a-time writes, but the
-  // disk mutex is taken once per run.
-  size_t i = 0;
-  while (i < dirty.size()) {
-    size_t j = i + 1;
-    while (j < dirty.size() && dirty[j].first == dirty[j - 1].first + 1) ++j;
-    std::vector<const char*> datas;
-    datas.reserve(j - i);
-    for (size_t k = i; k < j; ++k) {
-      datas.push_back(frames_[dirty[k].second].data.get());
-    }
-    BULKDEL_RETURN_IF_ERROR(disk_->WriteRun(dirty[i].first, datas));
-    for (size_t k = i; k < j; ++k) {
-      frames_[dirty[k].second].dirty = false;
-      ++stats_.dirty_writebacks;
-    }
-    i = j;
+  // Write maximal adjacent-page-id runs with one WriteRun each.
+  for (size_t i = 0; i < dirty.size();) {
+    run_.clear();
+    do {
+      run_.push_back(dirty[i++].second);
+    } while (i < dirty.size() && dirty[i].first == dirty[i - 1].first + 1);
+    BULKDEL_RETURN_IF_ERROR(WriteRunLocked());
   }
+  return Status::OK();
+}
+
+Status BufferPool::WriteRunLocked() {
+  // Per-page charges and fault checks are identical to page-at-a-time
+  // writes, but the disk mutex is taken once per run.
+  run_datas_.clear();
+  for (size_t f : run_) run_datas_.push_back(frames_[f].data.get());
+  BULKDEL_RETURN_IF_ERROR(
+      disk_->WriteRun(frames_[run_.front()].page_id, run_datas_));
+  for (size_t f : run_) frames_[f].dirty = false;
+  stats_.dirty_writebacks += static_cast<int64_t>(run_.size());
   return Status::OK();
 }
 
@@ -207,7 +206,7 @@ Status BufferPool::Reset() {
       frame.in_lru = false;
     }
     frame.in_use = false;
-    page_table_.erase(frame.page_id);
+    page_table_[frame.page_id] = kNoFrame;
     free_frames_.push_back(i);
   }
   return Status::OK();
@@ -225,6 +224,11 @@ void BufferPool::DiscardAllForCrashTest() {
   // A restarted process has cold counters; carrying pre-crash hit/miss
   // numbers into recovery double-counts the crash-sweep's per-run I/O.
   stats_ = BufferPoolStats();
+}
+
+void BufferPool::MapPageLocked(PageId page_id, size_t frame) {
+  if (page_id >= page_table_.size()) page_table_.resize(page_id + 1, kNoFrame);
+  page_table_[page_id] = frame;
 }
 
 void BufferPool::SetWalRule(const std::atomic<uint64_t>* appended_seq,
@@ -320,51 +324,32 @@ Result<size_t> BufferPool::AcquireFrameLocked() {
       BULKDEL_RETURN_IF_ERROR(injector_->Check(
           fault_sites::kPoolEvict, "page " + std::to_string(frame.page_id)));
     }
-    if (options_.coalesce_writebacks) {
-      // Batch the victim with resident dirty unpinned neighbors that form a
-      // contiguous page-id run: one sequential write replaces several random
-      // ones. Neighbors stay resident, merely cleaned. This changes the
-      // simulated write classification, which is why the knob defaults off.
-      uint64_t run_seq = frame.wal_seq;
-      PageId first = frame.page_id;
-      while (true) {
-        auto it = page_table_.find(first - 1);
-        if (first == 0 || it == page_table_.end()) break;
-        Frame& left = frames_[it->second];
-        if (!left.dirty || left.pin_count > 0) break;
-        run_seq = std::max(run_seq, left.wal_seq);
-        first = first - 1;
-      }
-      PageId last = frame.page_id;
-      while (true) {
-        auto it = page_table_.find(last + 1);
-        if (it == page_table_.end()) break;
-        Frame& right = frames_[it->second];
-        if (!right.dirty || right.pin_count > 0) break;
-        run_seq = std::max(run_seq, right.wal_seq);
-        last = last + 1;
-      }
-      ForceLogLocked(run_seq);
-      std::vector<const char*> datas;
-      datas.reserve(last - first + 1);
-      for (PageId p = first; p <= last; ++p) {
-        datas.push_back(frames_[page_table_.find(p)->second].data.get());
-      }
-      BULKDEL_RETURN_IF_ERROR(disk_->WriteRun(first, datas));
-      for (PageId p = first; p <= last; ++p) {
-        frames_[page_table_.find(p)->second].dirty = false;
-        ++stats_.dirty_writebacks;
-      }
-      stats_.coalesced_writebacks += static_cast<int64_t>(last - first);
-    } else {
-      ForceLogLocked(frame.wal_seq);
-      BULKDEL_RETURN_IF_ERROR(
-          disk_->WritePage(frame.page_id, frame.data.get()));
-      ++stats_.dirty_writebacks;
-      frame.dirty = false;
+    // The victim's run: its resident, dirty, unpinned neighbors of adjacent
+    // page ids, found in one scan outward from the victim. One sequential
+    // write replaces several random ones; the neighbors stay resident,
+    // merely cleaned. The run stops at a neighbor stamped later than the
+    // victim, so it never forces the log further than the victim alone.
+    const uint64_t stamp = frame.wal_seq;
+    size_t f = 0;
+    auto joins = [&](PageId p) {
+      f = FrameOfLocked(p);
+      if (f == kNoFrame) return false;
+      const Frame& neighbor = frames_[f];
+      return neighbor.dirty && neighbor.pin_count == 0 &&
+             neighbor.wal_seq <= stamp;
+    };
+    run_.clear();
+    for (PageId p = frame.page_id; p > 0 && joins(p - 1); --p) {
+      run_.push_back(f);
     }
+    std::reverse(run_.begin(), run_.end());
+    run_.push_back(victim);
+    for (PageId p = frame.page_id; joins(p + 1); ++p) run_.push_back(f);
+    ForceLogLocked(stamp);
+    BULKDEL_RETURN_IF_ERROR(WriteRunLocked());
+    stats_.coalesced_writebacks += static_cast<int64_t>(run_.size() - 1);
   }
-  page_table_.erase(frame.page_id);
+  page_table_[frame.page_id] = kNoFrame;
   frame.in_use = false;
   ++stats_.evictions;
   return victim;

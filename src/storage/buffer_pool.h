@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/disk_manager.h"
@@ -63,8 +62,8 @@ struct BufferPoolStats {
   int64_t misses = 0;
   int64_t evictions = 0;
   int64_t dirty_writebacks = 0;
-  /// Extra dirty neighbors written as part of a coalesced eviction run
-  /// (beyond the victim itself). Zero unless coalesce_writebacks is on.
+  /// Extra dirty neighbors written as part of an eviction's write-back run
+  /// (beyond the victim itself).
   int64_t coalesced_writebacks = 0;
 
   BufferPoolStats operator-(const BufferPoolStats& o) const {
@@ -78,22 +77,14 @@ struct BufferPoolStats {
   }
 };
 
-/// Construction knobs.
-struct BufferPoolOptions {
-  size_t budget_bytes = 0;
-  /// Batch dirty eviction victims with adjacent-page-id dirty neighbors into
-  /// one sequential WriteRun. This genuinely changes the simulated write
-  /// classification (random evictions become sequential runs), so it is OFF
-  /// by default.
-  bool coalesce_writebacks = false;
-};
-
 /// Fixed-budget LRU buffer pool over a DiskManager.
 ///
 /// The byte budget models the experiment's "available main memory": the
 /// paper varies it between 2 and 10 MB (Fig. 9). The pool never holds more
 /// than budget/kPageSize frames; every miss beyond that evicts the
-/// least-recently-used unpinned frame, writing it back if dirty.
+/// least-recently-used unpinned frame. A dirty victim is written back
+/// together with its resident, dirty, unpinned neighbors of adjacent page
+/// ids, as one sequential run (a run of one is a single-page write).
 ///
 /// One frame array, page table, free list, LRU list and stats block, all
 /// guarded by one mutex, so the eviction order is a function of the
@@ -104,9 +95,7 @@ struct BufferPoolOptions {
 /// access to the same page with higher-level latches.
 class BufferPool {
  public:
-  BufferPool(DiskManager* disk, size_t budget_bytes)
-      : BufferPool(disk, BufferPoolOptions{budget_bytes, false}) {}
-  BufferPool(DiskManager* disk, BufferPoolOptions options);
+  BufferPool(DiskManager* disk, size_t budget_bytes);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -143,11 +132,13 @@ class BufferPool {
   /// changes they describe. `appended_seq` is the log's count of appended
   /// records; every dirty frame is stamped with its value when unpinned, so
   /// callers must append a page change's record before unpinning the page.
-  /// Before a dirty eviction victim (or coalesced run) is written back,
-  /// `sync_to(stamp)` must make every record through that stamp durable and
-  /// return whether it had to flush the log to do so (counted by
-  /// bp.wal_forced_writebacks). FlushAll passes the whole appended tail
-  /// instead, since it may write pinned frames whose stamp is not final.
+  /// Before a dirty eviction victim's run is written back, `sync_to(stamp)`
+  /// must make every record through the victim's stamp durable and return
+  /// whether it had to flush the log to do so (counted by
+  /// bp.wal_forced_writebacks). A run never takes a neighbor stamped later
+  /// than its victim, so it forces the log no further than the victim
+  /// alone. FlushAll passes the whole appended tail instead, since it may
+  /// write pinned frames whose stamp is not final.
   /// `sync_to` runs with the pool mutex held and must not call back into
   /// the pool. With no rule installed, unpin and write-back do no log work
   /// at all.
@@ -169,7 +160,7 @@ class BufferPool {
   size_t capacity_frames() const { return total_frames_; }
   /// The configured byte budget (not rounded down to whole frames): what the
   /// Fig. 9 memory sweep labels report.
-  size_t budget_bytes() const { return options_.budget_bytes; }
+  size_t budget_bytes() const { return budget_bytes_; }
   BufferPoolStats stats() const;
   void ResetStats();
   DiskManager* disk() { return disk_; }
@@ -194,27 +185,45 @@ class BufferPool {
   void MarkDirtyFrame(size_t frame, PageId page_id);
 
   /// Finds a frame to host a new page: a never-used frame or the LRU victim.
-  /// Called with mu_ held. Writes back the victim if dirty (coalescing
-  /// adjacent dirty neighbors when enabled).
+  /// Called with mu_ held. Writes back a dirty victim with its run.
   Result<size_t> AcquireFrameLocked();
 
   /// The page-id-ordered dirty sweep; mu_ must be held.
   Status FlushAllLocked();
 
+  /// Writes the dirty frames in `run_` (adjacent page ids, ascending) with
+  /// one WriteRun and marks them clean. mu_ must be held.
+  Status WriteRunLocked();
+
   /// Forces the log through `seq` before a write-back (the WAL rule).
   /// Called with mu_ held; no-op without a rule.
   void ForceLogLocked(uint64_t seq);
 
+  /// The frame holding `page_id`, or kNoFrame; mu_ must be held.
+  size_t FrameOfLocked(PageId page_id) const {
+    return page_id < page_table_.size() ? page_table_[page_id] : kNoFrame;
+  }
+  void MapPageLocked(PageId page_id, size_t frame);
+
+  static constexpr size_t kNoFrame = SIZE_MAX;
+
   DiskManager* disk_;
-  const BufferPoolOptions options_;
+  const size_t budget_bytes_;
   const size_t total_frames_;
 
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
   std::vector<size_t> free_frames_;
-  std::unordered_map<PageId, size_t> page_table_;
+  /// Page id -> frame index (kNoFrame if not resident). Page ids are dense
+  /// offsets into the page file, so the table is indexed by page id and
+  /// every probe, a fetch's or an eviction run's neighbor scan, is one read.
+  std::vector<size_t> page_table_;
   std::list<size_t> lru_;  // front = most recent, back = victim candidate
   BufferPoolStats stats_;
+  /// The run WriteRunLocked writes, and its page images; reused across
+  /// write-backs.
+  std::vector<size_t> run_;
+  std::vector<const char*> run_datas_;
 
   /// The WAL rule (SetWalRule), written and read under mu_.
   const std::atomic<uint64_t>* wal_appended_seq_ = nullptr;

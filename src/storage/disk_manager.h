@@ -180,7 +180,7 @@ class DiskManager {
   /// equivalent sequence of WritePage calls exactly (a torn/short fault still
   /// mangles only the page it fires on and fails there). With the file
   /// backing, the verified pages go out as one pwritev(2) vectored write.
-  /// Used by the buffer pool's coalesced write-behind and checkpoint sweeps.
+  /// Every buffer-pool write-back (eviction run or checkpoint sweep) uses it.
   Status WriteRun(PageId first, const std::vector<const char*>& datas);
 
   /// Durability barrier: forces every written page to the medium (fsync(2)

@@ -1,9 +1,8 @@
 // Multi-threaded buffer-pool stress (pin/unpin/dirty/evict from several
 // threads; the tier-1 build runs it under ASan/UBSan, the tsan job under
 // TSan), plus the I/O-identity acceptance test: simulated DiskStats totals
-// must be unchanged by the executor's thread count, and coalesced
-// write-behind must batch adjacent dirty evictions when (and only when)
-// enabled.
+// must be unchanged by the executor's thread count, and a dirty eviction
+// must write its adjacent dirty neighbors in the same run.
 
 #include <gtest/gtest.h>
 
@@ -124,44 +123,50 @@ TEST(BufferPoolStressTest, ConcurrentMissesOnSharedPages) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalesced write-behind
+// Write-back runs
 // ---------------------------------------------------------------------------
 
 TEST(BufferPoolStressTest, CoalescedWritebackBatchesAdjacentDirtyEvictions) {
-  for (bool coalesce : {false, true}) {
-    DiskManager disk;
-    BufferPoolOptions options;
-    options.budget_bytes = 16 * kPageSize;
-    options.coalesce_writebacks = coalesce;
-    BufferPool pool(&disk, options);
+  DiskManager disk;
+  BufferPool pool(&disk, 16 * kPageSize);
 
-    // Fill the pool with 16 adjacent dirty pages, then fault in fresh ones:
-    // each eviction finds a run of dirty neighbors.
-    std::vector<PageId> first_wave;
-    for (int i = 0; i < 16; ++i) {
-      auto guard = pool.NewPage();
-      ASSERT_TRUE(guard.ok());
-      guard->data()[0] = static_cast<char>(i);
-      guard->MarkDirty();
-      first_wave.push_back(guard->page_id());
-    }
-    for (int i = 0; i < 16; ++i) {
-      auto guard = pool.NewPage();
-      ASSERT_TRUE(guard.ok());
-      guard->MarkDirty();
-    }
-    BufferPoolStats stats = pool.stats();
-    if (coalesce) {
-      EXPECT_GT(stats.coalesced_writebacks, 0);
-    } else {
-      EXPECT_EQ(stats.coalesced_writebacks, 0);
-    }
-    // Either way every first-wave page must read back intact.
-    for (int i = 0; i < 16; ++i) {
-      auto guard = pool.FetchPage(first_wave[i]);
-      ASSERT_TRUE(guard.ok());
-      EXPECT_EQ(guard->data()[0], static_cast<char>(i));
-    }
+  // Fill the pool with 16 adjacent dirty pages, then fault in fresh ones.
+  std::vector<PageId> first_wave;
+  for (int i = 0; i < 16; ++i) {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    guard->data()[0] = static_cast<char>(i);
+    guard->MarkDirty();
+    first_wave.push_back(guard->page_id());
+  }
+  const int64_t writes = disk.stats().writes;
+  {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    guard->MarkDirty();
+  }
+  // The first eviction writes its victim and all 15 dirty neighbors in one
+  // run; they stay resident, clean.
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.dirty_writebacks, 16);
+  EXPECT_EQ(stats.coalesced_writebacks, 15);
+  EXPECT_EQ(disk.stats().writes, writes + 16);
+  // So the next 15 evictions find clean victims and write nothing.
+  for (int i = 1; i < 16; ++i) {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    guard->MarkDirty();
+  }
+  stats = pool.stats();
+  EXPECT_EQ(stats.evictions, 16);
+  EXPECT_EQ(stats.dirty_writebacks, 16);
+  EXPECT_EQ(stats.coalesced_writebacks, 15);
+  // Every first-wave page reads back intact.
+  for (int i = 0; i < 16; ++i) {
+    auto guard = pool.FetchPage(first_wave[i]);
+    ASSERT_TRUE(guard.ok());
+    EXPECT_EQ(guard->data()[0], static_cast<char>(i));
   }
 }
 
@@ -175,11 +180,10 @@ struct IdentityRun {
 };
 
 IdentityRun RunWorkload(int exec_threads, Strategy strategy,
-                        size_t memory_budget, bool coalesce_writebacks) {
+                        size_t memory_budget) {
   DatabaseOptions options;
   options.memory_budget_bytes = memory_budget;
   options.exec_threads = exec_threads;
-  options.coalesce_writebacks = coalesce_writebacks;
   auto db = *Database::Create(options);
 
   WorkloadSpec spec;
@@ -242,26 +246,26 @@ void ExpectPhaseIoIdentical(const PhaseStats& p, const PhaseStats& q,
 
 // While concurrent phases evict only pages the earlier phases left, which
 // pages are read and evicted is a function of the statement's page-access
-// sequence through the one LRU. So is which are written back, unless a
-// coalesced run cleans a page a concurrent phase then dirties again.
-void ExpectPageCountsIdentical(const IdentityRun& a, const IdentityRun& b,
-                               const std::string& label, bool writes) {
+// sequence through the one LRU. Which are written back is not: a write-back
+// run cleans the victim's dirty neighbors, and a concurrent phase may dirty
+// one of them again before or after the run.
+void ExpectReadsIdentical(const IdentityRun& a, const IdentityRun& b,
+                          const std::string& label) {
   EXPECT_EQ(a.report.io.reads, b.report.io.reads) << label;
   EXPECT_EQ(a.report.pool.misses, b.report.pool.misses) << label;
   EXPECT_EQ(a.report.pool.evictions, b.report.pool.evictions) << label;
   EXPECT_EQ(a.disk_total.reads, b.disk_total.reads) << label;
-  if (!writes) return;
-  EXPECT_EQ(a.report.io.writes, b.report.io.writes) << label;
-  EXPECT_EQ(a.report.pool.dirty_writebacks, b.report.pool.dirty_writebacks)
-      << label;
-  EXPECT_EQ(a.disk_total.writes, b.disk_total.writes) << label;
 }
 
 // Full identity: every charge of the statement, of each phase and of the
 // whole disk.
 void ExpectIoIdentical(const IdentityRun& a, const IdentityRun& b,
                        const std::string& label) {
-  ExpectPageCountsIdentical(a, b, label, /*writes=*/true);
+  ExpectReadsIdentical(a, b, label);
+  EXPECT_EQ(a.report.io.writes, b.report.io.writes) << label;
+  EXPECT_EQ(a.report.pool.dirty_writebacks, b.report.pool.dirty_writebacks)
+      << label;
+  EXPECT_EQ(a.disk_total.writes, b.disk_total.writes) << label;
   EXPECT_EQ(a.report.io.sequential_accesses, b.report.io.sequential_accesses)
       << label;
   EXPECT_EQ(a.report.io.random_accesses, b.report.io.random_accesses) << label;
@@ -293,16 +297,15 @@ constexpr size_t kEvictingBudget = 2ull << 20;
 const char* const kVerticalSerialPhases[] = {"sort-keys", "index:R.A",
                                              "table"};
 
-void ExpectThreadCountIdentity(size_t budget, bool coalesce_writebacks) {
+void ExpectThreadCountIdentity(size_t budget) {
   for (Strategy strategy : {Strategy::kVerticalSortMerge,
                             Strategy::kTraditionalSorted,
                             Strategy::kDropCreate}) {
     const std::string label = std::string(StrategyName(strategy)) +
                               ", budget " + std::to_string(budget) +
-                              (coalesce_writebacks ? ", coalesced" : "") +
                               ": threads 1 vs 4";
-    IdentityRun one = RunWorkload(1, strategy, budget, coalesce_writebacks);
-    IdentityRun four = RunWorkload(4, strategy, budget, coalesce_writebacks);
+    IdentityRun one = RunWorkload(1, strategy, budget);
+    IdentityRun four = RunWorkload(4, strategy, budget);
     EXPECT_GT(one.report.pool.hits, 0) << label;
     const bool evicts = one.report.pool.evictions > 0;
     EXPECT_EQ(evicts, budget == kEvictingBudget) << label;
@@ -312,10 +315,9 @@ void ExpectThreadCountIdentity(size_t budget, bool coalesce_writebacks) {
     }
     // Concurrent phases that evict: the victims are the same pages, but
     // which phase pays a dirty write-back (and so whether the write counts
-    // as sequential or random against that phase's disk head, or which
-    // dirty neighbors a coalesced run picks up) depends on the schedule.
-    ExpectPageCountsIdentical(one, four, label,
-                              /*writes=*/!coalesce_writebacks);
+    // as sequential or random against that phase's disk head), and which
+    // dirty neighbors its run picks up, depend on the schedule.
+    ExpectReadsIdentical(one, four, label);
     for (const char* name : kVerticalSerialPhases) {
       const PhaseStats* p = FindPhase(one.report, name);
       const PhaseStats* q = FindPhase(four.report, name);
@@ -327,15 +329,11 @@ void ExpectThreadCountIdentity(size_t budget, bool coalesce_writebacks) {
 }
 
 TEST(IoIdentityTest, ThreadCountDoesNotChangeSimulatedIoWhenResident) {
-  ExpectThreadCountIdentity(kResidentBudget, /*coalesce_writebacks=*/false);
+  ExpectThreadCountIdentity(kResidentBudget);
 }
 
 TEST(IoIdentityTest, ThreadCountDoesNotChangeSimulatedIoWhenEvicting) {
-  ExpectThreadCountIdentity(kEvictingBudget, /*coalesce_writebacks=*/false);
-}
-
-TEST(IoIdentityTest, ThreadCountDoesNotChangeCoalescedIo) {
-  ExpectThreadCountIdentity(kEvictingBudget, /*coalesce_writebacks=*/true);
+  ExpectThreadCountIdentity(kEvictingBudget);
 }
 
 // ---------------------------------------------------------------------------

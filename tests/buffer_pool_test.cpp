@@ -324,7 +324,7 @@ TEST_F(BufferPoolTest, ReleaseThenDestructorDoesNotDoubleUnpin) {
   EXPECT_TRUE(pool_.DeletePage(shared).ok());
 }
 
-TEST(BufferPoolOptionsTest, BudgetBytesReportsConfiguredValue) {
+TEST(BufferPoolBudgetTest, BudgetBytesReportsConfiguredValue) {
   DiskManager disk;
   // A budget that is not a whole number of frames: budget_bytes() must
   // report the configured value, while the frame math still rounds down
@@ -500,6 +500,31 @@ TEST_F(BufferPoolWalRuleTest, UnsyncedStampForcesExactlyOneCoveringSync) {
   EXPECT_GE(durable_, 3u);
   EXPECT_EQ(writes_at_force_[0], writes) << "page written before its record";
   EXPECT_EQ(ForcedCounter(), 1);
+}
+
+TEST_F(BufferPoolWalRuleTest, RunStopsAtANeighborStampedAfterTheVictim) {
+  DirtyLoggedPage();  // stamped 1: the LRU victim
+  DirtyLoggedPage();  // stamped 2, its adjacent neighbor
+  DirtyLoggedPage();  // stamped 3
+  durable_ = 1;       // only the victim's record is durable
+  const int64_t writes = disk_.stats().writes;
+  // The first filler takes the free frame, the second evicts the victim.
+  ASSERT_TRUE(pool_.FetchPage(filler_[0]).ok());
+  ASSERT_TRUE(pool_.FetchPage(filler_[1]).ok());
+  EXPECT_EQ(pool_.stats().evictions, 1);
+  // Taking the neighbors into the run would force the log to stamp 3; the
+  // victim alone needs no sync, so it is written alone.
+  EXPECT_TRUE(forced_.empty()) << "forced to " << forced_.front();
+  EXPECT_EQ(ForcedCounter(), 0);
+  EXPECT_EQ(pool_.stats().dirty_writebacks, 1);
+  EXPECT_EQ(pool_.stats().coalesced_writebacks, 0);
+  EXPECT_EQ(disk_.stats().writes, writes + 1);
+  const PageId victim = filler_.back() + 1;
+  std::vector<char> page(kPageSize);
+  for (PageId p : {victim, victim + 1, victim + 2}) {
+    ASSERT_TRUE(disk_.ReadPage(p, page.data()).ok());
+    EXPECT_EQ(page[0], p == victim ? 'w' : '\0') << "page " << p;
+  }
 }
 
 TEST_F(BufferPoolWalRuleTest, FlushAllSyncsTheWholeTail) {

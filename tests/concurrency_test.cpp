@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -200,6 +201,51 @@ TEST_P(ConcurrencyTest, ReadersBlockedUntilCommitPoint) {
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(reader_failed);
   ASSERT_TRUE(db->VerifyIntegrity().ok());
+}
+
+// An updater insert that lands, after commit, in the heap slot a deleted
+// row freed, with that row's B, while the pass over index R.B has not run:
+// the row's old (B, RID) entry is still in the off-line index, and the
+// insert must leave exactly one entry for the new row.
+TEST_P(ConcurrencyTest, InsertReusingAFreedSlotWithTheSameKeyKeepsItsEntry) {
+  DatabaseOptions options;
+  options.memory_budget_bytes = 256 * 1024;
+  options.concurrency = GetParam().protocol;
+  Database* raw = nullptr;
+  Rid inserted;
+  options.phase_begin_hook = [&](const std::string& phase) {
+    if (phase != "index:R.B") return;
+    auto rid = raw->InsertRow("R", {100, 0});
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    inserted = *rid;
+  };
+  auto db = *Database::Create(options);
+  raw = db.get();
+  ASSERT_TRUE(db->CreateTable("R", *Schema::PaperStyle(2, 64)).ok());
+  ASSERT_TRUE(db->CreateIndex("R", "A", {.unique = true}).ok());
+  ASSERT_TRUE(db->CreateIndex("R", "B").ok());
+  for (int64_t a = 0; a < 20; ++a) {
+    ASSERT_TRUE(db->InsertRow("R", {a, 0}).ok());
+  }
+  auto doomed = db->GetIndex("R", "A")->tree->Search(7);
+  ASSERT_TRUE(doomed.ok());
+  ASSERT_EQ(doomed->size(), 1u);
+
+  BulkDeleteSpec bd;
+  bd.table = "R";
+  bd.key_column = "A";
+  bd.keys = {7};
+  auto report = db->BulkDelete(bd, Strategy::kVerticalSortMerge);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(inserted.valid()) << "the hook never ran";
+  EXPECT_EQ(inserted, doomed->front()) << "the insert did not reuse the slot";
+  EXPECT_EQ(db->GetTable("R")->table->tuple_count(), 20u);
+  auto entries = db->GetIndex("R", "B")->tree->Search(0);
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 20u);
+  EXPECT_EQ(std::count(entries->begin(), entries->end(), inserted), 1);
+  Status integrity = db->VerifyIntegrity();
+  EXPECT_TRUE(integrity.ok()) << integrity.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -495,13 +495,18 @@ TEST(ConstraintsCrashTest, CascadeThroughTwoColumnsRecoversToS0OrFinal) {
 // that last pass: an order inserted when it starts reuses a slot the pass
 // is about to clear, with the same buyer. An on-line index would take the
 // insert directly while the slot's old entry is still in it, and refuse it
-// as a duplicate; the side-file applies it after the pass. Customers 0..9;
-// every order's buyer is 0, orders 0..9 are sold by 5, orders 10..19 by 6;
-// forgetting customer 5 dooms orders 0..9 through their seller only.
-TEST(ConstraintsConcurrencyTest, SharedIndexStaysOfflineUntilItsLastPass) {
+// as a duplicate. The side-file applies it after the pass; direct
+// propagation marks the slot's old entry undeletable, so the pass keeps it
+// for the new row. Customers 0..9; every order's buyer is 0, orders 0..9
+// are sold by 5, orders 10..19 by 6; forgetting customer 5 dooms orders
+// 0..9 through their seller only.
+class ConstraintsConcurrencyTest
+    : public ::testing::TestWithParam<ConcurrencyProtocol> {};
+
+TEST_P(ConstraintsConcurrencyTest, SharedIndexStaysOfflineUntilItsLastPass) {
   DatabaseOptions options;
   options.memory_budget_bytes = 256 * 1024;
-  options.concurrency = ConcurrencyProtocol::kSideFile;
+  options.concurrency = GetParam();
   Database* raw = nullptr;
   Rid inserted;
   options.phase_begin_hook = [&](const std::string& phase) {
@@ -540,6 +545,16 @@ TEST(ConstraintsConcurrencyTest, SharedIndexStaysOfflineUntilItsLastPass) {
   Status integrity = db->VerifyIntegrity();
   EXPECT_TRUE(integrity.ok()) << integrity.ToString();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ConstraintsConcurrencyTest,
+    ::testing::Values(ConcurrencyProtocol::kSideFile,
+                      ConcurrencyProtocol::kDirectPropagation),
+    [](const ::testing::TestParamInfo<ConcurrencyProtocol>& info) {
+      return std::string(info.param == ConcurrencyProtocol::kSideFile
+                             ? "SideFile"
+                             : "DirectPropagation");
+    });
 
 }  // namespace
 }  // namespace bulkdel
