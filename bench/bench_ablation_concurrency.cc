@@ -54,6 +54,16 @@ struct ProtocolResult {
   /// whole point is fsyncs << syncs under concurrent committers.
   uint64_t wal_syncs = 0;
   uint64_t wal_fsyncs = 0;
+  /// Log syncs the buffer pool forced before writing pages back (the WAL
+  /// rule, bp.wal_forced_writebacks); they count in wal_syncs too.
+  uint64_t wal_forced_writebacks = 0;
+
+  /// The syncs neither an updater's ack (one per acknowledged op) nor the
+  /// pool forced: the statement's own (its envelope, barriers, commit, End).
+  uint64_t StatementSyncs() const {
+    uint64_t other = updater_ops + wal_forced_writebacks;
+    return wal_syncs > other ? wal_syncs - other : 0;
+  }
 };
 
 /// Durability knobs for the group-commit ablation; defaults reproduce the
@@ -131,6 +141,10 @@ Result<ProtocolResult> RunProtocol(const BenchConfig& config,
       db->metrics().counter(obs::metric_names::kWalSyncs)->value());
   result.wal_fsyncs = static_cast<uint64_t>(
       db->metrics().counter(obs::metric_names::kWalFsyncs)->value());
+  result.wal_forced_writebacks = static_cast<uint64_t>(
+      db->metrics()
+          .counter(obs::metric_names::kBpWalForcedWritebacks)
+          ->value());
   return result;
 }
 
@@ -232,8 +246,9 @@ int Run(int argc, char** argv) {
       "\nWAL group-commit ablation (file-backed under %s, side-file "
       "protocol, %d updaters)\n",
       gc_dir.c_str(), gc_updaters);
-  std::printf("%-14s %16s %12s %12s %12s\n", "group commit", "delete wall(ms)",
-              "acked ops", "wal syncs", "wal fsyncs");
+  std::printf("%-14s %16s %12s %12s %12s %12s %12s\n", "group commit",
+              "delete wall(ms)", "acked ops", "wal syncs", "wal fsyncs",
+              "pool forced", "stmt syncs");
   json += ", \"wal_group_commit\": {";
   uint64_t fsyncs_on = 0, ops_on = 0;
   for (bool group_commit : {true, false}) {
@@ -253,20 +268,26 @@ int Run(int argc, char** argv) {
       fsyncs_on = result->wal_fsyncs;
       ops_on = result->updater_ops;
     }
-    std::printf("%-14s %16.1f %12llu %12llu %12llu\n",
+    std::printf("%-14s %16.1f %12llu %12llu %12llu %12llu %12llu\n",
                 group_commit ? "on" : "off", result->wall_ms,
                 static_cast<unsigned long long>(result->updater_ops),
                 static_cast<unsigned long long>(result->wal_syncs),
-                static_cast<unsigned long long>(result->wal_fsyncs));
-    char entry[256];
+                static_cast<unsigned long long>(result->wal_fsyncs),
+                static_cast<unsigned long long>(result->wal_forced_writebacks),
+                static_cast<unsigned long long>(result->StatementSyncs()));
+    char entry[320];
     std::snprintf(entry, sizeof(entry),
                   "%s\"%s\": {\"delete_wall_ms\": %.1f, \"updater_ops\": "
-                  "%llu, \"wal_syncs\": %llu, \"wal_fsyncs\": %llu}",
+                  "%llu, \"wal_syncs\": %llu, \"wal_fsyncs\": %llu, "
+                  "\"wal_forced_writebacks\": %llu, \"statement_syncs\": "
+                  "%llu}",
                   group_commit ? "" : ", ", group_commit ? "on" : "off",
                   result->wall_ms,
                   static_cast<unsigned long long>(result->updater_ops),
                   static_cast<unsigned long long>(result->wal_syncs),
-                  static_cast<unsigned long long>(result->wal_fsyncs));
+                  static_cast<unsigned long long>(result->wal_fsyncs),
+                  static_cast<unsigned long long>(result->wal_forced_writebacks),
+                  static_cast<unsigned long long>(result->StatementSyncs()));
     json += entry;
   }
   json += "}";

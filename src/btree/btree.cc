@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <unordered_set>
 
 namespace bulkdel {
 
@@ -16,6 +17,8 @@ constexpr uint32_t kInnerOff = 24;
 constexpr uint32_t kBtreeMagic = 0x42545231;  // "BTR1"
 
 constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
+/// Upper bound of the rightmost subtree: above every entry.
+const KeyRid kTopBound = KeyRid::Max(std::numeric_limits<int64_t>::max());
 }  // namespace
 
 uint16_t BTree::leaf_capacity() const {
@@ -103,37 +106,43 @@ Status BTree::FreeNode(PageId page) {
       --num_inner_;
     }
   }
-  if (deferred_frees_ != nullptr) {
-    // Deferred reclamation (see BulkDeleteRange): the page stays allocated —
-    // and any cached frame stays valid — until the caller frees it after the
-    // statement's End record is durable.
-    deferred_frees_->push_back(page);
-    return Status::OK();
-  }
   return pool_->DeletePage(page);
 }
 
-Result<PageId> BTree::DescendToLeaf(const KeyRid& probe) {
+namespace {
+/// Checks an inner node read on the way down from the root: `level` is the
+/// level it must have (< 0: any). A corrupt node (read after a crash, say)
+/// must surface as an error: its separators would be read past the page,
+/// and a level that does not drop by one per step could descend forever.
+Status CheckInner(PageId page, BTreeNode node, int level) {
+  if (level >= 0 && node.level() != level) {
+    return Status::Corruption("node " + std::to_string(page) + " at level " +
+                              std::to_string(node.level()) + ", expected " +
+                              std::to_string(level));
+  }
+  if (!node.is_leaf() && node.count() > BTreeNode::InnerPageCapacity()) {
+    return Status::Corruption("inner node " + std::to_string(page) +
+                              " holds " + std::to_string(node.count()) +
+                              " separators, more than a page can");
+  }
+  return Status::OK();
+}
+}  // namespace
+
+Result<PageId> BTree::DescendToLevel(const KeyRid& probe, int level) {
   PageId cur = root_;
-  int level = -1;  // the level the next node must have; the root's is free
+  int expect = -1;  // the level the next node must have; the root's is free
   while (true) {
     BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
     BTreeNode node(guard.data());
-    // A corrupt inner node (read after a crash, say) must surface as an
-    // error: its separators would be read past the page, and a level that
-    // does not drop by one per step could descend forever.
-    if (level >= 0 && node.level() != level) {
-      return Status::Corruption("node " + std::to_string(cur) + " at level " +
-                                std::to_string(node.level()) + ", expected " +
-                                std::to_string(level));
+    BULKDEL_RETURN_IF_ERROR(CheckInner(cur, node, expect));
+    if (node.level() == level) return cur;
+    if (node.level() < level) {
+      return Status::Corruption("descent passed level " +
+                                std::to_string(level) + " at node " +
+                                std::to_string(cur));
     }
-    if (node.is_leaf()) return cur;
-    if (node.count() > BTreeNode::InnerPageCapacity()) {
-      return Status::Corruption("inner node " + std::to_string(cur) +
-                                " holds " + std::to_string(node.count()) +
-                                " separators, more than a page can");
-    }
-    level = node.level() - 1;
+    expect = node.level() - 1;
     cur = node.Child(node.ChildIndexFor(probe));
   }
 }
@@ -152,7 +161,7 @@ Status BTree::WalkChain(PageId first, Visit&& visit) {
 
 template <typename Visit>
 Status BTree::WalkLeaves(const KeyRid& start, Visit&& visit) {
-  BULKDEL_ASSIGN_OR_RETURN(PageId first, DescendToLeaf(start));
+  BULKDEL_ASSIGN_OR_RETURN(PageId first, DescendToLevel(start));
   return WalkChain(first, std::forward<Visit>(visit));
 }
 
@@ -360,7 +369,7 @@ Status BTree::SplitInner(PageGuard& inner_guard, Split* split) {
 
 Status BTree::Delete(int64_t key, const Rid& rid) {
   KeyRid probe(key, rid);
-  BULKDEL_ASSIGN_OR_RETURN(PageId leaf, DescendToLeaf(probe));
+  BULKDEL_ASSIGN_OR_RETURN(PageId leaf, DescendToLevel(probe));
   bool empty = false;
   {
     BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(leaf));
@@ -440,14 +449,9 @@ Status BTree::ScanAll(
 }
 
 Result<std::vector<PageId>> BTree::LeafChain() {
-  BULKDEL_ASSIGN_OR_RETURN(PageId first, DescendToLeaf(KeyRid::Min(kMinKey)));
-  return LeafChain(first);
-}
-
-Result<std::vector<PageId>> BTree::LeafChain(PageId first) {
   std::vector<PageId> chain;
-  BULKDEL_RETURN_IF_ERROR(
-      WalkChain(first, [&](PageGuard& guard, BTreeNode) -> Result<bool> {
+  BULKDEL_RETURN_IF_ERROR(WalkLeaves(
+      KeyRid::Min(kMinKey), [&](PageGuard& guard, BTreeNode) -> Result<bool> {
         chain.push_back(guard.page_id());
         return true;
       }));
@@ -484,17 +488,7 @@ Status BTree::UnlinkFromChain(PageId node_page) {
 Status BTree::RemoveChildAtLevel(uint8_t parent_level, PageId child,
                                  const KeyRid& probe) {
   // Descend to the parent level by the child's (pre-deletion) smallest entry.
-  PageId cur = root_;
-  while (true) {
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
-    BTreeNode node(guard.data());
-    if (node.level() == parent_level) break;
-    if (node.level() < parent_level) {
-      return Status::Internal("RemoveChildAtLevel descended past level " +
-                              std::to_string(parent_level));
-    }
-    cur = node.Child(node.ChildIndexFor(probe));
-  }
+  BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLevel(probe, parent_level));
   // Locate the owner node; walk the level chain right as a safety net.
   int idx = -1;
   BULKDEL_RETURN_IF_ERROR(
@@ -640,7 +634,8 @@ Status BTree::BulkLoad(const std::vector<KeyRid>& entries, double fill) {
     i += take;
   }
   entry_count_ = entries.size();
-  return BuildUpperLevels(std::move(level), fill);
+  BULKDEL_RETURN_IF_ERROR(BuildUpperLevels(std::move(level), fill));
+  return FlushMeta();
 }
 
 Status BTree::BulkInsertSorted(const std::vector<KeyRid>& entries) {
@@ -687,7 +682,7 @@ Status BTree::BulkInsertSorted(const std::vector<KeyRid>& entries) {
 }
 
 Status BTree::BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,
-                               double fill) {
+                               double fill, std::vector<PageId>* built) {
   uint8_t level_no = 1;
   while (children.size() > 1) {
     size_t per_node =
@@ -709,6 +704,7 @@ Status BTree::BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,
         take = per_node;
       }
       BULKDEL_ASSIGN_OR_RETURN(PageId page, NewNode(level_no));
+      if (built != nullptr) built->push_back(page);
       BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(page));
       BTreeNode node(guard.data());
       node.SetChild(0, children[i].second);
@@ -734,7 +730,7 @@ Status BTree::BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,
   }
   root_ = children[0].second;
   height_ = level_no;
-  return FlushMeta();
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -765,7 +761,6 @@ Status BTree::BulkLeafPass(const std::optional<KeyRid>& start,
 template <typename Match>
 void BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
                         uint16_t from, Match&& match) {
-  KeyRid probe = node.count() > 0 ? node.LeafEntryAt(0) : KeyRid::Min(kMinKey);
   uint16_t removed = node.LeafCompact(from, [&](uint16_t pos) {
     Verdict verdict = match(pos);
     if (verdict == Verdict::kStop) pass.done = true;
@@ -784,7 +779,8 @@ void BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
   pass.stats.entries_deleted += removed;
   if (removed > 0) guard.MarkDirty();
   if (node.count() == 0 && height_ > 1) {
-    pass.empties.push_back(EmptyLeaf{guard.page_id(), probe});
+    pass.empties.push_back(EmptyLeaf{guard.page_id(), node.left_sibling(),
+                                     node.right_sibling()});
   }
 }
 
@@ -858,13 +854,11 @@ Status BTree::BulkDeleteRange(
     BtreeBulkDeleteStats* stats,
     const std::function<Status(PageId, const std::vector<KeyRid>&)>&
         on_leaf_drop,
-    const std::function<void(int64_t, const Rid&)>& on_delete,
-    std::vector<PageId>* dropped_pages) {
+    const std::function<void(int64_t, const Rid&)>& on_delete) {
   BulkPass pass(deleted_rids, &on_delete);
   std::optional<KeyRid> start;
   if (lo <= hi) start = KeyRid::Min(lo);
-  deferred_frees_ = dropped_pages;
-  Status status = BulkLeafPass(
+  return BulkLeafPass(
       start, reorg, pass, stats,
       [&](PageGuard& guard, BTreeNode node) -> Status {
         uint16_t count = node.count();
@@ -888,18 +882,11 @@ Status BTree::BulkDeleteRange(
           if (deleted_rids != nullptr) {
             for (const KeyRid& e : harvest) deleted_rids->push_back(e.rid);
           }
-          if (pass.run.empty()) pass.run_left = node.left_sibling();
-          pass.run.push_back(EmptyLeaf{guard.page_id(), harvest.front()});
+          pass.empties.push_back(EmptyLeaf{guard.page_id(), node.left_sibling(),
+                                           node.right_sibling()});
           pass.stats.entries_deleted += count;
           ++pass.stats.leaves_dropped;
           return Status::OK();
-        }
-        // Boundary (or marker-pinned) leaf: splice any open run out of the
-        // chain before the per-entry pass mutates this leaf.
-        if (!pass.run.empty()) {
-          node.set_left_sibling(pass.run_left);
-          guard.MarkDirty();
-          BULKDEL_RETURN_IF_ERROR(CloseLeafRun(pass));
         }
         uint16_t from = count > 0 ? node.LeafLowerBound(lo) : 0;
         CompactLeaf(pass, guard, node, from, [&](uint16_t pos) {
@@ -907,78 +894,119 @@ Status BTree::BulkDeleteRange(
         });
         return Status::OK();
       });
-  deferred_frees_ = nullptr;
-  return status;
-}
-
-Status BTree::CloseLeafRun(BulkPass& pass) {
-  // The dropped leaves themselves are never modified, so the only per-leaf
-  // charge is the read that harvested their entries. Parent maintenance
-  // dirties one inner page per fan-out children.
-  if (pass.run.empty()) return Status::OK();
-  if (pass.run_left != kInvalidPageId) {
-    PageId next;
-    {
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard,
-                               pool_->FetchPage(pass.run.back().page));
-      next = BTreeNode(guard.data()).right_sibling();
-    }
-    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(pass.run_left));
-    BTreeNode left_node(guard.data());
-    left_node.set_right_sibling(next);
-    guard.MarkDirty();
-  }
-  for (const EmptyLeaf& d : pass.run) {
-    if (d.page == root_) {
-      // Root collapse promoted this dropped leaf to be the whole tree: it
-      // survives as the empty root, so it must actually be emptied (the
-      // one dropped leaf whose image is written) — and unhooked from its
-      // freed former neighbors.
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(d.page));
-      BTreeNode node(guard.data());
-      node.set_count(0);
-      node.set_left_sibling(kInvalidPageId);
-      node.set_right_sibling(kInvalidPageId);
-      guard.MarkDirty();
-      continue;
-    }
-    BULKDEL_RETURN_IF_ERROR(FreeNode(d.page));
-    if (height_ > 1) {
-      BULKDEL_RETURN_IF_ERROR(RemoveChildAtLevel(1, d.page, d.probe));
-    }
-    ++pass.stats.leaves_freed;
-  }
-  pass.run.clear();
-  return Status::OK();
 }
 
 Status BTree::FinishBulkDelete(BulkPass& pass, ReorgMode reorg) {
-  // A run still open here ran off the right end of the chain: splice it out.
-  BULKDEL_RETURN_IF_ERROR(CloseLeafRun(pass));
   entry_count_ -= pass.stats.entries_deleted;
-  // Free-at-empty: reclaim completely empty leaves [9] and fix their parents.
-  for (const EmptyLeaf& e : pass.empties) {
-    // Root collapse during an earlier iteration may have promoted this leaf
-    // to be the (empty) root; an empty root leaf is a legal empty tree.
-    if (e.page == root_) continue;
-    BULKDEL_RETURN_IF_ERROR(UnlinkFromChain(e.page));
-    BULKDEL_RETURN_IF_ERROR(FreeNode(e.page));
-    if (height_ > 1) {
-      BULKDEL_RETURN_IF_ERROR(RemoveChildAtLevel(1, e.page, e.probe));
+  pass.stats.leaves_freed = pass.empties.size();
+  if (!pass.empties.empty()) {
+    InnerLevels inner;
+    BULKDEL_RETURN_IF_ERROR(ReadInnerLevels(&inner));
+    std::unordered_set<PageId> empty;
+    for (const EmptyLeaf& e : pass.empties) empty.insert(e.page);
+    // An empty leaf's range passes to the survivor left of it, so a key that
+    // routed to the leaf routes to that survivor, whose right pointer leads
+    // on to the leaf until the splice is written: a crash in between leaves
+    // the leaf where the pass's re-run walks into it and detaches it again.
+    std::vector<std::pair<KeyRid, PageId>> survivors;
+    for (const auto& [bound, leaf] : inner.leaves) {
+      if (empty.count(leaf) == 0) {
+        survivors.emplace_back(bound, leaf);
+      } else if (!survivors.empty()) {
+        survivors.back().first = bound;
+      }
     }
-    ++pass.stats.leaves_freed;
+    BULKDEL_RETURN_IF_ERROR(
+        ReplaceInnerLevels(std::move(survivors), pass.empties, inner.pages));
   }
-  switch (reorg) {
-    case ReorgMode::kFreeAtEmpty:
-      break;
-    case ReorgMode::kCompactAndRebuild:
-      BULKDEL_RETURN_IF_ERROR(CompactAndRebuild());
-      break;
-    case ReorgMode::kIncrementalBaseNode:
-      BULKDEL_RETURN_IF_ERROR(IncrementalBaseNodeReorg());
-      break;
+  if (reorg != ReorgMode::kFreeAtEmpty && height_ > 1) {
+    BULKDEL_RETURN_IF_ERROR(CompactAndRebuild(reorg));
   }
   return FlushMeta();
+}
+
+Status BTree::ReadInnerLevels(InnerLevels* out) {
+  return ReadInnerLevels(root_, height_ - 1, kTopBound, out);
+}
+
+Status BTree::ReadInnerLevels(PageId page, int level, const KeyRid& bound,
+                              InnerLevels* out) {
+  std::vector<std::pair<KeyRid, PageId>> children;  // (upper bound, child)
+  {
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(page));
+    BTreeNode node(guard.data());
+    BULKDEL_RETURN_IF_ERROR(CheckInner(page, node, level));
+    for (uint16_t i = 0; i <= node.count(); ++i) {
+      children.emplace_back(i < node.count() ? node.InnerSep(i) : bound,
+                            node.Child(i));
+    }
+  }
+  out->pages.push_back(page);
+  for (const auto& [child_bound, child] : children) {
+    if (level == 1) {
+      out->leaves.emplace_back(child_bound, child);
+    } else {
+      BULKDEL_RETURN_IF_ERROR(
+          ReadInnerLevels(child, level - 1, child_bound, out));
+    }
+  }
+  if (level == 1) out->base_ends.push_back(out->leaves.size());
+  return Status::OK();
+}
+
+Status BTree::ReplaceInnerLevels(
+    std::vector<std::pair<KeyRid, PageId>> survivors,
+    const std::vector<EmptyLeaf>& empties,
+    const std::vector<PageId>& old_inner) {
+  // The writes go in an order under which every crash leaves a tree the
+  // pass's re-run repairs: no old inner node changes, so until the meta page
+  // names the new root the old one still routes to every leaf.
+  //  1. Each run of adjacent empties is spliced out of the backward chain:
+  //     the survivor right of it points left past it.
+  //  2. The new inner levels go to fresh pages; they and step 1's survivors
+  //     are written, then the meta page naming the new root.
+  //  3. Only then does the survivor left of each run point right past it: a
+  //     walk reaches the run through that survivor until its write lands.
+  // Every pointer is a function of the survivors alone, so a re-run writes
+  // the same ones.
+  std::vector<PageId> first_writes;
+  std::vector<std::pair<PageId, PageId>> right_links;  // (survivor, right)
+  for (size_t i = 0; i < empties.size();) {
+    size_t j = i;
+    while (j + 1 < empties.size() && empties[j].right == empties[j + 1].page) {
+      ++j;
+    }
+    PageId left = empties[i].left;
+    PageId right = empties[j].right;
+    if (right != kInvalidPageId) {
+      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(right));
+      BTreeNode(guard.data()).set_left_sibling(left);
+      guard.MarkDirty();
+      first_writes.push_back(right);
+    }
+    if (left != kInvalidPageId) right_links.emplace_back(left, right);
+    i = j + 1;
+  }
+  num_leaves_ = static_cast<uint32_t>(survivors.size());
+  num_inner_ = 0;
+  if (survivors.empty()) {
+    BULKDEL_ASSIGN_OR_RETURN(PageId leaf, NewNode(0));
+    survivors.emplace_back(kTopBound, leaf);
+    first_writes.push_back(leaf);
+  }
+  BULKDEL_RETURN_IF_ERROR(
+      BuildUpperLevels(std::move(survivors), 1.0, &first_writes));
+  BULKDEL_RETURN_IF_ERROR(pool_->FlushPages(first_writes));
+  BULKDEL_RETURN_IF_ERROR(FlushMeta());
+  BULKDEL_RETURN_IF_ERROR(pool_->FlushPages({meta_page_}));
+  for (const auto& [page, right] : right_links) {
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(page));
+    BTreeNode(guard.data()).set_right_sibling(right);
+    guard.MarkDirty();
+  }
+  detached_.insert(detached_.end(), old_inner.begin(), old_inner.end());
+  for (const EmptyLeaf& e : empties) detached_.push_back(e.page);
+  return Status::OK();
 }
 
 Status BTree::MergeLookupSortedKeys(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "btree/btree_node.h"
@@ -40,11 +41,12 @@ enum class ReorgMode {
   /// "free-at-empty" [9]); the paper's experimental setting.
   kFreeAtEmpty,
   /// After the leaf pass: compact the leaf level (shift entries left across
-  /// leaves), free the emptied tail, and rebuild all inner levels from the
-  /// leaf chain ("process each layer individually", §2.3).
+  /// leaves), detach the emptied tail, and rebuild all inner levels
+  /// ("process each layer individually", §2.3).
   kCompactAndRebuild,
   /// Incremental base-node scheme adapted from Zou & Salzberg [26]: compact
-  /// one level-1 subtree at a time, updating its inner node in place.
+  /// the leaves of one level-1 subtree at a time, then rebuild the inner
+  /// levels.
   kIncrementalBaseNode,
 };
 
@@ -52,8 +54,9 @@ enum class ReorgMode {
 struct BtreeBulkDeleteStats {
   uint64_t entries_deleted = 0;
   uint64_t leaves_visited = 0;
+  /// Leaves the pass emptied and detached (see TakeDetachedPages).
   uint64_t leaves_freed = 0;
-  /// Leaves freed by the range leaf-run pass *without* per-entry removal
+  /// Leaves detached by the range leaf-run pass *without* per-entry removal
   /// (fully covered by [lo, hi]); also counted in leaves_freed.
   uint64_t leaves_dropped = 0;
   uint64_t skipped_undeletable = 0;
@@ -81,7 +84,9 @@ struct BtreeBulkDeleteStats {
 ///    ranges, with pluggable reorganization (§2.3). All four are one pass,
 ///    BulkLeafPass: each entry point supplies only its per-entry verdict
 ///    (the range pass also its whole-leaf drop), and every leaf-chain walk
-///    goes through WalkChain.
+///    goes through WalkChain. A pass changes no inner node in place and
+///    frees no page: when it empties a leaf, one finish (ReplaceInnerLevels)
+///    rebuilds the inner levels on fresh pages and detaches the old ones.
 ///
 /// Thread model: structural operations are single-writer; the txn layer
 /// serializes writers with an index latch and uses per-entry "undeletable"
@@ -174,35 +179,31 @@ class BTree {
 
   /// Range bulk delete with the leaf-run fast path: removes every entry with
   /// lo <= key <= hi. Leaves *fully* covered by the range (and free of
-  /// kEntryUndeletable markers) are unlinked and freed whole — their entries
-  /// are never touched individually and the pages are never written: each
-  /// contiguous run of dropped leaves is spliced out of the sibling chain
-  /// with two boundary-neighbor writes, so the pass charges one read per
-  /// dropped leaf (to harvest its RIDs) plus parent maintenance; only the
-  /// two boundary leaves see per-entry removal. Deleted RIDs are appended to `deleted_rids` in key
-  /// order when non-null. `on_leaf_drop` fires once per dropped leaf *before*
-  /// it is detached, with the leaf's page id and its full entry list (the
-  /// recovery layer logs one kRangeLeafRun record); returning an error
-  /// aborts the pass with the leaf intact. `on_delete` sees each
-  /// individually removed boundary entry (logged as kEntryDeleted). An
-  /// inverted range (lo > hi) deletes nothing.
-  ///
-  /// With `dropped_pages` non-null, no page is returned to the allocator
-  /// during the pass: every node the pass empties (dropped leaves, collapsed
-  /// inner nodes) is unlinked and detached but its page id is pushed onto
-  /// `dropped_pages` for the caller to free later. Range deletes free whole
-  /// subchains, and an immediate free lets a concurrent list spill reuse the
-  /// page while stale on-disk siblings/parents still point at it — after a
-  /// crash, recovery's re-traversal would then walk into arbitrary bytes.
-  /// The bulk-delete executor frees the collected pages only once the
-  /// statement's End record is durable.
+  /// kEntryUndeletable markers) are detached whole — their entries are never
+  /// touched individually and the pages are never written: the pass charges
+  /// one read per dropped leaf (to harvest its RIDs), and the finish splices
+  /// each run of them out of the chain with writes to its two surviving
+  /// neighbors; only the two boundary leaves see per-entry removal. Deleted
+  /// RIDs are appended to `deleted_rids` in key order when non-null.
+  /// `on_leaf_drop` fires once per dropped leaf *before* it is detached, with
+  /// the leaf's page id and its full entry list (the recovery layer logs one
+  /// kRangeLeafRun record); returning an error aborts the pass with the leaf
+  /// intact. `on_delete` sees each individually removed boundary entry
+  /// (logged as kEntryDeleted). An inverted range (lo > hi) deletes nothing.
   Status BulkDeleteRange(
       int64_t lo, int64_t hi, ReorgMode reorg,
       std::vector<Rid>* deleted_rids, BtreeBulkDeleteStats* stats = nullptr,
       const std::function<Status(PageId, const std::vector<KeyRid>&)>&
           on_leaf_drop = nullptr,
-      const std::function<void(int64_t, const Rid&)>& on_delete = nullptr,
-      std::vector<PageId>* dropped_pages = nullptr);
+      const std::function<void(int64_t, const Rid&)>& on_delete = nullptr);
+
+  /// The pages the bulk passes detached since the last call: emptied leaves
+  /// and replaced inner nodes. No bulk pass returns a page to the allocator;
+  /// the pages stay allocated until the caller frees them, which the
+  /// bulk-delete executor does once the statement's End record is durable.
+  std::vector<PageId> TakeDetachedPages() {
+    return std::exchange(detached_, {});
+  }
 
   /// Read-only merge lookup: one leaf-level pass visiting every entry whose
   /// key appears in `keys` (ascending). The set-oriented analogue of probing
@@ -250,8 +251,9 @@ class BTree {
   Result<PageId> NewNode(uint8_t level);
   Status FreeNode(PageId page);
 
-  /// Root-to-leaf descent by composite probe; returns the leaf page id.
-  Result<PageId> DescendToLeaf(const KeyRid& probe);
+  /// Root-to-`level` descent by composite probe; returns the node's page id.
+  /// Every inner node on the way is checked (CheckInner).
+  Result<PageId> DescendToLevel(const KeyRid& probe, int level = 0);
 
   /// Clears `*added` when it marks an existing entry instead of adding one.
   Result<std::optional<Split>> InsertRec(PageId node_page, int64_t key,
@@ -283,12 +285,13 @@ class BTree {
   Status WalkChain(PageId first, Visit&& visit);
   template <typename Visit>
   Status WalkLeaves(const KeyRid& start, Visit&& visit);
-  Result<std::vector<PageId>> LeafChain(PageId first);
 
-  /// A leaf a bulk pass emptied; FinishBulkDelete frees it (free-at-empty).
+  /// A leaf a bulk pass emptied (or dropped whole) and its chain neighbors
+  /// when the pass reached it.
   struct EmptyLeaf {
     PageId page;
-    KeyRid probe;  // smallest entry before the pass touched the leaf
+    PageId left;
+    PageId right;
   };
   /// State of one bulk pass.
   struct BulkPass {
@@ -298,14 +301,10 @@ class BTree {
     std::vector<Rid>* deleted_rids;
     const std::function<void(int64_t, const Rid&)>* on_delete;
     BtreeBulkDeleteStats stats;
-    std::vector<EmptyLeaf> empties;
+    std::vector<EmptyLeaf> empties;  // in chain order
     /// Set by a kStop verdict, or by a merge whose input ran out: the walk
     /// fetches no further leaf.
     bool done = false;
-    /// The range pass's open run of whole dropped leaves, and the leaf left
-    /// of it.
-    std::vector<EmptyLeaf> run;
-    PageId run_left = kInvalidPageId;
   };
   /// The one bulk pass: walks the leaves from `start` (none when empty),
   /// handing each to `leaf(guard, node)` -> Status until the chain ends or
@@ -321,29 +320,49 @@ class BTree {
   template <typename Match>
   void CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
                    uint16_t from, Match&& match);
-  /// Splices the range pass's open run out of the sibling chain (one write
-  /// to its left neighbour) and frees its leaves.
-  Status CloseLeafRun(BulkPass& pass);
-  /// Closes an open run, frees the emptied leaves, runs the reorganization
-  /// and persists the meta page.
+  /// Detaches the pass's empties, runs the reorganization and persists the
+  /// meta page.
   Status FinishBulkDelete(BulkPass& pass, ReorgMode reorg);
 
-  // Reorganization routines (defined in reorg.cc).
-  Status CompactAndRebuild();
-  Status IncrementalBaseNodeReorg();
-  /// Builds inner levels over `children` (pairs of max-composite and page),
-  /// freeing nothing; sets root_/height_/num_inner_.
+  /// The inner levels as read from the inner pages alone: every leaf left to
+  /// right with its upper bound (the separator right of it; a maximal
+  /// sentinel for the last leaf), where each level-1 node's children end in
+  /// `leaves`, and every inner page.
+  struct InnerLevels {
+    std::vector<std::pair<KeyRid, PageId>> leaves;
+    std::vector<size_t> base_ends;
+    std::vector<PageId> pages;
+  };
+  Status ReadInnerLevels(InnerLevels* out);
+  /// The subtree of `page` at `level`, all of whose entries are <= `bound`.
+  Status ReadInnerLevels(PageId page, int level, const KeyRid& bound,
+                         InnerLevels* out);
+  /// The one finish of every bulk pass that emptied a leaf, and of both
+  /// compacting reorganizations: splices `empties` out of the leaf chain,
+  /// builds the inner levels over `survivors` ((upper bound, leaf) pairs)
+  /// on fresh pages, publishes them with the meta page, and detaches the
+  /// `old_inner` pages and the empties. Changes no old inner node and frees
+  /// no page.
+  Status ReplaceInnerLevels(std::vector<std::pair<KeyRid, PageId>> survivors,
+                            const std::vector<EmptyLeaf>& empties,
+                            const std::vector<PageId>& old_inner);
+
+  /// The compacting reorganizations (reorg.cc): shifts the entries of each
+  /// level-1 node's leaves (kIncrementalBaseNode) or of the whole leaf level
+  /// (kCompactAndRebuild) maximally left, then replaces the inner levels over
+  /// the leaves that kept entries.
+  Status CompactAndRebuild(ReorgMode reorg);
+  /// Builds inner levels over `children` (pairs of upper bound and page),
+  /// freeing nothing; sets root_/height_ and appends the new pages to
+  /// `built` when non-null. The caller persists the meta page.
   Status BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,
-                          double fill);
-  /// Frees every inner node (keeps leaves).
-  Status FreeInnerLevels();
+                          double fill, std::vector<PageId>* built = nullptr);
 
   BufferPool* pool_;
   PageId meta_page_;
   IndexOptions options_;
-  /// When non-null, FreeNode defers: it pushes the page here instead of
-  /// returning it to the allocator. Scoped to BulkDeleteRange (see its doc).
-  std::vector<PageId>* deferred_frees_ = nullptr;
+  /// Pages detached by bulk passes, awaiting TakeDetachedPages.
+  std::vector<PageId> detached_;
   PageId root_ = kInvalidPageId;
   // Relaxed atomics: read by the planner while updaters insert/delete.
   RelaxedAtomic<int> height_ = 1;

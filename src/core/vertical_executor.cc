@@ -81,12 +81,9 @@ struct Leg : VerticalLeg {
   /// kExtentDrop records); freed at finalize after the End record.
   std::vector<PageId> extent_pages;
   std::vector<PageId> recovered_extent_pages;
-  /// Index nodes detached by the leaf-run pass (this run / recovered from
-  /// kRangeLeafRun records); same deferred reclamation as extent pages —
-  /// freeing them mid-statement would let a list spill reuse a page that
-  /// stale on-disk tree pointers still reference (fatal after a crash).
-  std::vector<PageId> dropped_leaf_pages;
-  std::vector<PageId> recovered_leaf_pages;
+  /// Index pages detached by a crashed run, recovered from its kRangeLeafRun
+  /// records; freed at finalize with the pages this run's passes detach.
+  std::vector<PageId> index_pages;
   std::vector<Rid> rids;
   bool rids_sorted = false;
   std::map<std::string, std::vector<KeyRid>> feeds;
@@ -561,7 +558,7 @@ class VerticalRun {
       BULKDEL_RETURN_IF_ERROR(tree->BulkDeleteRange(
           leg->spec.range_lo, leg->spec.range_hi, db_->options().reorg,
           &leg->rids,
-          &stats, on_leaf_drop, wal, &leg->dropped_leaf_pages));
+          &stats, on_leaf_drop, wal));
     } else if (step != nullptr && step->method == DeleteMethod::kClassicHash) {
       U64HashSet set(leg->spec.keys.size());
       for (int64_t k : leg->spec.keys) set.Insert(static_cast<uint64_t>(k));
@@ -599,10 +596,10 @@ class VerticalRun {
       leg->rids_sorted = true;
     }
     if (leg->spec.is_range()) {
-      // A resumed range run seeds RIDs from kRangeLeafRun/kEntryDeleted
-      // records AND rediscovers the survivors among them in the re-run key
-      // pass; a duplicate RID would double-count a page's doomed tuples in
-      // the extent-drop coverage proof, so collapse them here.
+      // A resumed range run seeds RIDs from the kRangeLeafRun/kEntryDeleted
+      // records of every interrupted attempt, which may name a RID twice; a
+      // duplicate RID would double-count a page's doomed tuples in the
+      // extent-drop coverage proof, so collapse them here.
       leg->rids.erase(std::unique(leg->rids.begin(), leg->rids.end(),
                                   [](const Rid& a, const Rid& b) {
                                     return a.Pack() == b.Pack();
@@ -1188,7 +1185,9 @@ class VerticalRun {
     //  * extent-dropped heap pages: freeing them earlier would let the
     //    allocator alias them while a post-crash recovery could still
     //    re-process their kExtentDrop records;
-    //  * the index nodes the leaf-run pass detached.
+    //  * the index pages the bulk passes detached (emptied leaves and
+    //    replaced inner nodes): freeing one earlier would let the allocator
+    //    hand it out while the on-disk tree may still reach it.
     // A resumed run can re-drop an extent or a leaf whose detach write was
     // lost, so its recovered lists may overlap this run's: each page is freed
     // once. Freeing through the pool drops a cached frame for an emptied
@@ -1216,8 +1215,10 @@ class VerticalRun {
     for (const auto& leg : legs_) {
       free_after(std::exchange(leg->extent_pages, {}));
       free_after(std::exchange(leg->recovered_extent_pages, {}));
-      free_after(std::exchange(leg->dropped_leaf_pages, {}));
-      free_after(std::exchange(leg->recovered_leaf_pages, {}));
+      free_after(std::exchange(leg->index_pages, {}));
+      for (auto& index : leg->table->indices) {
+        free_after(index->tree->TakeDetachedPages());
+      }
     }
     for (PageId p : free_after_end) {
       BULKDEL_RETURN_IF_ERROR(db_->pool().DeletePage(p));
@@ -1297,7 +1298,7 @@ class VerticalRun {
     leg->done = state.phases_done;
     leg->updater_replay = state.updater_ops;
     leg->recovered_extent_pages = state.extent_pages;
-    leg->recovered_leaf_pages = state.leaf_pages;
+    leg->index_pages = state.leaf_pages;
     // Input keys.
     auto input = state.lists.find("input-keys");
     if (input == state.lists.end()) {
@@ -1316,26 +1317,15 @@ class VerticalRun {
         }
         BULKDEL_RETURN_IF_ERROR(LoadList(rids->second, &leg->rids));
       } else if (!state.wal_index_entries.empty()) {
-        if (leg->spec.is_range()) {
-          // Range resume: only seed the RID list. The re-run key phase
-          // deletes whatever of these entries still exists (the [lo, hi]
-          // pass rediscovers them — producing duplicates the table phase
-          // removes), and a per-entry removal here would free emptied
-          // leaves immediately, re-introducing the page-reuse hazard the
-          // deferred-free protocol exists to close.
-          for (const KeyRid& e : state.wal_index_entries) {
-            leg->rids.push_back(e.rid);
-          }
-        } else {
-          // Replay: remove WAL'd entries whose page writes were lost, and
-          // seed the RID list with the WAL'd deletions (their entries are
-          // gone, so the re-run below cannot rediscover them).
-          std::vector<KeyRid> wal = state.wal_index_entries;
-          std::sort(wal.begin(), wal.end());
-          BULKDEL_RETURN_IF_ERROR(leg->key_index->tree->BulkDeleteSortedEntries(
-              wal, ReorgMode::kFreeAtEmpty, nullptr));
-          for (const KeyRid& e : wal) leg->rids.push_back(e.rid);
-        }
+        // Replay: remove WAL'd entries whose page writes were lost (for a
+        // range leg, also the entries of its logged whole-leaf drops), and
+        // seed the RID list with the WAL'd deletions (their entries are
+        // gone, so the re-run below cannot rediscover them).
+        std::vector<KeyRid> wal = state.wal_index_entries;
+        std::sort(wal.begin(), wal.end());
+        BULKDEL_RETURN_IF_ERROR(leg->key_index->tree->BulkDeleteSortedEntries(
+            wal, ReorgMode::kFreeAtEmpty, nullptr));
+        for (const KeyRid& e : wal) leg->rids.push_back(e.rid);
       }
     }
 

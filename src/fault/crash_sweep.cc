@@ -4,13 +4,17 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <tuple>
 #include <utility>
+
+#include <unistd.h>
 
 #include "core/database.h"
 #include "workload/generator.h"
@@ -587,15 +591,44 @@ std::string CaseName(const SweepConfig& config, Strategy strategy, int threads,
   return name;
 }
 
+/// Per-case watchdog: a case still running kCaseLimitSeconds after it
+/// started (a hung recovery, say) is reported as failed with its repro line,
+/// and the process exits 1, so a hang cannot stall a sweep. Far above any
+/// case's run and recovery: milliseconds on the sim backend, about a second
+/// on a disk-backed file backend, more under a sanitizer.
+constexpr unsigned kCaseLimitSeconds = 120;
+char g_overrun_report[2048];
+size_t g_overrun_report_len = 0;
+
+extern "C" void OnCaseOverrun(int) {
+  [[maybe_unused]] ssize_t n =
+      ::write(STDOUT_FILENO, g_overrun_report, g_overrun_report_len);
+  ::_exit(1);
+}
+
+void ArmCaseWatchdog(const std::string& report) {
+  std::fflush(stdout);
+  g_overrun_report_len = std::min(report.size(), sizeof(g_overrun_report));
+  std::memcpy(g_overrun_report, report.data(), g_overrun_report_len);
+  std::signal(SIGALRM, OnCaseOverrun);
+  ::alarm(kCaseLimitSeconds);
+}
+
 /// Runs one case and records its outcome in `stats`.
 void RunCase(const SweepConfig& config, Strategy strategy, int threads,
              const std::string& site, uint64_t occurrence, FaultMode mode,
              const References& refs, SweepStats* stats) {
+  std::string name =
+      CaseName(config, strategy, threads, site, occurrence, mode);
+  ArmCaseWatchdog("FAILED [" + name + "]: still running after " +
+                  std::to_string(kCaseLimitSeconds) + " s\n  repro: " +
+                  ReproCommand(config, strategy, threads, site, occurrence,
+                               mode) +
+                  "\n");
   std::string why;
   CaseOutcome outcome = RunOneCase(config, strategy, threads, site,
                                    occurrence, mode, refs, &why);
-  std::string name =
-      CaseName(config, strategy, threads, site, occurrence, mode);
+  ::alarm(0);
   switch (outcome) {
     case CaseOutcome::kPassed:
       ++stats->cases_run;

@@ -140,13 +140,18 @@ Status BufferPool::DeletePage(PageId page_id) {
   return disk_->FreePage(page_id);
 }
 
-Status BufferPool::FlushAllLocked() {
+Status BufferPool::FlushAllLocked(const std::vector<PageId>* pages) {
   // Flush in page-id order: a checkpoint is a mostly-sequential sweep.
   std::vector<std::pair<PageId, size_t>> dirty;  // (page id, frame)
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (frames_[i].in_use && frames_[i].dirty) {
-      dirty.emplace_back(frames_[i].page_id, i);
+  auto add = [&](size_t f) {
+    if (f != kNoFrame && frames_[f].in_use && frames_[f].dirty) {
+      dirty.emplace_back(frames_[f].page_id, f);
     }
+  };
+  if (pages != nullptr) {
+    for (PageId p : *pages) add(FrameOfLocked(p));
+  } else {
+    for (size_t i = 0; i < frames_.size(); ++i) add(i);
   }
   std::sort(dirty.begin(), dirty.end());
   if (dirty.empty()) return Status::OK();
@@ -186,6 +191,11 @@ Status BufferPool::WriteRunLocked() {
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
   return FlushAllLocked();
+}
+
+Status BufferPool::FlushPages(const std::vector<PageId>& pages) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FlushAllLocked(&pages);
 }
 
 Status BufferPool::Reset() {

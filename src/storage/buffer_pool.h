@@ -114,6 +114,11 @@ class BufferPool {
   /// disk-mutex round trips). Frames stay resident.
   Status FlushAll();
 
+  /// The FlushAll sweep restricted to the resident dirty frames of `pages`:
+  /// a write-ordering barrier, since no page dirtied after it returns can
+  /// reach the disk before them.
+  Status FlushPages(const std::vector<PageId>& pages);
+
   /// Writes back and drops every frame (must all be unpinned). Used to
   /// simulate a clean shutdown or to reset cache state between benchmark
   /// phases. The pool mutex is held from the flush through the frame drop,
@@ -188,8 +193,9 @@ class BufferPool {
   /// Called with mu_ held. Writes back a dirty victim with its run.
   Result<size_t> AcquireFrameLocked();
 
-  /// The page-id-ordered dirty sweep; mu_ must be held.
-  Status FlushAllLocked();
+  /// The page-id-ordered dirty sweep, of `pages` only when non-null; mu_
+  /// must be held.
+  Status FlushAllLocked(const std::vector<PageId>* pages = nullptr);
 
   /// Writes the dirty frames in `run_` (adjacent page ids, ascending) with
   /// one WriteRun and marks them clean. mu_ must be held.

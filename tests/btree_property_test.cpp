@@ -555,7 +555,6 @@ TEST_P(BTreePropertyTest, BulkDeleteRangeMatchesModel) {
     }
 
     std::vector<Rid> deleted_rids;
-    std::vector<PageId> dropped;
     uint64_t harvested = 0;
     uint64_t one_by_one = 0;
     BtreeBulkDeleteStats stats;
@@ -565,15 +564,18 @@ TEST_P(BTreePropertyTest, BulkDeleteRangeMatchesModel) {
           harvested += entries.size();
           return Status::OK();
         },
-        [&](int64_t, const Rid&) { ++one_by_one; },
-        round % 2 == 1 ? &dropped : nullptr);
+        [&](int64_t, const Rid&) { ++one_by_one; });
     ASSERT_TRUE(s.ok()) << "round " << round << ": " << s.ToString();
     EXPECT_EQ(stats.entries_deleted, expect_deleted) << "round " << round;
     EXPECT_EQ(stats.skipped_undeletable, expect_skipped) << "round " << round;
     EXPECT_EQ(deleted_rids.size(), expect_deleted) << "round " << round;
     EXPECT_EQ(harvested + one_by_one, expect_deleted) << "round " << round;
     leaves_dropped += stats.leaves_dropped;
-    for (PageId p : dropped) ASSERT_TRUE(pool_.DeletePage(p).ok());
+    if (round % 2 == 1) {
+      for (PageId p : tree.TakeDetachedPages()) {
+        ASSERT_TRUE(pool_.DeletePage(p).ok());
+      }
+    }
     expect_matches_model(round);
   }
   EXPECT_GT(leaves_dropped, 0u);  // the whole-leaf path ran too

@@ -540,6 +540,103 @@ TEST_F(BTreeTest, DescentThroughCorruptInnerNodeIsCorruption) {
   expect_corruption("child one level short");
 }
 
+// The traditional delete's parent fix-up descends through the same checked
+// descent as every lookup: an inner node on the way whose separator count
+// exceeds a page is kCorruption, not a read past the page.
+TEST_F(BTreeTest, TraditionalDeleteThroughOverfullInnerNodeIsCorruption) {
+  auto tree = MakeSmallFanout();
+  for (int64_t k = 0; k < 200; ++k) ASSERT_TRUE(tree.Insert(k, Rid(1, 0)).ok());
+  ASSERT_GE(tree.height(), 3);
+  // The level-1 node on key 100's path claims more separators than fit.
+  PageId level1 = tree.root();
+  for (int level = tree.height() - 1; level > 1; --level) {
+    auto guard = pool_.FetchPage(level1);
+    ASSERT_TRUE(guard.ok());
+    BTreeNode node(guard->data());
+    level1 = node.Child(node.ChildIndexFor(KeyRid(100, Rid(1, 0))));
+  }
+  {
+    auto guard = pool_.FetchPage(level1);
+    ASSERT_TRUE(guard.ok());
+    BTreeNode(guard->data())
+        .set_count(static_cast<uint16_t>(BTreeNode::InnerPageCapacity() + 1));
+    guard->MarkDirty();
+  }
+  EXPECT_EQ(tree.Delete(100, Rid(1, 0)).code(), StatusCode::kCorruption);
+}
+
+// No bulk pass returns a page to the allocator: the leaves a pass empties and
+// the inner nodes its finish replaces stay allocated, and out of the tree,
+// until the caller frees the detached pages.
+TEST_F(BTreeTest, BulkPassFreesNoPageUntilTheCallerFreesTheDetachedOnes) {
+  auto tree = MakeSmallFanout();
+  for (int64_t k = 0; k < 200; ++k) ASSERT_TRUE(tree.Insert(k, Rid(1, 0)).ok());
+  const uint32_t free_before = disk_.NumFreePages();
+  const uint32_t inner_before = tree.num_inner_nodes();
+  std::vector<int64_t> doomed;
+  for (int64_t k = 40; k < 120; ++k) doomed.push_back(k);
+  BtreeBulkDeleteStats stats;
+  ASSERT_TRUE(
+      tree.BulkDeleteSortedKeys(doomed, ReorgMode::kFreeAtEmpty, nullptr, &stats)
+          .ok());
+  ASSERT_GT(stats.leaves_freed, 0u);
+  EXPECT_EQ(disk_.NumFreePages(), free_before);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+
+  std::vector<PageId> detached = tree.TakeDetachedPages();
+  EXPECT_EQ(detached.size(), stats.leaves_freed + inner_before);
+  EXPECT_TRUE(tree.TakeDetachedPages().empty());
+  EXPECT_EQ(disk_.NumFreePages(), free_before);
+  for (PageId page : detached) ASSERT_TRUE(pool_.DeletePage(page).ok());
+  EXPECT_EQ(disk_.NumFreePages(), free_before + detached.size());
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(tree.entry_count(), 120u);
+  EXPECT_EQ(tree.Search(39)->size(), 1u);
+  EXPECT_EQ(tree.Search(120)->size(), 1u);
+}
+
+// A crash after the finish published the new inner levels but before the
+// write that points the left survivor past the emptied leaves leaves them
+// in the forward chain. The pass's re-run must walk into them again, since
+// the left survivor's range covers their keys, and splice them out.
+TEST_F(BTreeTest, RerunAfterALostLeftSpliceDetachesTheLeavesAgain) {
+  auto tree = MakeSmallFanout();
+  for (int64_t k = 0; k < 200; ++k) ASSERT_TRUE(tree.Insert(k, Rid(1, 0)).ok());
+  auto chain = tree.LeafChain();
+  ASSERT_TRUE(chain.ok());
+  ASSERT_GT(chain->size(), 6u);
+  // Every key of leaves 3 and 4: the pass starts inside the emptied run.
+  std::vector<int64_t> doomed;
+  for (size_t i = 3; i <= 4; ++i) {
+    auto guard = pool_.FetchPage((*chain)[i]);
+    ASSERT_TRUE(guard.ok());
+    BTreeNode node(guard->data());
+    for (uint16_t pos = 0; pos < node.count(); ++pos) {
+      doomed.push_back(node.LeafKey(pos));
+    }
+  }
+  ASSERT_TRUE(
+      tree.BulkDeleteSortedKeys(doomed, ReorgMode::kFreeAtEmpty, nullptr).ok());
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  {
+    auto guard = pool_.FetchPage((*chain)[2]);
+    ASSERT_TRUE(guard.ok());
+    BTreeNode(guard->data()).set_right_sibling((*chain)[3]);
+    guard->MarkDirty();
+  }
+  ASSERT_FALSE(tree.CheckInvariants().ok());
+
+  BtreeBulkDeleteStats stats;
+  ASSERT_TRUE(
+      tree.BulkDeleteSortedKeys(doomed, ReorgMode::kFreeAtEmpty, nullptr, &stats)
+          .ok());
+  EXPECT_EQ(stats.entries_deleted, 0u);
+  EXPECT_EQ(stats.leaves_freed, 2u);
+  Status inv = tree.CheckInvariants();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
+  EXPECT_EQ(tree.entry_count(), 200u - doomed.size());
+}
+
 TEST_F(BTreeTest, LeafChainCoversAllLeaves) {
   auto tree = MakeSmallFanout();
   for (int64_t k = 0; k < 200; ++k) ASSERT_TRUE(tree.Insert(k, Rid(1, 0)).ok());

@@ -394,6 +394,41 @@ TEST(CrashSweepReproTest, ReproCarriesTheWorkloadShape) {
   EXPECT_EQ(repro.find("--updater-ops"), std::string::npos) << repro;
 }
 
+/// Crash points that used to leave a corrupt index, one sweep case each: a
+/// range delete crashed at a page write inside its in-place parent fix-up
+/// ("parent of freed node not found"), and a delete of every row crashed at
+/// a page write inside its leaf splice ("sibling chain broken") or at the
+/// key level's checkpoint after a freed page was reused ("node at level 63").
+/// A bulk pass now rebuilds the inner levels on fresh pages and frees nothing
+/// before End, so each recovers.
+TEST(CrashSweepRegressionTest, BulkPassFinishRecoversAtFormerFailures) {
+  struct Case {
+    const char* predicate;
+    double fraction;
+    const char* site;
+    uint64_t occurrence;
+  };
+  for (const Case& c : {Case{"range", 0.25, fault_sites::kDiskWrite, 8},
+                        Case{"keys", 1, fault_sites::kDiskWrite, 9},
+                        Case{"keys", 1, fault_sites::kExecCheckpoint, 1}}) {
+    SweepConfig config;
+    config.predicate = c.predicate;
+    config.delete_fraction = c.fraction;
+    config.strategies = {Strategy::kVerticalSortMerge};
+    config.thread_counts = {1};
+    config.only_site = c.site;
+    config.only_occurrence = c.occurrence;
+    config.only_mode = "crash";
+    SweepStats stats;
+    Status s = RunCrashSweep(config, &stats);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(stats.cases_run, 1u) << c.predicate << " " << c.site;
+    std::string reports;
+    for (const std::string& r : stats.failure_reports) reports += r + "\n";
+    EXPECT_EQ(stats.failures, 0u) << reports;
+  }
+}
+
 /// The multi-table "forget user X" statement: USERS -> ORDERS -> EVENTS with
 /// cascading FKs, run as one WAL envelope. A crash at any site must recover
 /// to S0 (untouched) or the fully-forgotten final state across all three

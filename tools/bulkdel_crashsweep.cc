@@ -9,7 +9,9 @@
 //       --strategy=vertical-hash               # reproduce one case
 //   bulkdel_crashsweep --torture --seconds=120 --seed=42   # randomized
 //
-// Exit status: 0 iff every case passed.
+// Exit status: 0 iff every case passed. A case still running after the
+// sweep's fixed per-case limit (two minutes) is reported as failed with its
+// repro line and ends the run with status 1, so a hang cannot stall a leg.
 
 #include <cstdio>
 #include <cstdlib>
