@@ -19,14 +19,12 @@
 // per-FK-naive plan by at least kMinSharedAdvantage; the run FAILS below
 // that bar, so CI holds the line on the shared derivation.
 //
-// Extra flags (on top of the common bench flags):
-//   --json-out=FILE    append one machine-readable JSON line
-//                      (consumed by tools/bench_smoke_summary.py
-//                      --cascade=FILE)
+// With --trace-out, the shared-sort record carries the ratio as extra
+// `ratio` (re-checked by tools/bench_smoke_summary.py).
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,10 +46,10 @@ constexpr double kForgetFraction = 0.01;
 struct VariantResult {
   uint64_t users_deleted = 0;
   uint64_t cascaded_rows = 0;
-  int64_t reads = 0;
-  int64_t writes = 0;
-  int64_t sim_micros = 0;
+  IoStats io;
   int64_t wall_micros = 0;
+  /// The statement's report; absent for the row-at-a-time loop.
+  std::optional<BulkDeleteReport> report;
 };
 
 /// Builds the forget-me schema: per user, 2 orders + 2 sessions + 1 post +
@@ -135,12 +133,6 @@ uint64_t TotalRows(Database* db) {
 
 int Run(int argc, char** argv) {
   BenchConfig config = BenchConfig::FromArgs(argc, argv);
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    }
-  }
   size_t memory = config.ScaledMemoryBytes(5.0);
   int64_t n_users = static_cast<int64_t>(config.n_tuples / 12);
   if (n_users < 200) n_users = 200;
@@ -168,6 +160,7 @@ int Run(int argc, char** argv) {
     int64_t wall_micros = 0;
     uint64_t users_deleted = 0;
     uint64_t cascaded = 0;
+    std::optional<BulkDeleteReport> statement;
     if (variant < 2) {
       BulkDeleteSpec spec;
       spec.table = "USERS";
@@ -181,6 +174,7 @@ int Run(int argc, char** argv) {
       users_deleted = report->rows_deleted;
       cascaded = report->cascaded_rows;
       wall_micros = report->wall_micros;
+      statement = std::move(report).TakeValue();
     } else {
       // Traditional: one row DML per user, cascade fan-out per statement.
       auto t0 = std::chrono::steady_clock::now();
@@ -204,8 +198,8 @@ int Run(int argc, char** argv) {
       cascaded = rows_before - TotalRows(db.get()) - users_deleted;
     }
     IoStats io = db->disk().stats() - before;
-    results[variant] = {users_deleted, cascaded,          io.reads,
-                        io.writes,     io.simulated_micros, wall_micros};
+    results[variant] = {users_deleted, cascaded, io, wall_micros,
+                        std::move(statement)};
     std::printf(
         "%-14s users=%llu cascaded=%llu reads=%lld writes=%lld sim=%.2f "
         "min  wall=%.0f ms\n",
@@ -232,8 +226,8 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  int64_t shared_cost = results[0].reads + results[0].writes;
-  int64_t naive_cost = results[1].reads + results[1].writes;
+  int64_t shared_cost = results[0].io.reads + results[0].io.writes;
+  int64_t naive_cost = results[1].io.reads + results[1].io.writes;
   double ratio = shared_cost == 0 ? 0.0
                                   : static_cast<double>(naive_cost) /
                                         static_cast<double>(shared_cost);
@@ -241,7 +235,8 @@ int Run(int argc, char** argv) {
       "\nshared-sort: %lld page transfers; per-FK-naive: %lld (%.2fx); "
       "row-at-a-time: %lld\n",
       static_cast<long long>(shared_cost), static_cast<long long>(naive_cost),
-      ratio, static_cast<long long>(results[2].reads + results[2].writes));
+      ratio,
+      static_cast<long long>(results[2].io.reads + results[2].io.writes));
   if (shared_cost == 0 || ratio < kMinSharedAdvantage) {
     std::fprintf(stderr,
                  "FAIL: the shared-sort cascade plan must charge at least "
@@ -250,39 +245,22 @@ int Run(int argc, char** argv) {
                  kMinSharedAdvantage, ratio);
     return 1;
   }
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
+  for (int variant = 0; variant < 3; ++variant) {
+    const VariantResult& r = results[variant];
+    BenchRecord record;
+    record.series = names[variant];
+    record.x = "1% of users";
+    record.memory_bytes = memory;
+    if (r.report.has_value()) {
+      record.report = &*r.report;
+    } else {
+      record.io = r.io;
+      record.wall_micros = r.wall_micros;
     }
-    std::fprintf(
-        f,
-        "{\"bench\":\"ablation_cascade\",\"n_users\":%lld,"
-        "\"fraction\":%.2f,\"users_deleted\":%llu,\"cascaded_rows\":%llu,"
-        "\"shared\":{\"io_reads\":%lld,\"io_writes\":%lld,"
-        "\"sim_micros\":%lld,\"wall_micros\":%lld},"
-        "\"naive\":{\"io_reads\":%lld,\"io_writes\":%lld,"
-        "\"sim_micros\":%lld,\"wall_micros\":%lld},"
-        "\"row_at_a_time\":{\"io_reads\":%lld,\"io_writes\":%lld,"
-        "\"sim_micros\":%lld,\"wall_micros\":%lld},"
-        "\"ratio\":%.2f}\n",
-        static_cast<long long>(n_users), kForgetFraction,
-        static_cast<unsigned long long>(results[0].users_deleted),
-        static_cast<unsigned long long>(results[0].cascaded_rows),
-        static_cast<long long>(results[0].reads),
-        static_cast<long long>(results[0].writes),
-        static_cast<long long>(results[0].sim_micros),
-        static_cast<long long>(results[0].wall_micros),
-        static_cast<long long>(results[1].reads),
-        static_cast<long long>(results[1].writes),
-        static_cast<long long>(results[1].sim_micros),
-        static_cast<long long>(results[1].wall_micros),
-        static_cast<long long>(results[2].reads),
-        static_cast<long long>(results[2].writes),
-        static_cast<long long>(results[2].sim_micros),
-        static_cast<long long>(results[2].wall_micros), ratio);
-    std::fclose(f);
+    record.extra = {{"users_deleted", static_cast<double>(r.users_deleted)},
+                    {"cascaded_rows", static_cast<double>(r.cascaded_rows)}};
+    if (variant == 0) record.extra.emplace_back("ratio", ratio);
+    WriteRecord(config, record);
   }
   return 0;
 }

@@ -6,8 +6,6 @@
 //
 // Extra flags (on top of the common bench flags):
 //   --updaters=N       concurrent updater threads per protocol (default 1)
-//   --json-out=FILE    append one machine-readable JSON line (consumed by
-//                      tools/bench_smoke_summary.py --concurrency=FILE)
 //
 // With no updaters running, the protocol machinery must be free: the run
 // also executes every protocol with zero updaters and checks the simulated
@@ -19,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -32,7 +31,7 @@ namespace {
 
 struct ProtocolDef {
   const char* name;  ///< human label
-  const char* key;   ///< JSON key
+  const char* key;   ///< record series
   ConcurrencyProtocol protocol;
 };
 
@@ -43,12 +42,10 @@ constexpr ProtocolDef kProtocols[] = {
 };
 
 struct ProtocolResult {
+  BulkDeleteReport report;
   double wall_ms = 0;
   uint64_t updater_ops = 0;
   double updater_ops_per_sec = 0;
-  uint64_t sim_micros = 0;
-  uint64_t io_reads = 0;
-  uint64_t io_writes = 0;
   /// WAL activity across the whole run (zero unless the recovery log is on):
   /// Sync() calls made vs. physical flush batches performed. Group commit's
   /// whole point is fsyncs << syncs under concurrent committers.
@@ -129,14 +126,12 @@ Result<ProtocolResult> RunProtocol(const BenchConfig& config,
   BULKDEL_RETURN_IF_ERROR(db->VerifyIntegrity());
 
   ProtocolResult result;
+  result.report = *report;
   result.wall_ms = wall_ms;
   result.updater_ops = ops.load();
   result.updater_ops_per_sec =
       wall_ms > 0 ? static_cast<double>(result.updater_ops) / wall_ms * 1000.0
                   : 0;
-  result.sim_micros = report->io.simulated_micros;
-  result.io_reads = report->io.reads;
-  result.io_writes = report->io.writes;
   result.wal_syncs = static_cast<uint64_t>(
       db->metrics().counter(obs::metric_names::kWalSyncs)->value());
   result.wal_fsyncs = static_cast<uint64_t>(
@@ -151,14 +146,11 @@ Result<ProtocolResult> RunProtocol(const BenchConfig& config,
 int Run(int argc, char** argv) {
   BenchConfig config = BenchConfig::FromArgs(argc, argv);
   int n_updaters = 1;
-  std::string json_out;
   std::string gc_dir = config.db_dir + "/ablation_gc";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--updaters=", 11) == 0) {
       n_updaters = std::atoi(argv[i] + 11);
       if (n_updaters < 1) n_updaters = 1;
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
     }
   }
   // Keep this one modest: it is wall-clock bound.
@@ -172,7 +164,7 @@ int Run(int argc, char** argv) {
   // With no updaters, every protocol must cost nothing: identical simulated
   // bulk-delete I/O (the §3.1 machinery only acts when DML actually
   // arrives while an index is off-line).
-  uint64_t baseline_sim = 0, baseline_reads = 0, baseline_writes = 0;
+  IoStats baseline;
   for (const ProtocolDef& p : kProtocols) {
     auto quiet = RunProtocol(config, p.protocol, 0);
     if (!quiet.ok()) {
@@ -180,37 +172,41 @@ int Run(int argc, char** argv) {
                    quiet.status().ToString().c_str());
       return 1;
     }
+    const IoStats& io = quiet->report.io;
     if (p.protocol == ConcurrencyProtocol::kNone) {
-      baseline_sim = quiet->sim_micros;
-      baseline_reads = quiet->io_reads;
-      baseline_writes = quiet->io_writes;
-    } else if (quiet->sim_micros != baseline_sim ||
-               quiet->io_reads != baseline_reads ||
-               quiet->io_writes != baseline_writes) {
+      baseline = io;
+    } else if (io.simulated_micros != baseline.simulated_micros ||
+               io.reads != baseline.reads || io.writes != baseline.writes) {
       std::fprintf(stderr,
                    "I/O identity violated: %s with no updaters simulated "
-                   "%llu us (%llu r / %llu w) vs baseline %llu us "
-                   "(%llu r / %llu w)\n",
-                   p.name,
-                   static_cast<unsigned long long>(quiet->sim_micros),
-                   static_cast<unsigned long long>(quiet->io_reads),
-                   static_cast<unsigned long long>(quiet->io_writes),
-                   static_cast<unsigned long long>(baseline_sim),
-                   static_cast<unsigned long long>(baseline_reads),
-                   static_cast<unsigned long long>(baseline_writes));
+                   "%lld us (%lld r / %lld w) vs baseline %lld us "
+                   "(%lld r / %lld w)\n",
+                   p.name, static_cast<long long>(io.simulated_micros),
+                   static_cast<long long>(io.reads),
+                   static_cast<long long>(io.writes),
+                   static_cast<long long>(baseline.simulated_micros),
+                   static_cast<long long>(baseline.reads),
+                   static_cast<long long>(baseline.writes));
       return 1;
     }
   }
   std::printf("quiet-run I/O identity: all protocols simulate %llu us\n",
-              static_cast<unsigned long long>(baseline_sim));
+              static_cast<unsigned long long>(baseline.simulated_micros));
 
   std::printf("%-22s %16s %14s %16s\n", "protocol", "delete wall(ms)",
               "updater ops", "updater ops/s");
-  std::string json = "{\"bench\": \"ablation_concurrency\", \"tuples\": " +
-                     std::to_string(config.n_tuples) +
-                     ", \"updaters\": " + std::to_string(n_updaters) +
-                     ", \"protocols\": {";
-  bool first = true;
+  size_t memory = config.ScaledMemoryBytes(5.0);
+  auto record = [&](const char* series, int updaters,
+                    const ProtocolResult& result,
+                    std::vector<std::pair<std::string, double>> extra) {
+    BenchRecord r;
+    r.series = series;
+    r.x = std::to_string(updaters) + " updaters";
+    r.memory_bytes = memory;
+    r.report = &result.report;
+    r.extra = std::move(extra);
+    WriteRecord(config, r);
+  };
   for (const ProtocolDef& p : kProtocols) {
     auto result = RunProtocol(config, p.protocol, n_updaters);
     if (!result.ok()) {
@@ -221,18 +217,10 @@ int Run(int argc, char** argv) {
     std::printf("%-22s %16.1f %14llu %16.0f\n", p.name, result->wall_ms,
                 static_cast<unsigned long long>(result->updater_ops),
                 result->updater_ops_per_sec);
-    char entry[256];
-    std::snprintf(entry, sizeof(entry),
-                  "%s\"%s\": {\"delete_wall_ms\": %.1f, \"updater_ops\": "
-                  "%llu, \"updater_ops_per_sec\": %.0f, \"sim_micros\": %llu}",
-                  first ? "" : ", ", p.key, result->wall_ms,
-                  static_cast<unsigned long long>(result->updater_ops),
-                  result->updater_ops_per_sec,
-                  static_cast<unsigned long long>(result->sim_micros));
-    json += entry;
-    first = false;
+    record(p.key, n_updaters, *result,
+           {{"updater_ops", static_cast<double>(result->updater_ops)},
+            {"updater_ops_per_sec", result->updater_ops_per_sec}});
   }
-  json += "}";
 
   // WAL group-commit ablation: the same side-file run, file-backed with the
   // recovery log on, so every acknowledged updater op pays a WAL sync before
@@ -249,7 +237,6 @@ int Run(int argc, char** argv) {
   std::printf("%-14s %16s %12s %12s %12s %12s %12s\n", "group commit",
               "delete wall(ms)", "acked ops", "wal syncs", "wal fsyncs",
               "pool forced", "stmt syncs");
-  json += ", \"wal_group_commit\": {";
   uint64_t fsyncs_on = 0, ops_on = 0;
   for (bool group_commit : {true, false}) {
     DurabilityOpts durability;
@@ -275,22 +262,15 @@ int Run(int argc, char** argv) {
                 static_cast<unsigned long long>(result->wal_fsyncs),
                 static_cast<unsigned long long>(result->wal_forced_writebacks),
                 static_cast<unsigned long long>(result->StatementSyncs()));
-    char entry[320];
-    std::snprintf(entry, sizeof(entry),
-                  "%s\"%s\": {\"delete_wall_ms\": %.1f, \"updater_ops\": "
-                  "%llu, \"wal_syncs\": %llu, \"wal_fsyncs\": %llu, "
-                  "\"wal_forced_writebacks\": %llu, \"statement_syncs\": "
-                  "%llu}",
-                  group_commit ? "" : ", ", group_commit ? "on" : "off",
-                  result->wall_ms,
-                  static_cast<unsigned long long>(result->updater_ops),
-                  static_cast<unsigned long long>(result->wal_syncs),
-                  static_cast<unsigned long long>(result->wal_fsyncs),
-                  static_cast<unsigned long long>(result->wal_forced_writebacks),
-                  static_cast<unsigned long long>(result->StatementSyncs()));
-    json += entry;
+    record(group_commit ? "group commit on" : "group commit off", gc_updaters,
+           *result,
+           {{"acked_ops", static_cast<double>(result->updater_ops)},
+            {"wal_syncs", static_cast<double>(result->wal_syncs)},
+            {"wal_fsyncs", static_cast<double>(result->wal_fsyncs)},
+            {"pool_forced",
+             static_cast<double>(result->wal_forced_writebacks)},
+            {"stmt_syncs", static_cast<double>(result->StatementSyncs())}});
   }
-  json += "}";
   if (ops_on > 0 && fsyncs_on >= ops_on) {
     std::fprintf(stderr,
                  "group commit failed to coalesce: %llu fsyncs for %llu "
@@ -300,16 +280,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  json += "}";
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
   std::printf(
       "\nexpectation: both on-line protocols sustain updater traffic during "
       "the\nbulk delete (the exclusive baseline allows none); direct "

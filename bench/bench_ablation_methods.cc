@@ -33,9 +33,10 @@ int Run(int argc, char** argv) {
     std::snprintf(title, sizeof(title),
                   "⋉̸ methods at %zu KiB memory (paper-scale %.2f MB), in SECONDS",
                   memory / 1024, paper_mb);
-    ResultTable table(title, "deleted (%)",
+    ResultTable table(config, memory, title, "deleted (%)",
                       {"sort/merge", "classic hash", "partitioned hash",
-                       "optimizer"});
+                       "optimizer"},
+                      /*show_wall=*/false, /*seconds=*/true);
     for (double fraction : {0.05, 0.15, 0.30}) {
       char x[16];
       std::snprintf(x, sizeof(x), "%.0f%%", fraction * 100);
@@ -52,7 +53,7 @@ int Run(int argc, char** argv) {
                        report.status().ToString().c_str());
           return 1;
         }
-        table.AddCell(x, s.name, report->simulated_seconds());
+        table.AddCell(x, s.name, *report);
       }
     }
     table.Print();

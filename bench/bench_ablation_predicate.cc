@@ -14,14 +14,11 @@
 // charge at least 5x fewer simulated page transfers (reads + writes) than
 // the expanded plan; the run FAILS below that ratio, so CI holds the line.
 //
-// Extra flags (on top of the common bench flags):
-//   --json-out=FILE    append one machine-readable JSON line for part 2
-//                      (consumed by tools/bench_smoke_summary.py
-//                      --predicate=FILE)
+// With --trace-out, the part-2 "range plan" record carries the ratio as
+// extra `ratio` (re-checked by tools/bench_smoke_summary.py).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +26,7 @@
 #include "exec/hash_delete.h"
 #include "exec/partitioned_delete.h"
 #include "sort/external_sort.h"
+#include "util/stopwatch.h"
 
 namespace bulkdel {
 namespace bench {
@@ -40,17 +38,11 @@ constexpr double kMinRangeAdvantage = 5.0;
 
 int Run(int argc, char** argv) {
   BenchConfig config = BenchConfig::FromArgs(argc, argv);
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    }
-  }
   size_t memory = config.ScaledMemoryBytes(5.0);
   std::printf("Ablation: primary ⋉̸ predicate on a secondary index\n");
 
-  ResultTable table("Probe predicate on I_B (15% deleted)", "predicate",
-                    {"sim minutes", "leaves visited"});
+  ResultTable table(config, memory, "Probe predicate on I_B (15% deleted)",
+                    "predicate", {"sim minutes", "leaves visited"});
   struct Variant {
     const char* name;
     int kind;  // 0 = by key (merge), 1 = by rid (hash), 2 = partitioned
@@ -80,6 +72,7 @@ int Run(int argc, char** argv) {
     auto* index = db->GetIndex("R", "B");
     db->disk().ResetStats();
     IoStats before = db->disk().stats();
+    Stopwatch watch;
     BtreeBulkDeleteStats stats;
     Status s;
     switch (v.kind) {
@@ -110,15 +103,18 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
       return 1;
     }
+    int64_t wall_micros = watch.ElapsedMicros();
     IoStats io = db->disk().stats() - before;
     std::printf("%-22s deleted=%llu leaves=%llu sim=%.2f min\n", v.name,
                 static_cast<unsigned long long>(stats.entries_deleted),
                 static_cast<unsigned long long>(stats.leaves_visited),
                 static_cast<double>(io.simulated_micros) / 60e6);
-    table.AddCell(v.name, "sim minutes",
-                  static_cast<double>(io.simulated_micros) / 60e6);
-    table.AddCell(v.name, "leaves visited",
-                  static_cast<double>(stats.leaves_visited));
+    double leaves = static_cast<double>(stats.leaves_visited);
+    table.AddCell(
+        v.name, "sim minutes", io, wall_micros,
+        {{"entries_deleted", static_cast<double>(stats.entries_deleted)},
+         {"leaves_visited", leaves}});
+    table.AddValue(v.name, "leaves visited", leaves);
   }
   table.Print();
   std::printf(
@@ -133,15 +129,8 @@ int Run(int argc, char** argv) {
   // is one contiguous key range).
   std::printf("\nAblation: BETWEEN as a range plan vs expanded IN-list\n");
   constexpr double kFraction = 0.10;
-  struct PlanResult {
-    uint64_t rows_deleted = 0;
-    int64_t reads = 0;
-    int64_t writes = 0;
-    int64_t sim_micros = 0;
-    int64_t wall_micros = 0;
-    std::string backend;
-  };
-  PlanResult results[2];  // [0] = range, [1] = expanded IN-list
+  const char* plans[] = {"range plan", "expanded IN-list"};
+  BulkDeleteReport results[2];
   for (int variant = 0; variant < 2; ++variant) {
     auto bench = BuildBenchDb(config, {"A"}, memory, /*clustered_on_a=*/true);
     if (!bench.ok()) {
@@ -173,11 +162,9 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
       return 1;
     }
-    results[variant] = {report->rows_deleted, report->io.reads,
-                        report->io.writes, report->io.simulated_micros,
-                        report->wall_micros, report->backend};
+    results[variant] = *report;
     std::printf("%-18s deleted=%llu reads=%lld writes=%lld sim=%.2f min\n",
-                variant == 0 ? "range plan" : "expanded IN-list",
+                plans[variant],
                 static_cast<unsigned long long>(report->rows_deleted),
                 static_cast<long long>(report->io.reads),
                 static_cast<long long>(report->io.writes),
@@ -191,8 +178,8 @@ int Run(int argc, char** argv) {
                  static_cast<unsigned long long>(results[1].rows_deleted));
     return 1;
   }
-  int64_t range_cost = results[0].reads + results[0].writes;
-  int64_t expanded_cost = results[1].reads + results[1].writes;
+  int64_t range_cost = results[0].io.reads + results[0].io.writes;
+  int64_t expanded_cost = results[1].io.reads + results[1].io.writes;
   double ratio = range_cost == 0
                      ? 0.0
                      : static_cast<double>(expanded_cost) /
@@ -210,33 +197,14 @@ int Run(int argc, char** argv) {
                  kMinRangeAdvantage, ratio);
     return 1;
   }
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\"bench\":\"ablation_predicate\",\"backend\":\"%s\","
-        "\"n_tuples\":%llu,\"fraction\":%.2f,\"rows_deleted\":%llu,"
-        "\"range\":{\"io_reads\":%lld,\"io_writes\":%lld,"
-        "\"sim_micros\":%lld,\"wall_micros\":%lld},"
-        "\"expanded_in\":{\"io_reads\":%lld,\"io_writes\":%lld,"
-        "\"sim_micros\":%lld,\"wall_micros\":%lld},"
-        "\"ratio\":%.2f}\n",
-        results[0].backend.c_str(),
-        static_cast<unsigned long long>(config.n_tuples), kFraction,
-        static_cast<unsigned long long>(results[0].rows_deleted),
-        static_cast<long long>(results[0].reads),
-        static_cast<long long>(results[0].writes),
-        static_cast<long long>(results[0].sim_micros),
-        static_cast<long long>(results[0].wall_micros),
-        static_cast<long long>(results[1].reads),
-        static_cast<long long>(results[1].writes),
-        static_cast<long long>(results[1].sim_micros),
-        static_cast<long long>(results[1].wall_micros), ratio);
-    std::fclose(f);
+  for (int variant = 0; variant < 2; ++variant) {
+    BenchRecord record;
+    record.series = plans[variant];
+    record.x = "10% BETWEEN";
+    record.memory_bytes = memory;
+    record.report = &results[variant];
+    if (variant == 0) record.extra = {{"ratio", ratio}};
+    WriteRecord(config, record);
   }
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "util/stopwatch.h"
 
 namespace bulkdel {
 namespace bench {
@@ -26,7 +27,8 @@ int Run(int argc, char** argv) {
       {"base-node incr.", ReorgMode::kIncrementalBaseNode},
   };
 
-  ResultTable table("Reorganization modes, 60% bulk delete", "metric",
+  ResultTable table(config, memory, "Reorganization modes, 60% bulk delete",
+                    "metric",
                     {"free-at-empty", "compact+rebuild", "base-node incr."});
   std::printf("%-18s %14s %14s %14s %14s\n", "mode", "delete(min)",
               "scan-after(min)", "leaves", "height");
@@ -59,19 +61,23 @@ int Run(int argc, char** argv) {
     auto* index = db->GetIndex("R", "A");
     (void)db->pool().Reset();
     IoStats before = db->disk().stats();
+    Stopwatch scan_watch;
     uint64_t n = 0;
     Status s = index->tree->ScanAll([&](int64_t, const Rid&, uint16_t) {
       ++n;
       return Status::OK();
     });
     if (!s.ok()) return 1;
+    int64_t scan_wall_micros = scan_watch.ElapsedMicros();
     IoStats scan = db->disk().stats() - before;
     double scan_min = static_cast<double>(scan.simulated_micros) / 60e6;
 
     std::printf("%-18s %14.2f %14.3f %14u %14d\n", m.name, delete_min,
                 scan_min, index->tree->num_leaves(), index->tree->height());
-    table.AddCell("delete", m.name, delete_min);
-    table.AddCell("scan-after", m.name, scan_min);
+    table.AddCell("delete", m.name, *report);
+    table.AddCell("scan-after", m.name, scan, scan_wall_micros,
+                  {{"leaves", static_cast<double>(index->tree->num_leaves())},
+                   {"height", static_cast<double>(index->tree->height())}});
   }
   table.Print();
   std::printf(

@@ -4,17 +4,24 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "obs/trace_recorder.h"
+#include "util/json.h"
 
 namespace bulkdel {
 namespace bench {
 
 BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
   BenchConfig config;
+  if (argc > 0) {
+    const char* slash = std::strrchr(argv[0], '/');
+    config.bench = slash != nullptr ? slash + 1 : argv[0];
+    if (config.bench.rfind("bench_", 0) == 0) config.bench.erase(0, 6);
+  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--tuples=", 9) == 0) {
@@ -104,18 +111,59 @@ Result<BulkDeleteReport> RunDelete(BenchDb* bench, double fraction,
   return bench->db->BulkDelete(spec, strategy);
 }
 
-void MaybeWriteTrace(const BenchConfig& config,
-                     const BulkDeleteReport& report) {
+void WriteRecord(const BenchConfig& config, const BenchRecord& record) {
   if (config.trace_out.empty()) return;
+  const IoStats& io =
+      record.report != nullptr ? record.report->io : record.io;
+  std::string line = "{\"bench\":";
+  json::AppendEscaped(&line, config.bench);
+  line += ",\"series\":";
+  json::AppendEscaped(&line, record.series);
+  line += ",\"x\":";
+  json::AppendEscaped(&line, record.x);
+  char buf[256];
+  // `backend` is "sim" or "file" (FromArgs rejects anything else).
+  std::snprintf(buf, sizeof(buf),
+                ",\"scale\":{\"tuples\":%llu,\"tuple_size\":%u,"
+                "\"memory_bytes\":%zu,\"threads\":%d,\"backend\":\"%s\"},"
+                "\"sim_micros\":%lld,\"extra\":{",
+                static_cast<unsigned long long>(config.n_tuples),
+                config.tuple_size, record.memory_bytes, config.exec_threads,
+                config.backend.c_str(),
+                static_cast<long long>(io.simulated_micros));
+  line += buf;
+  for (size_t i = 0; i < record.extra.size(); ++i) {
+    if (i > 0) line += ',';
+    json::AppendEscaped(&line, record.extra[i].first);
+    double v = record.extra[i].second;
+    std::snprintf(buf, sizeof(buf), ":%.15g", std::isfinite(v) ? v : 0.0);
+    line += buf;
+  }
+  line += "},";
+  if (record.report != nullptr) {
+    // The report's own fields (strategy, phases, io, wall_micros, ...).
+    line += record.report->ToJson().substr(1);
+  } else {
+    std::snprintf(buf, sizeof(buf),
+                  "\"wall_micros\":%lld,\"io\":{\"reads\":%lld,"
+                  "\"writes\":%lld,\"sequential_accesses\":%lld,"
+                  "\"random_accesses\":%lld,\"simulated_micros\":%lld}}",
+                  static_cast<long long>(record.wall_micros),
+                  static_cast<long long>(io.reads),
+                  static_cast<long long>(io.writes),
+                  static_cast<long long>(io.sequential_accesses),
+                  static_cast<long long>(io.random_accesses),
+                  static_cast<long long>(io.simulated_micros));
+    line += buf;
+  }
+  line += '\n';
   std::FILE* f = std::fopen(config.trace_out.c_str(), "a");
   if (f == nullptr) {
     std::fprintf(stderr, "trace-out: cannot open %s\n",
                  config.trace_out.c_str());
     return;
   }
-  std::string json = report.ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
+  std::fwrite(line.data(), 1, line.size(), f);
   std::fclose(f);
 }
 
@@ -133,14 +181,60 @@ void MaybeExportPerfetto(const BenchConfig& config) {
               static_cast<unsigned long long>(recorder.DroppedCount()));
 }
 
-ResultTable::ResultTable(std::string title, std::string x_label,
-                         std::vector<std::string> series)
-    : title_(std::move(title)),
+ResultTable::ResultTable(const BenchConfig& config, size_t memory_bytes,
+                         std::string title, std::string x_label,
+                         std::vector<std::string> series, bool show_wall,
+                         bool seconds)
+    : config_(config),
+      memory_bytes_(memory_bytes),
+      title_(std::move(title)),
       x_label_(std::move(x_label)),
-      series_(std::move(series)) {}
+      series_(std::move(series)),
+      show_wall_(show_wall),
+      seconds_(seconds) {}
 
 void ResultTable::AddCell(const std::string& x, const std::string& series,
-                          double sim_minutes, double wall_millis) {
+                          const BulkDeleteReport& report,
+                          std::vector<std::pair<std::string, double>> extra) {
+  BenchRecord record;
+  record.series = series;
+  record.x = x;
+  record.report = &report;
+  record.extra = std::move(extra);
+  Record(std::move(record));
+}
+
+void ResultTable::AddCell(const std::string& x, const std::string& series,
+                          const IoStats& io, int64_t wall_micros,
+                          std::vector<std::pair<std::string, double>> extra) {
+  BenchRecord record;
+  record.series = series;
+  record.x = x;
+  record.io = io;
+  record.wall_micros = wall_micros;
+  record.extra = std::move(extra);
+  Record(std::move(record));
+}
+
+void ResultTable::AddValue(const std::string& x, const std::string& series,
+                           double value) {
+  Place(x, series, value, -1.0);
+}
+
+void ResultTable::Record(BenchRecord record) {
+  record.memory_bytes = memory_bytes_;
+  WriteRecord(config_, record);
+  const BulkDeleteReport* report = record.report;
+  const IoStats& io = report != nullptr ? report->io : record.io;
+  // BulkDeleteReport::simulated_seconds() / simulated_minutes(), exactly.
+  double seconds = static_cast<double>(io.simulated_micros) * 1e-6;
+  int64_t wall = report != nullptr ? report->wall_micros : record.wall_micros;
+  Place(record.x, record.series, seconds_ ? seconds : seconds / 60.0,
+        show_wall_ ? static_cast<double>(wall) / 1000.0 : -1.0);
+}
+
+void ResultTable::Place(const std::string& x, const std::string& series,
+                        double value, double wall_millis) {
   size_t xi = xs_.size();
   for (size_t i = 0; i < xs_.size(); ++i) {
     if (xs_[i] == x) {
@@ -155,7 +249,7 @@ void ResultTable::AddCell(const std::string& x, const std::string& series,
   }
   for (size_t s = 0; s < series_.size(); ++s) {
     if (series_[s] == series) {
-      cells_[xi][s] = sim_minutes;
+      cells_[xi][s] = value;
       walls_[xi][s] = wall_millis;
       return;
     }

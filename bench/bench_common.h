@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -38,10 +39,14 @@ struct BenchConfig {
   /// WAL group commit (`--wal-group-commit=0|1`, default on). Off = every
   /// Sync() performs its own flush+fsync; the ablation's baseline.
   bool wal_group_commit = true;
-  /// If non-empty (`--trace-out=FILE`), every report produced via RunDelete
-  /// is appended to FILE as one BulkDeleteReport::ToJson() line (JSONL), for
-  /// machine-readable per-phase breakdowns of EXPERIMENTS runs.
+  /// If non-empty (`--trace-out=FILE`), every measurement the bench makes
+  /// is appended to FILE as one BenchRecord JSON line (JSONL; see
+  /// WriteRecord and docs/OBSERVABILITY.md), the input of
+  /// tools/bench_smoke_summary.py.
   std::string trace_out;
+  /// The bench's name: its binary name without the `bench_` prefix
+  /// ("fig7_vary_deletes"), the `bench` field of every record it writes.
+  std::string bench;
   /// If non-empty (`--perfetto-out=FILE`), span tracing is enabled
   /// (DatabaseOptions::trace_spans) and the whole run's trace is written to
   /// FILE as Chrome trace-event JSON on MaybeExportPerfetto() — load it in
@@ -85,10 +90,31 @@ Result<BulkDeleteReport> RunDelete(BenchDb* bench, double fraction,
                                    Strategy strategy, uint64_t key_seed = 1,
                                    bool pre_sort_keys = false);
 
-/// Appends `report` as one JSON line to `config.trace_out`, if set. Errors
-/// are reported to stderr but do not fail the benchmark.
-void MaybeWriteTrace(const BenchConfig& config,
-                     const BulkDeleteReport& report);
+/// One measurement of a bench: a cell of its table, or a line it prints.
+/// Every bench writes its measurements as these records, through
+/// WriteRecord only.
+struct BenchRecord {
+  std::string series;
+  std::string x;
+  /// Buffer/sort memory of the database the measurement ran on.
+  size_t memory_bytes = 0;
+  /// A bulk delete's report, embedded whole (its fields at the record's top
+  /// level, so `bulkdel_tracecat --reports` reads the record as the report);
+  /// its io and wall_micros are the record's. Null for a measurement that is
+  /// not one statement: `io` and `wall_micros` are then the record's.
+  const BulkDeleteReport* report = nullptr;
+  IoStats io;
+  int64_t wall_micros = 0;
+  /// Named numbers that are not a delete cell's (ratios, updater ops, ...).
+  std::vector<std::pair<std::string, double>> extra;
+};
+
+/// Appends `record` as one JSON line to `config.trace_out`, if set: the
+/// bench, series and x, the scale (`config`'s tuples, tuple size, threads
+/// and backend, with the record's memory bytes), simulated and wall
+/// microseconds, the io counts, the `extra` map, and the embedded report.
+/// Errors are reported to stderr but do not fail the benchmark.
+void WriteRecord(const BenchConfig& config, const BenchRecord& record);
 
 /// Writes the global TraceRecorder's Chrome trace to `config.perfetto_out`,
 /// if set (call once, at the end of the benchmark). Errors are reported to
@@ -96,26 +122,48 @@ void MaybeWriteTrace(const BenchConfig& config,
 void MaybeExportPerfetto(const BenchConfig& config);
 
 /// Markdown-ish result table: one row per x-value, one column per series,
-/// cells in simulated minutes — optionally with host wall milliseconds
-/// alongside (`12.34 (56ms)`), so sim-model time and real-backend time read
-/// side by side.
+/// cells in simulated minutes (seconds with `seconds`) — optionally with
+/// host wall milliseconds alongside (`12.34 (56ms)`), so sim-model time and
+/// real-backend time read side by side. Every measured cell is also written
+/// as a BenchRecord, so a bench that prints a table records it too.
 class ResultTable {
  public:
-  ResultTable(std::string title, std::string x_label,
-              std::vector<std::string> series);
+  ResultTable(const BenchConfig& config, size_t memory_bytes,
+              std::string title, std::string x_label,
+              std::vector<std::string> series, bool show_wall = false,
+              bool seconds = false);
 
-  /// `wall_millis` < 0 omits the wall column for this cell.
+  /// The memory of the databases the following cells run on.
+  void set_memory_bytes(size_t memory_bytes) { memory_bytes_ = memory_bytes; }
+
+  /// A bulk delete's cell: shows its simulated time, records the report.
   void AddCell(const std::string& x, const std::string& series,
-               double sim_minutes, double wall_millis = -1.0);
-  /// Renders and prints the table plus per-cell I/O footnotes if provided.
+               const BulkDeleteReport& report,
+               std::vector<std::pair<std::string, double>> extra = {});
+  /// A measured cell that is not one statement.
+  void AddCell(const std::string& x, const std::string& series,
+               const IoStats& io, int64_t wall_micros,
+               std::vector<std::pair<std::string, double>> extra = {});
+  /// A cell that shows `value` as is; recorded by no record of its own.
+  void AddValue(const std::string& x, const std::string& series,
+                double value);
+  /// Renders and prints the table.
   void Print() const;
 
  private:
+  void Record(BenchRecord record);
+  void Place(const std::string& x, const std::string& series, double value,
+             double wall_millis);
+
+  const BenchConfig& config_;
+  size_t memory_bytes_;
   std::string title_;
   std::string x_label_;
   std::vector<std::string> series_;
+  bool show_wall_;
+  bool seconds_;
   std::vector<std::string> xs_;
-  std::vector<std::vector<double>> cells_;  // [x][series], sim minutes
+  std::vector<std::vector<double>> cells_;  // [x][series], shown value
   std::vector<std::vector<double>> walls_;  // [x][series], wall ms (<0 = n/a)
 };
 

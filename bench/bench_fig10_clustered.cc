@@ -37,7 +37,8 @@ int Run(int argc, char** argv) {
       {"not sorted/trad/clust", Strategy::kTraditional, true},
       {"bulk delete", Strategy::kVerticalSortMerge, true},
   };
-  ResultTable table("Figure 10: clustered index", "deleted (%)",
+  ResultTable table(config, memory, "Figure 10: clustered index",
+                    "deleted (%)",
                     {"sorted/trad/clust", "sorted/trad/unclust",
                      "not sorted/trad/clust", "bulk delete"});
   for (double fraction : {0.06, 0.10, 0.15, 0.20}) {
@@ -54,7 +55,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
         return 1;
       }
-      table.AddCell(x, s.name, report->simulated_minutes());
+      table.AddCell(x, s.name, *report);
     }
   }
   table.Print();

@@ -22,7 +22,8 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(config.n_tuples),
               config.tuple_size, memory / 1024);
 
-  ResultTable table("Figure 1: commercial-style baseline, 3 indices",
+  ResultTable table(config, memory,
+                    "Figure 1: commercial-style baseline, 3 indices",
                     "deleted (%)", {"traditional", "drop & create"});
   const double fractions[] = {0.01, 0.05, 0.10, 0.15};
   for (double fraction : fractions) {
@@ -39,7 +40,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
         return 1;
       }
-      table.AddCell(x, "traditional", report->simulated_minutes());
+      table.AddCell(x, "traditional", *report);
     }
     {
       auto bench = BuildBenchDb(config, {"A", "B", "C"}, memory);
@@ -49,7 +50,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
         return 1;
       }
-      table.AddCell(x, "drop & create", report->simulated_minutes());
+      table.AddCell(x, "drop & create", *report);
     }
   }
   table.Print();

@@ -30,9 +30,11 @@ int Run(int argc, char** argv) {
       {"not sorted/trad", Strategy::kTraditional},
       {"bulk delete", Strategy::kVerticalSortMerge},
   };
-  ResultTable table("Figure 7: vary deleted tuples, 1 unclustered index",
+  ResultTable table(config, memory,
+                    "Figure 7: vary deleted tuples, 1 unclustered index",
                     "deleted (%)",
-                    {"sorted/trad", "not sorted/trad", "bulk delete"});
+                    {"sorted/trad", "not sorted/trad", "bulk delete"},
+                    /*show_wall=*/true);
   for (double fraction : {0.05, 0.10, 0.15, 0.20}) {
     char x[16];
     std::snprintf(x, sizeof(x), "%.0f%%", fraction * 100);
@@ -47,9 +49,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
         return 1;
       }
-      MaybeWriteTrace(config, *report);
-      table.AddCell(x, s.name, report->simulated_minutes(),
-                    static_cast<double>(report->wall_micros) / 1000.0);
+      table.AddCell(x, s.name, *report);
     }
   }
   table.Print();

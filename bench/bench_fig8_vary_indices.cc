@@ -38,7 +38,8 @@ int Run(int argc, char** argv) {
       {"drop/create", Strategy::kDropCreate},
       {"bulk delete", Strategy::kVerticalSortMerge},
   };
-  ResultTable table("Figure 8: vary number of indices, 15% deleted",
+  ResultTable table(config, memory,
+                    "Figure 8: vary number of indices, 15% deleted",
                     "# indices",
                     {"sorted/trad", "not sorted/trad", "drop/create",
                      "bulk delete"});
@@ -62,8 +63,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
         return 1;
       }
-      MaybeWriteTrace(config, *report);
-      table.AddCell(x, s.name, report->simulated_minutes());
+      table.AddCell(x, s.name, *report);
     }
   }
   table.Print();

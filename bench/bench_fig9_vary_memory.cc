@@ -30,11 +30,13 @@ int Run(int argc, char** argv) {
       {"not sorted/trad", Strategy::kTraditional},
       {"bulk delete", Strategy::kVerticalSortMerge},
   };
-  ResultTable table("Figure 9: vary available memory, 15% deleted",
+  ResultTable table(config, 0, "Figure 9: vary available memory, 15% deleted",
                     "memory",
-                    {"sorted/trad", "not sorted/trad", "bulk delete"});
+                    {"sorted/trad", "not sorted/trad", "bulk delete"},
+                    /*show_wall=*/true);
   for (double paper_mb : {2.0, 6.0, 10.0}) {
     size_t memory = config.ScaledMemoryBytes(paper_mb);
+    table.set_memory_bytes(memory);
     char x[32];
     std::snprintf(x, sizeof(x), "%.0fMB (%zuKiB)", paper_mb, memory / 1024);
     for (const SeriesDef& s : series) {
@@ -48,9 +50,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "run: %s\n", report.status().ToString().c_str());
         return 1;
       }
-      MaybeWriteTrace(config, *report);
-      table.AddCell(x, s.name, report->simulated_minutes(),
-                    static_cast<double>(report->wall_micros) / 1000.0);
+      table.AddCell(x, s.name, *report);
     }
   }
   table.Print();

@@ -36,7 +36,7 @@ int Run(int argc, char** argv) {
       {"not sorted/trad", Strategy::kTraditional, false},
   };
 
-  ResultTable table("Table 1: vary index height", "approach",
+  ResultTable table(config, memory, "Table 1: vary index height", "approach",
                     {"normal height", "height + 1"});
   int heights[2] = {0, 0};
   for (int tall = 0; tall <= 1; ++tall) {
@@ -66,7 +66,7 @@ int Run(int argc, char** argv) {
         return 1;
       }
       table.AddCell(cell.name, tall ? "height + 1" : "normal height",
-                    report->simulated_minutes());
+                    *report, {{"height", static_cast<double>(heights[tall])}});
     }
   }
   table.Print();

@@ -392,22 +392,6 @@ Status BTree::Delete(int64_t key, const Rid& rid) {
   return Status::OK();
 }
 
-Status BTree::DeleteKey(int64_t key, Rid* deleted_rid) {
-  std::optional<Rid> found;
-  BULKDEL_RETURN_IF_ERROR(WalkLeaves(
-      KeyRid::Min(key), [&](PageGuard&, BTreeNode node) -> Result<bool> {
-        uint16_t pos = node.LeafLowerBound(key);
-        if (pos == node.count()) return true;
-        if (node.LeafKey(pos) == key) found = node.LeafRid(pos);
-        return false;
-      }));
-  if (!found.has_value()) {
-    return Status::NotFound("key " + std::to_string(key) + " not indexed");
-  }
-  if (deleted_rid != nullptr) *deleted_rid = *found;
-  return Delete(key, *found);
-}
-
 // ---------------------------------------------------------------------------
 // Lookups and scans
 // ---------------------------------------------------------------------------
@@ -636,49 +620,6 @@ Status BTree::BulkLoad(const std::vector<KeyRid>& entries, double fill) {
   entry_count_ = entries.size();
   BULKDEL_RETURN_IF_ERROR(BuildUpperLevels(std::move(level), fill));
   return FlushMeta();
-}
-
-Status BTree::BulkInsertSorted(const std::vector<KeyRid>& entries) {
-  if (entries.empty()) return Status::OK();
-  // Small batch: ordered point inserts (the sorted stream keeps the inner
-  // path cached, so this is already near-sequential).
-  if (entries.size() < entry_count_ / 8 || entry_count_ == 0) {
-    for (const KeyRid& e : entries) {
-      BULKDEL_RETURN_IF_ERROR(Insert(e.key, e.rid));
-    }
-    return Status::OK();
-  }
-  // Large batch: merge the existing leaf level with the new entries and
-  // rebuild — one sequential pass over the leaves, like the bulk delete.
-  std::vector<KeyRid> merged;
-  merged.reserve(entry_count_ + entries.size());
-  size_t i = 0;
-  Status dup = Status::OK();
-  BULKDEL_RETURN_IF_ERROR(
-      ScanAll([&](int64_t key, const Rid& rid, uint16_t) {
-        KeyRid existing(key, rid);
-        while (i < entries.size() && entries[i] < existing) {
-          merged.push_back(entries[i++]);
-        }
-        if (i < entries.size() &&
-            (entries[i] == existing ||
-             (options_.unique && entries[i].key == key))) {
-          dup = Status::AlreadyExists("bulk insert of existing entry for key " +
-                                      std::to_string(entries[i].key));
-        }
-        merged.push_back(existing);
-        return dup;
-      }));
-  if (!dup.ok()) return dup;
-  while (i < entries.size()) merged.push_back(entries[i++]);
-  if (options_.unique) {
-    for (size_t j = 1; j < merged.size(); ++j) {
-      if (merged[j].key == merged[j - 1].key) {
-        return Status::AlreadyExists("duplicate key in unique bulk insert");
-      }
-    }
-  }
-  return BulkLoad(merged);
 }
 
 Status BTree::BuildUpperLevels(std::vector<std::pair<KeyRid, PageId>> children,

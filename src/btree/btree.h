@@ -124,9 +124,6 @@ class BTree {
   /// Traditional root-to-leaf delete of the exact entry (key, rid).
   Status Delete(int64_t key, const Rid& rid);
 
-  /// Deletes the first entry with `key`; returns its RID via `deleted_rid`.
-  Status DeleteKey(int64_t key, Rid* deleted_rid = nullptr);
-
   /// All RIDs indexed under `key` (crosses leaf boundaries).
   Result<std::vector<Rid>> Search(int64_t key);
 
@@ -141,15 +138,6 @@ class BTree {
   /// Replaces the tree contents with `entries` (must be (key,rid)-sorted and
   /// duplicate-free as composites). `fill` in (0,1] controls node fill.
   Status BulkLoad(const std::vector<KeyRid>& entries, double fill = 1.0);
-
-  /// Set-oriented bulk insert of sorted, composite-unique entries — the dual
-  /// of the bulk delete, needed by bulk UPDATE (§1: a bulk update is a bulk
-  /// delete plus a bulk insert on the affected index). Large batches merge
-  /// the existing leaf level with the new entries and rebuild (one
-  /// sequential pass); small batches fall back to ordered point inserts,
-  /// which keep the descent path hot. Fails with AlreadyExists (tree
-  /// unchanged) on duplicate keys for unique indices or duplicate composites.
-  Status BulkInsertSorted(const std::vector<KeyRid>& entries);
 
   /// Merge-based bulk delete: removes every entry whose key appears in
   /// `keys` (ascending, unique). Deleted RIDs are appended to `deleted_rids`

@@ -52,6 +52,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <unordered_set>
 #include <utility>
 
@@ -447,9 +448,25 @@ class VerticalRun {
     }
   }
 
+  /// Holds every table's heap latch and each of its indexes' latches.
+  /// Updaters write heap and index pages under those latches, not under the
+  /// pool mutex, and never hold two at once; while the result lives no
+  /// updater is mid-write on a frame a flush copies and marks clean.
+  std::vector<std::unique_lock<std::mutex>> LatchUpdaters() {
+    std::vector<std::unique_lock<std::mutex>> latches;
+    for (TableDef* table : db_->catalog().tables()) {
+      latches.emplace_back(table->heap_latch);
+      for (auto& index : table->indices) {
+        latches.emplace_back(index->cc->latch);
+      }
+    }
+    return latches;
+  }
+
   /// Every leg's table and index metas, then the pool, then one fsync of
-  /// the page file.
+  /// the page file, with post-commit updaters held off the pages.
   Status FlushEverything() {
+    std::vector<std::unique_lock<std::mutex>> latches = LatchUpdaters();
     for (const auto& leg : legs_) {
       BULKDEL_RETURN_IF_ERROR(leg->table->table->FlushMeta());
       for (auto& index : leg->table->indices) {
@@ -457,6 +474,7 @@ class VerticalRun {
       }
     }
     BULKDEL_RETURN_IF_ERROR(db_->pool().FlushAll());
+    latches.clear();  // the fsync below reads no frame
     return db_->disk().Flush();
   }
 
@@ -935,8 +953,11 @@ class VerticalRun {
   /// Applies a drained batch the set-oriented way (the point of §3.1.1's
   /// catch-up): collapse it last-op-wins per (key, RID) composite, then run
   /// the deletions through the same sorted-merge leaf pass the bulk delete
-  /// itself uses, and the insertions through the sorted bulk insert —
-  /// rather than replaying record-at-a-time in arrival order.
+  /// itself uses, and the insertions as ordered point inserts (the sorted
+  /// stream keeps the descent path cached) — rather than replaying
+  /// record-at-a-time in arrival order. Both tolerate entries a failed
+  /// ConsumeFront already applied, so re-application is idempotent, and
+  /// neither frees a page before End.
   Status ApplySideFileBatch(IndexDef* index,
                             const std::vector<SideFileOp>& batch) {
     if (batch.empty()) return Status::OK();
@@ -951,24 +972,12 @@ class VerticalRun {
     }
     std::lock_guard<std::mutex> latch(index->cc->latch);
     if (!deletes.empty()) {
-      // Tolerates entries that are already gone — idempotent under
-      // re-application after a failed ConsumeFront.
       BULKDEL_RETURN_IF_ERROR(index->tree->BulkDeleteSortedEntries(
           deletes, ReorgMode::kFreeAtEmpty, nullptr));
     }
-    if (!inserts.empty()) {
-      Status bulk = index->tree->BulkInsertSorted(inserts);
-      if (bulk.code() == StatusCode::kAlreadyExists) {
-        // Re-application after a failed ConsumeFront: some entries landed
-        // already. BulkInsertSorted left the tree unchanged; fall back to
-        // per-entry inserts tolerating the duplicates.
-        for (const KeyRid& e : inserts) {
-          Status s = index->tree->Insert(e.key, e.rid);
-          if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
-        }
-      } else {
-        BULKDEL_RETURN_IF_ERROR(bulk);
-      }
+    for (const KeyRid& e : inserts) {
+      Status s = index->tree->Insert(e.key, e.rid);
+      if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
     }
     return Status::OK();
   }
@@ -1245,6 +1254,7 @@ class VerticalRun {
     std::unordered_set<PageId> freed(scrub_freed_pages_.begin(),
                                      scrub_freed_pages_.end());
     bool any_dead = false;
+    std::vector<std::unique_lock<std::mutex>> latches = LatchUpdaters();
     for (const auto& leg : legs_) {
       std::vector<Rid> dead = leg->rids;
       dead.insert(dead.end(), leg->scrub_rids.begin(), leg->scrub_rids.end());
@@ -1255,6 +1265,7 @@ class VerticalRun {
       BULKDEL_RETURN_IF_ERROR(leg->table->table->ScrubDeadSlots(dead, freed));
     }
     if (any_dead) BULKDEL_RETURN_IF_ERROR(db_->pool().FlushAll());
+    latches.clear();
     if (!freed.empty()) {
       std::vector<char> zeros(kPageSize, 0);
       for (PageId p : scrub_freed_pages_) {

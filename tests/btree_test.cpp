@@ -80,6 +80,25 @@ TEST_F(BTreeTest, ReverseAndAlternatingInsertOrders) {
                   })
                   .ok());
   EXPECT_EQ(prev, 499);
+
+  // A sorted stream of odd keys interleaved into an even-keyed tree (the
+  // side-file catch-up's insert order) lands every key in scan order.
+  auto interleaved = MakeSmallFanout();
+  for (int64_t k = 0; k < 2000; k += 2) {
+    ASSERT_TRUE(interleaved.Insert(k, Rid(1, 0)).ok());
+  }
+  for (int64_t k = 1; k < 2000; k += 2) {
+    ASSERT_TRUE(interleaved.Insert(k, Rid(1, 0)).ok());
+  }
+  ASSERT_TRUE(interleaved.CheckInvariants().ok());
+  EXPECT_EQ(interleaved.entry_count(), 2000u);
+  int64_t expect = 0;
+  ASSERT_TRUE(interleaved
+                  .ScanAll([&](int64_t k, const Rid&, uint16_t) {
+                    EXPECT_EQ(k, expect++);
+                    return Status::OK();
+                  })
+                  .ok());
 }
 
 TEST_F(BTreeTest, DuplicateKeysDifferentRids) {
@@ -108,6 +127,9 @@ TEST_F(BTreeTest, UniqueIndexRejectsDuplicateKey) {
     EXPECT_EQ(tree.Insert(k, Rid(2, 0)).code(), StatusCode::kAlreadyExists)
         << k;
   }
+  // A rejected insert leaves the tree unchanged.
+  EXPECT_EQ(tree.entry_count(), 200u);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
   // After deleting, the key becomes insertable again, even with a different
   // (larger or smaller) RID — the stale-separator edge case.
   ASSERT_TRUE(tree.Delete(100, Rid(1, 100)).ok());
@@ -138,16 +160,6 @@ TEST_F(BTreeTest, DeleteNotFound) {
   ASSERT_TRUE(tree.Insert(1, Rid(1, 1)).ok());
   EXPECT_TRUE(tree.Delete(2, Rid(1, 1)).IsNotFound());
   EXPECT_TRUE(tree.Delete(1, Rid(1, 2)).IsNotFound());
-  EXPECT_TRUE(tree.DeleteKey(99).IsNotFound());
-}
-
-TEST_F(BTreeTest, DeleteKeyReturnsRid) {
-  auto tree = *BTree::Create(&pool_);
-  ASSERT_TRUE(tree.Insert(10, Rid(3, 4)).ok());
-  Rid rid;
-  ASSERT_TRUE(tree.DeleteKey(10, &rid).ok());
-  EXPECT_EQ(rid, Rid(3, 4));
-  EXPECT_TRUE(tree.Search(10)->empty());
 }
 
 TEST_F(BTreeTest, RangeScan) {
@@ -445,51 +457,6 @@ TEST_F(BTreeTest, MergeLookupSortedKeysReadOnly) {
   EXPECT_EQ(tree.entry_count(), 2000u);
   ASSERT_TRUE(tree.CheckInvariants().ok());
   (void)probes;
-}
-
-TEST_F(BTreeTest, BulkInsertSortedSmallAndLargeBatches) {
-  auto tree = *BTree::Create(&pool_);
-  // Large batch into an empty tree takes the point-insert path (no existing
-  // entries to merge with).
-  std::vector<KeyRid> base;
-  for (int64_t k = 0; k < 2000; k += 2) base.emplace_back(k, Rid(1, 0));
-  ASSERT_TRUE(tree.BulkInsertSorted(base).ok());
-  EXPECT_EQ(tree.entry_count(), base.size());
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-
-  // Large batch relative to tree size: merge-rebuild path.
-  std::vector<KeyRid> odds;
-  for (int64_t k = 1; k < 2000; k += 2) odds.emplace_back(k, Rid(1, 0));
-  ASSERT_TRUE(tree.BulkInsertSorted(odds).ok());
-  EXPECT_EQ(tree.entry_count(), 2000u);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  int64_t expect = 0;
-  ASSERT_TRUE(tree.ScanAll([&](int64_t k, const Rid&, uint16_t) {
-                    EXPECT_EQ(k, expect++);
-                    return Status::OK();
-                  })
-                  .ok());
-
-  // Small batch: point-insert path.
-  std::vector<KeyRid> few = {{5000, Rid(9, 0)}, {5001, Rid(9, 1)}};
-  ASSERT_TRUE(tree.BulkInsertSorted(few).ok());
-  EXPECT_EQ(tree.entry_count(), 2002u);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST_F(BTreeTest, BulkInsertSortedRejectsDuplicates) {
-  IndexOptions unique_opts;
-  unique_opts.unique = true;
-  auto tree = *BTree::Create(&pool_, unique_opts);
-  std::vector<KeyRid> base;
-  for (int64_t k = 0; k < 100; ++k) base.emplace_back(k, Rid(1, 0));
-  ASSERT_TRUE(tree.BulkInsertSorted(base).ok());
-  // A big batch colliding on key 50 must fail and leave the tree unchanged.
-  std::vector<KeyRid> clash;
-  for (int64_t k = 40; k < 90; ++k) clash.emplace_back(k + 10, Rid(2, 0));
-  EXPECT_EQ(tree.BulkInsertSorted(clash).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(tree.entry_count(), 100u);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
 TEST_F(BTreeTest, RecountFromScanRepairsMeta) {

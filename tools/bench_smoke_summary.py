@@ -1,390 +1,149 @@
 #!/usr/bin/env python3
-"""Append one BENCH_smoke.json entry from reduced-scale bench traces.
+"""Fold bench records into one BENCH_smoke.json entry.
 
-Usage:
-  bench_smoke_summary.py --out=OUT_JSON --fig7=TRACE_JSONL [--fig9=TRACE_JSONL]
-                         [--concurrency=BENCH_JSONL] [--predicate=BENCH_JSONL]
-                         [--cascade=BENCH_JSONL]
-                         [--server=LOADGEN_JSON]...
-                         [--require-file-backend]
-                         [--commit=SHA] [--date=YYYY-MM-DD]
+Each INPUT is the JSONL a bench_* binary appends with --trace-out=FILE
+(fields in docs/OBSERVABILITY.md), or `bulkdel_loadgen --json-out=FILE`'s
+summary, turned into one "server" record per op class. Records are grouped
+by (bench, series, x, scale); every numeric field of a key's repeated records
+folds into [median, min, max] (nested io, pool and extra fields as
+"io.reads", "extra.ratio", ...). One JSON line {"date", "commit", "records"}
+is appended to --out.
 
-Reads the per-run JSONL written by `bench_fig7_vary_deletes` /
-`bench_fig9_vary_memory` with `--trace-out=...` (one BulkDeleteReport::ToJson
-line per delete) and appends a single summary line to OUT_JSON — itself JSONL,
-one entry per recorded run, so the perf trajectory of the reduced-scale smoke
-benchmarks is `git log`-diffable. Per bench and strategy it keeps, in run
-order (fig7: 5/10/15/20 % deletes; fig9: 2/4/6/8/10 MB):
-  sim_minutes — simulated I/O time under the 2001 disk model (the paper's
-                y-axis; the number that must not regress),
-  wall_millis — host wall time (noisy across runners; trend only),
-  io_reads / io_writes — simulated page transfer counts.
-
-Reports from a file-backed run (BulkDeleteReport.backend == "file") are kept
-as their own `<strategy>|file` series: sim_minutes must be bit-identical to
-the sim series (same workload, same disk model), while wall_millis reflects
-real pwrite/fsync I/O. --require-file-backend fails the run unless at least
-one file-backed series is present, so CI cannot silently drop that leg.
-
---concurrency ingests the JSONL written by `bench_ablation_concurrency
---json-out=...` instead: per §3.1 protocol it records the updater ops/sec
-sustained during the bulk delete (wall-clock based — trend only) and the
-delete's simulated I/O time, plus the WAL group-commit ablation's
-fsyncs-vs-acknowledged-ops counts when present.
-
---predicate ingests the JSONL written by `bench_ablation_predicate
---json-out=...`: simulated I/O and wall time of the first-class range plan
-vs the same doomed set expanded into an IN-list, plus the range-advantage
-ratio in page transfers. Ingestion *fails* unless every recorded run shows
-the range plan at least 5x cheaper — the bench-smoke job must not record a
-regression of the range path as a normal entry.
-
---cascade ingests the JSONL written by `bench_ablation_cascade
---json-out=...`: simulated I/O and wall time of the "forget user X"
-multi-table cascade delete under the shared-sort FK planner vs the per-FK
-re-derivation baseline vs a row-at-a-time loop, plus the shared-sort
-advantage ratio in page transfers. Ingestion *fails* unless every recorded
-run shows shared-sort at least 1.05x cheaper than per-FK-naive — the
-bench-smoke job must not record a regression of the cascade planner as a
-normal entry. (The bench binary itself gates at 1.10x; the looser ingest
-bound only guards against stale/hand-edited traces.)
-
---server (repeatable, one file per backend leg) ingests the summary JSON
-written by `bulkdel_loadgen --json-out=...`: per backend it records sustained
-throughput and tail latency (p50/p99/p999, with the log2-bucket lower bound
-of each quantile as p*_us_lo when the loadgen emitted it) for each op class
-served by the network server, plus the durability and side-file counters
-sampled over the run. Ingestion *fails* if any op class ran zero ops, is missing p999, or the
-total throughput is absent — the CI server-loadtest job must not silently
-record a loadgen run that didn't actually exercise the mix.
-
-Exits non-zero if OUT_JSON would be left unchanged (empty/missing traces),
-so the CI bench-smoke job cannot silently stop recording the trajectory.
-
-The legacy positional form `bench_smoke_summary.py TRACE OUT [COMMIT] [DATE]`
-still works and implies --fig7=TRACE.
+Exits non-zero, appending nothing, when an input is missing or empty, a
+record fails a gate in GATES, or --require-file-backend finds no record of a
+--backend=file run with wall time; and when --out is left unchanged.
 """
 
+import argparse
 import json
 import os
+import statistics
 import sys
 
-
-def summarize(trace_path):
-    """Per-strategy run-ordered series from one --trace-out JSONL file."""
-    series = {}
-    with open(trace_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            report = json.loads(line)
-            # Older traces predate the backend field: they were all sim runs.
-            backend = report.get("backend", "sim")
-            key = report["strategy"] if backend == "sim" else (
-                report["strategy"] + "|" + backend)
-            per = series.setdefault(
-                key,
-                {"sim_minutes": [], "wall_millis": [], "io_reads": [],
-                 "io_writes": []})
-            per["sim_minutes"].append(
-                round(report["io"]["simulated_micros"] / 60e6, 3))
-            per["wall_millis"].append(round(report["wall_micros"] / 1e3, 1))
-            per["io_reads"].append(report["io"]["reads"])
-            per["io_writes"].append(report["io"]["writes"])
-    return series
+INF = float("inf")
+# (bench, series or None for every series, field, lo, hi): each record of
+# that bench and series must carry the field, within [lo, hi].
+GATES = [
+    ("ablation_predicate", "range plan", "extra.ratio", 5.0, INF),
+    ("ablation_cascade", "shared-sort", "extra.ratio", 1.05, INF),
+    ("server", None, "extra.ops", 1, INF),
+    ("server", None, "extra.p50_us", 0, INF),
+    ("server", None, "extra.p99_us", 0, INF),
+    ("server", None, "extra.p999_us", 0, INF),
+    ("server", None, "extra.total_ops_per_sec", 0, INF),
+    ("server", None, "extra.errors", 0, 0),
+]
+KEY = ("bench", "series", "x", "scale")
 
 
-def summarize_concurrency(bench_path):
-    """Per-protocol updater/delete series from bench_ablation_concurrency
-    --json-out JSONL (one line per bench invocation, in run order)."""
-    series = {}
-    with open(bench_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            run = json.loads(line)
-            for protocol, r in sorted(run.get("protocols", {}).items()):
-                per = series.setdefault(
-                    protocol,
-                    {"updaters": [], "updater_ops_per_sec": [],
-                     "delete_wall_millis": [], "sim_minutes": []})
-                per["updaters"].append(run.get("updaters"))
-                per["updater_ops_per_sec"].append(r["updater_ops_per_sec"])
-                per["delete_wall_millis"].append(r["delete_wall_ms"])
-                per["sim_minutes"].append(round(r["sim_micros"] / 60e6, 3))
-            for mode, r in sorted(run.get("wal_group_commit", {}).items()):
-                per = series.setdefault(
-                    "wal_group_commit|" + mode,
-                    {"updater_ops": [], "wal_syncs": [], "wal_fsyncs": [],
-                     "delete_wall_millis": []})
-                per["updater_ops"].append(r["updater_ops"])
-                per["wal_syncs"].append(r["wal_syncs"])
-                per["wal_fsyncs"].append(r["wal_fsyncs"])
-                per["delete_wall_millis"].append(r["delete_wall_ms"])
-    return series
+def loadgen_records(run):
+    """bulkdel_loadgen's summary as one record per op class."""
+    series = run.get("backend", "sim")
+    if run.get("protocol") not in (None, "sidefile"):
+        series += "|" + run["protocol"]
+    shared = {k: run[k] for k in ("total_ops_per_sec", "elapsed_s")
+              if k in run}
+    shared["errors"] = run.get("errors", 0)
+    for counter in ("wal.fsyncs", "disk.syncs", "sidefile.appends",
+                    "net.rejected"):
+        if counter in run.get("metrics", {}):
+            shared[counter.replace(".", "_")] = run["metrics"][counter]
+    scale = {"clients": run.get("clients"), "backend": run.get("backend")}
+    return [{"bench": "server", "series": series, "x": op, "scale": scale,
+             "extra": dict(stats, **shared)}
+            for op, stats in sorted(run.get("op_classes", {}).items())]
 
 
-def summarize_predicate(bench_path):
-    """Range-plan vs expanded-IN-list series from bench_ablation_predicate
-    --json-out JSONL (one line per bench invocation, in run order). Returns
-    (series, error): a run missing the advantage ratio — or recording one
-    below 5x — must fail the job, not be recorded as a hollow entry."""
-    series = {}
-    with open(bench_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            run = json.loads(line)
-            backend = run.get("backend", "sim")
-            suffix = "" if backend == "sim" else "|" + backend
-            if "ratio" not in run:
-                return None, f"{bench_path}: no range-advantage ratio"
-            if run["ratio"] < 5.0:
-                return None, (f"{bench_path}: range plan only {run['ratio']}x"
-                              " cheaper than the expanded IN-list (need 5x)")
-            for plan in ("range", "expanded_in"):
-                if plan not in run:
-                    return None, f"{bench_path}: no {plan} record"
-                r = run[plan]
-                per = series.setdefault(
-                    plan + suffix,
-                    {"sim_minutes": [], "wall_millis": [], "io_reads": [],
-                     "io_writes": []})
-                per["sim_minutes"].append(round(r["sim_micros"] / 60e6, 3))
-                per["wall_millis"].append(round(r["wall_micros"] / 1e3, 1))
-                per["io_reads"].append(r["io_reads"])
-                per["io_writes"].append(r["io_writes"])
-            per = series.setdefault(
-                "range_advantage" + suffix,
-                {"ratio": [], "rows_deleted": []})
-            per["ratio"].append(run["ratio"])
-            per["rows_deleted"].append(run.get("rows_deleted"))
-    return series, None
+def read_records(path):
+    with open(path) as f:
+        text = f.read()
+    try:
+        run = json.loads(text)
+    except ValueError:  # JSONL: one record per line
+        run = None
+    if isinstance(run, dict) and "op_classes" in run:
+        return loadgen_records(run)
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def summarize_cascade(bench_path):
-    """Shared-sort vs per-FK-naive vs row-at-a-time series from
-    bench_ablation_cascade --json-out JSONL (one line per bench invocation,
-    in run order). Returns (series, error): a run missing the shared-sort
-    advantage ratio — or recording one below 1.05x — must fail the job, not
-    be recorded as a hollow entry."""
-    series = {}
-    with open(bench_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            run = json.loads(line)
-            if "ratio" not in run:
-                return None, f"{bench_path}: no shared-sort advantage ratio"
-            if run["ratio"] < 1.05:
-                return None, (f"{bench_path}: shared-sort only {run['ratio']}x"
-                              " cheaper than per-FK-naive (need 1.05x)")
-            for plan in ("shared", "naive", "row_at_a_time"):
-                if plan not in run:
-                    return None, f"{bench_path}: no {plan} record"
-                r = run[plan]
-                per = series.setdefault(
-                    plan,
-                    {"sim_minutes": [], "wall_millis": [], "io_reads": [],
-                     "io_writes": []})
-                per["sim_minutes"].append(round(r["sim_micros"] / 60e6, 3))
-                per["wall_millis"].append(round(r["wall_micros"] / 1e3, 1))
-                per["io_reads"].append(r["io_reads"])
-                per["io_writes"].append(r["io_writes"])
-            per = series.setdefault(
-                "shared_sort_advantage",
-                {"ratio": [], "users_deleted": [], "cascaded_rows": []})
-            per["ratio"].append(run["ratio"])
-            per["users_deleted"].append(run.get("users_deleted"))
-            per["cascaded_rows"].append(run.get("cascaded_rows"))
-    return series, None
+def numbers(record):
+    """The record's numeric fields, one level of nesting flattened."""
+    out = {}
+    for key, value in record.items():
+        if key in KEY:
+            continue
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        for sub, v in items:
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                out[key if sub is None else f"{key}.{sub}"] = v
+    return out
 
 
-def summarize_server(paths):
-    """Per-backend series from bulkdel_loadgen --json-out files. Returns
-    (series, error): error is a string when a run is unusable (missing tail
-    quantiles or throughput), which must fail the job rather than record a
-    hollow entry."""
-    series = {}
-    for path in paths:
-        with open(path) as f:
-            run = json.load(f)
-        key = run.get("backend", "sim")
-        if run.get("protocol") not in (None, "sidefile"):
-            key += "|" + run["protocol"]
-        if "total_ops_per_sec" not in run:
-            return None, f"{path}: no total_ops_per_sec"
-        if run.get("errors", 0):
-            return None, f"{path}: {run['errors']} statement error(s)"
-        per = series.setdefault(key, {})
-        per.setdefault("clients", []).append(run.get("clients"))
-        per.setdefault("elapsed_s", []).append(run.get("elapsed_s"))
-        per.setdefault("total_ops_per_sec", []).append(
-            run["total_ops_per_sec"])
-        for op, stats in sorted(run.get("op_classes", {}).items()):
-            if not stats.get("ops"):
-                return None, f"{path}: op class {op} ran zero ops"
-            for field in ("ops_per_sec", "p50_us", "p99_us", "p999_us"):
-                if field not in stats:
-                    return None, f"{path}: {op} missing {field}"
-                per.setdefault(f"{op}_{field}", []).append(stats[field])
-            # Log2-bucket lower bounds (the true quantile is in
-            # (*_us_lo, *_us]); optional so pre-existing loadgen files
-            # without them still ingest.
-            for field in ("p50_us_lo", "p99_us_lo", "p999_us_lo"):
-                if field in stats:
-                    per.setdefault(f"{op}_{field}", []).append(stats[field])
-        metrics = run.get("metrics", {})
-        for counter in ("wal.fsyncs", "disk.syncs", "sidefile.appends",
-                        "net.rejected"):
-            if counter in metrics:
-                per.setdefault(counter.replace(".", "_"), []).append(
-                    metrics[counter])
-    return series, None
+def gate_errors(records, require_file_backend):
+    errors = []
+    for bench, series, field, lo, hi in GATES:
+        for r in records:
+            if r["bench"] == bench and series in (None, r["series"]):
+                value = numbers(r).get(field)
+                if value is None or not lo <= value <= hi:
+                    errors.append(f"{bench}/{r['series']}/{r['x']}: {field}="
+                                  f"{value}, outside [{lo}, {hi}]")
+    if require_file_backend and not any(
+            r.get("scale", {}).get("backend") == "file" and
+            numbers(r).get("wall_micros", 0) > 0 for r in records):
+        errors.append("--require-file-backend: no record of a file-backed "
+                      "run with wall time (the file-backend leg did not run)")
+    return errors
 
 
-def main() -> int:
-    out_path = None
-    concurrency_path = None
-    predicate_path = None
-    cascade_path = None
-    server_paths = []
-    traces = {}  # bench name -> path
-    commit = "unknown"
-    date = "unknown"
-    require_file_backend = False
-    positional = []
-    for arg in sys.argv[1:]:
-        if arg == "--require-file-backend":
-            require_file_backend = True
-        elif arg.startswith("--out="):
-            out_path = arg[len("--out="):]
-        elif arg.startswith("--fig7="):
-            traces["fig7_vary_deletes"] = arg[len("--fig7="):]
-        elif arg.startswith("--fig9="):
-            traces["fig9_vary_memory"] = arg[len("--fig9="):]
-        elif arg.startswith("--concurrency="):
-            concurrency_path = arg[len("--concurrency="):]
-        elif arg.startswith("--predicate="):
-            predicate_path = arg[len("--predicate="):]
-        elif arg.startswith("--cascade="):
-            cascade_path = arg[len("--cascade="):]
-        elif arg.startswith("--server="):
-            server_paths.append(arg[len("--server="):])
-        elif arg.startswith("--commit="):
-            commit = arg[len("--commit="):]
-        elif arg.startswith("--date="):
-            date = arg[len("--date="):]
-        elif arg.startswith("--"):
-            print(f"unknown flag {arg}\n{__doc__}", file=sys.stderr)
-            return 2
-        else:
-            positional.append(arg)
-    if positional:  # legacy: TRACE OUT [COMMIT] [DATE]
-        if len(positional) >= 2 and "fig7_vary_deletes" not in traces:
-            traces["fig7_vary_deletes"] = positional[0]
-            out_path = out_path or positional[1]
-        if len(positional) > 2:
-            commit = positional[2]
-        if len(positional) > 3:
-            date = positional[3]
-    if out_path is None or (not traces and concurrency_path is None and
-                            predicate_path is None and cascade_path is None and
-                            not server_paths):
-        print(__doc__, file=sys.stderr)
-        return 2
+def fold(records):
+    groups = {}
+    for r in records:
+        key = tuple(json.dumps(r.get(k), sort_keys=True) for k in KEY)
+        groups.setdefault(key, []).append(numbers(r))
+    out = []
+    for key, rows in groups.items():
+        values = {f: [row[f] for row in rows if f in row]
+                  for f in sorted(set().union(*rows))}
+        out.append(dict({k: json.loads(v) for k, v in zip(KEY, key)},
+                        n=len(rows),
+                        stats={f: [statistics.median(v), min(v), max(v)]
+                               for f, v in values.items()}))
+    return out
 
-    benches = {}
-    for bench, path in sorted(traces.items()):
-        if not os.path.exists(path):
-            print(f"missing trace file {path}", file=sys.stderr)
+
+def main(argv):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--require-file-backend", action="store_true")
+    parser.add_argument("--commit", default="unknown")
+    parser.add_argument("--date", default="unknown")
+    parser.add_argument("inputs", nargs="+")
+    args = parser.parse_args(argv)
+    records = []
+    for path in args.inputs:
+        got = read_records(path) if os.path.exists(path) else []
+        if not got:
+            print(f"missing or empty input {path}", file=sys.stderr)
             return 1
-        series = summarize(path)
-        if not series:
-            print(f"no trace records in {path}", file=sys.stderr)
-            return 1
-        benches[bench] = series
-    if concurrency_path is not None:
-        if not os.path.exists(concurrency_path):
-            print(f"missing bench file {concurrency_path}", file=sys.stderr)
-            return 1
-        series = summarize_concurrency(concurrency_path)
-        if not series:
-            print(f"no bench records in {concurrency_path}", file=sys.stderr)
-            return 1
-        benches["ablation_concurrency"] = series
-    if predicate_path is not None:
-        if not os.path.exists(predicate_path):
-            print(f"missing bench file {predicate_path}", file=sys.stderr)
-            return 1
-        series, error = summarize_predicate(predicate_path)
-        if error is not None:
-            print(f"--predicate: {error}", file=sys.stderr)
-            return 1
-        if not series:
-            print(f"no bench records in {predicate_path}", file=sys.stderr)
-            return 1
-        benches["ablation_predicate"] = series
-    if cascade_path is not None:
-        if not os.path.exists(cascade_path):
-            print(f"missing bench file {cascade_path}", file=sys.stderr)
-            return 1
-        series, error = summarize_cascade(cascade_path)
-        if error is not None:
-            print(f"--cascade: {error}", file=sys.stderr)
-            return 1
-        if not series:
-            print(f"no bench records in {cascade_path}", file=sys.stderr)
-            return 1
-        benches["ablation_cascade"] = series
-    if server_paths:
-        for path in server_paths:
-            if not os.path.exists(path):
-                print(f"missing loadgen file {path}", file=sys.stderr)
-                return 1
-        series, error = summarize_server(server_paths)
-        if error is not None:
-            print(f"--server: {error}", file=sys.stderr)
-            return 1
-        if not series:
-            print("--server: no loadgen records", file=sys.stderr)
-            return 1
-        benches["server"] = series
-
-    if require_file_backend:
-        file_series = [
-            key for series in benches.values() for key in series
-            if key.endswith("|file")]
-        if not file_series:
-            print("--require-file-backend: no file-backed series in any "
-                  "trace — the file-backend bench leg did not run",
-                  file=sys.stderr)
-            return 1
-        for bench, series in benches.items():
-            for key in series:
-                if not key.endswith("|file"):
-                    continue
-                walls = series[key].get("wall_millis", [])
-                if walls and all(w <= 0 for w in walls):
-                    print(f"{bench}/{key}: file-backed run recorded no "
-                          "wall time", file=sys.stderr)
-                    return 1
-
-    entry = {"date": date, "commit": commit, "benches": benches}
-    size_before = os.path.getsize(out_path) if os.path.exists(out_path) else 0
-    with open(out_path, "a") as f:
-        f.write(json.dumps(entry, sort_keys=True) + "\n")
-    size_after = os.path.getsize(out_path)
-    if size_after <= size_before:
-        print(f"{out_path} unchanged — refusing to pass", file=sys.stderr)
+        records += got
+    errors = gate_errors(records, args.require_file_backend)
+    for error in errors:
+        print(f"gate: {error}", file=sys.stderr)
+    if errors:
         return 1
-    print(f"appended {out_path}: {json.dumps(entry, sort_keys=True)}")
+    entry = {"date": args.date, "commit": args.commit,
+             "records": fold(records)}
+    size = os.path.getsize(args.out) if os.path.exists(args.out) else 0
+    with open(args.out, "a") as f:
+        f.write(json.dumps(entry, sort_keys=True) + "\n")
+    if os.path.getsize(args.out) <= size:
+        print(f"{args.out} unchanged — refusing to pass", file=sys.stderr)
+        return 1
+    print(f"appended {len(records)} records as {len(entry['records'])} keys")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,9 @@
 //   - per-thread busy % (span time / trace wall time per lane),
 //   - instant-event counts by name (pool evictions, checkpoints, ...),
 //   - with --reports=FILE.jsonl, the top histogram tails aggregated over the
-//     BulkDeleteReport::ToJson lines a bench wrote via --trace-out,
+//     bench records a bench wrote via --trace-out that embed a
+//     BulkDeleteReport (the records of measurements that are not one
+//     statement carry no report and are skipped),
 //   - with --slowlog=FILE.jsonl, the server's slow-query records (see
 //     docs/OBSERVABILITY.md): one header per record and, for DELETEs, the
 //     same critical-path summary as for full Perfetto traces, walked over
@@ -188,6 +190,8 @@ int PrintHistogramTails(const std::string& path, size_t top) {
   size_t reports = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    Result<json::Value> record = json::Parse(line);
+    if (record.ok() && record->Find("strategy") == nullptr) continue;
     Result<BulkDeleteReport> report = BulkDeleteReport::FromJson(line);
     if (!report.ok()) {
       std::fprintf(stderr, "skipping unparsable report line: %s\n",
@@ -315,7 +319,7 @@ int Run(int argc, char** argv) {
           "usage: bulkdel_tracecat [TRACE.json] [--reports=FILE.jsonl] "
           "[--slowlog=FILE.jsonl] [--top=N]\n"
           "TRACE.json: Chrome trace from a bench --perfetto-out=FILE run\n"
-          "--reports:  BulkDeleteReport JSONL from --trace-out=FILE, for "
+          "--reports:  bench records (JSONL) from --trace-out=FILE, for "
           "histogram tails\n"
           "--slowlog:  server slow-query JSONL (--slow-query-ns capture); "
           "prints the critical path per record\n");
