@@ -27,8 +27,18 @@ int Run(int argc, char** argv) {
       {"optimizer", Strategy::kOptimizer},
   };
 
+  size_t previous_memory = 0;
   for (double paper_mb : {5.0, 0.25}) {
     size_t memory = config.ScaledMemoryBytes(paper_mb);
+    if (memory == previous_memory) {
+      // Below the 64 KiB floor both budgets clamp to it, and the second
+      // table would repeat the first cell for cell.
+      std::printf("\n(paper-scale %.2f MB also scales to %zu KiB at this "
+                  "table size: its table is the one above)\n",
+                  paper_mb, memory / 1024);
+      continue;
+    }
+    previous_memory = memory;
     char title[128];
     std::snprintf(title, sizeof(title),
                   "⋉̸ methods at %zu KiB memory (paper-scale %.2f MB), in SECONDS",

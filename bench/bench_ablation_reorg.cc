@@ -1,5 +1,5 @@
 // Ablation for §2.3 (reorganization): free-at-empty vs full leaf compaction
-// with inner rebuild vs the incremental base-node scheme. Measures (a) the
+// with inner rebuild. Measures (a) the
 // bulk delete itself and (b) the cost of a full index scan afterwards — the
 // payoff of compaction is a denser leaf level for later readers.
 
@@ -24,12 +24,11 @@ int Run(int argc, char** argv) {
   const ModeDef modes[] = {
       {"free-at-empty", ReorgMode::kFreeAtEmpty},
       {"compact+rebuild", ReorgMode::kCompactAndRebuild},
-      {"base-node incr.", ReorgMode::kIncrementalBaseNode},
   };
 
   ResultTable table(config, memory, "Reorganization modes, 60% bulk delete",
                     "metric",
-                    {"free-at-empty", "compact+rebuild", "base-node incr."});
+                    {"free-at-empty", "compact+rebuild"});
   std::printf("%-18s %14s %14s %14s %14s\n", "mode", "delete(min)",
               "scan-after(min)", "leaves", "height");
   for (const ModeDef& m : modes) {

@@ -861,7 +861,7 @@ Status BTree::FinishBulkDelete(BulkPass& pass, ReorgMode reorg) {
         ReplaceInnerLevels(std::move(survivors), pass.empties, inner.pages));
   }
   if (reorg != ReorgMode::kFreeAtEmpty && height_ > 1) {
-    BULKDEL_RETURN_IF_ERROR(CompactAndRebuild(reorg));
+    BULKDEL_RETURN_IF_ERROR(CompactAndRebuild());
   }
   return FlushMeta();
 }
@@ -891,7 +891,6 @@ Status BTree::ReadInnerLevels(PageId page, int level, const KeyRid& bound,
           ReadInnerLevels(child, level - 1, child_bound, out));
     }
   }
-  if (level == 1) out->base_ends.push_back(out->leaves.size());
   return Status::OK();
 }
 

@@ -44,10 +44,6 @@ enum class ReorgMode {
   /// leaves), detach the emptied tail, and rebuild all inner levels
   /// ("process each layer individually", §2.3).
   kCompactAndRebuild,
-  /// Incremental base-node scheme adapted from Zou & Salzberg [26]: compact
-  /// the leaves of one level-1 subtree at a time, then rebuild the inner
-  /// levels.
-  kIncrementalBaseNode,
 };
 
 /// Counters reported by the bulk-delete primitives.
@@ -314,19 +310,17 @@ class BTree {
 
   /// The inner levels as read from the inner pages alone: every leaf left to
   /// right with its upper bound (the separator right of it; a maximal
-  /// sentinel for the last leaf), where each level-1 node's children end in
-  /// `leaves`, and every inner page.
+  /// sentinel for the last leaf), and every inner page.
   struct InnerLevels {
     std::vector<std::pair<KeyRid, PageId>> leaves;
-    std::vector<size_t> base_ends;
     std::vector<PageId> pages;
   };
   Status ReadInnerLevels(InnerLevels* out);
   /// The subtree of `page` at `level`, all of whose entries are <= `bound`.
   Status ReadInnerLevels(PageId page, int level, const KeyRid& bound,
                          InnerLevels* out);
-  /// The one finish of every bulk pass that emptied a leaf, and of both
-  /// compacting reorganizations: splices `empties` out of the leaf chain,
+  /// The one finish of every bulk pass that emptied a leaf, and of the
+  /// compacting reorganization: splices `empties` out of the leaf chain,
   /// builds the inner levels over `survivors` ((upper bound, leaf) pairs)
   /// on fresh pages, publishes them with the meta page, and detaches the
   /// `old_inner` pages and the empties. Changes no old inner node and frees
@@ -335,11 +329,10 @@ class BTree {
                             const std::vector<EmptyLeaf>& empties,
                             const std::vector<PageId>& old_inner);
 
-  /// The compacting reorganizations (reorg.cc): shifts the entries of each
-  /// level-1 node's leaves (kIncrementalBaseNode) or of the whole leaf level
-  /// (kCompactAndRebuild) maximally left, then replaces the inner levels over
+  /// The compacting reorganization (reorg.cc): shifts the entries of the
+  /// whole leaf level maximally left, then replaces the inner levels over
   /// the leaves that kept entries.
-  Status CompactAndRebuild(ReorgMode reorg);
+  Status CompactAndRebuild();
   /// Builds inner levels over `children` (pairs of upper bound and page),
   /// freeing nothing; sets root_/height_ and appends the new pages to
   /// `built` when non-null. The caller persists the meta page.

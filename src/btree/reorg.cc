@@ -2,11 +2,9 @@
 //
 // All three plans scan the leaf level left to right, so leaves can be
 // compacted and merged with neighbors at very little extra cost. Entries
-// shift left either within each "base node" subtree, adapting Zou &
-// Salzberg's on-line reorganization [26], or across the whole leaf level;
-// then the inner levels are rebuilt layer by layer on fresh pages (the full
-// B-link organization makes each layer a chain) by the same finish every
-// bulk pass uses.
+// shift left across the whole leaf level; then the inner levels are rebuilt
+// layer by layer on fresh pages (the full B-link organization makes each
+// layer a chain) by the same finish every bulk pass uses.
 
 #include <cstring>
 #include <limits>
@@ -80,36 +78,27 @@ Result<size_t> PackLeaves(BufferPool* pool, uint16_t cap,
 }
 }  // namespace
 
-Status BTree::CompactAndRebuild(ReorgMode reorg) {
+Status BTree::CompactAndRebuild() {
   InnerLevels inner;
   BULKDEL_RETURN_IF_ERROR(ReadInnerLevels(&inner));
-  // The reorganization units: one base node's leaves (Fig. 6 of the paper),
-  // or the whole leaf level ("beyond base node delimiters").
-  std::vector<size_t> ends = inner.base_ends;
-  if (reorg == ReorgMode::kCompactAndRebuild) ends = {inner.leaves.size()};
   std::vector<PageId> chain;
   for (const auto& leaf : inner.leaves) chain.push_back(leaf.second);
+  BULKDEL_ASSIGN_OR_RETURN(size_t write_i,
+                           PackLeaves(pool_, leaf_capacity(), chain));
   std::vector<std::pair<KeyRid, PageId>> kept;
   std::vector<EmptyLeaf> emptied;
-  size_t begin = 0;
-  for (size_t end : ends) {
-    std::vector<PageId> unit(chain.begin() + begin, chain.begin() + end);
-    BULKDEL_ASSIGN_OR_RETURN(size_t write_i,
-                             PackLeaves(pool_, leaf_capacity(), unit));
-    for (size_t i = begin; i < end; ++i) {
-      if (i > begin + write_i) {
-        emptied.push_back(EmptyLeaf{
-            chain[i], chain[i - 1],
-            i + 1 < chain.size() ? chain[i + 1] : kInvalidPageId});
-        continue;
-      }
-      BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(chain[i]));
-      BTreeNode node(guard.data());
-      kept.emplace_back(node.count() > 0 ? node.LeafEntryAt(node.count() - 1)
-                                         : KeyRid::Min(kMinKey),
-                        chain[i]);
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (i > write_i) {
+      emptied.push_back(EmptyLeaf{
+          chain[i], chain[i - 1],
+          i + 1 < chain.size() ? chain[i + 1] : kInvalidPageId});
+      continue;
     }
-    begin = end;
+    BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(chain[i]));
+    BTreeNode node(guard.data());
+    kept.emplace_back(node.count() > 0 ? node.LeafEntryAt(node.count() - 1)
+                                       : KeyRid::Min(kMinKey),
+                      chain[i]);
   }
   // Packing moved entries across leaves, so the old separators no longer
   // bound them: the rebuild runs even when no leaf emptied.

@@ -232,17 +232,6 @@ Status Catalog::AddForeignKey(const std::string& child_table,
   return Persist();
 }
 
-std::vector<const ForeignKeyDef*> Catalog::ForeignKeysReferencing(
-    const std::string& parent_table, int parent_column) const {
-  std::vector<const ForeignKeyDef*> out;
-  for (const ForeignKeyDef& fk : foreign_keys_) {
-    if (fk.parent_table == parent_table && fk.parent_column == parent_column) {
-      out.push_back(&fk);
-    }
-  }
-  return out;
-}
-
 std::vector<const ForeignKeyDef*> Catalog::ForeignKeysOf(
     const std::string& child_table) const {
   std::vector<const ForeignKeyDef*> out;

@@ -112,9 +112,6 @@ class Catalog {
   const std::vector<ForeignKeyDef>& foreign_keys() const {
     return foreign_keys_;
   }
-  /// FKs whose parent side is (table, column).
-  std::vector<const ForeignKeyDef*> ForeignKeysReferencing(
-      const std::string& parent_table, int parent_column) const;
   /// FKs whose child side is `child_table`.
   std::vector<const ForeignKeyDef*> ForeignKeysOf(
       const std::string& child_table) const;

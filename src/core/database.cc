@@ -757,16 +757,25 @@ Result<BulkDeleteReport> Database::BulkDeleteWithCascadePath(
   return result;
 }
 
-Status Database::Checkpoint() {
+Status Database::FlushStructures(const std::vector<TableDef*>& tables) {
+  std::vector<std::unique_lock<std::mutex>> latches;
   for (TableDef* t : catalog_->tables()) {
+    latches.emplace_back(t->heap_latch);
+    for (auto& index : t->indices) latches.emplace_back(index->cc->latch);
+  }
+  for (TableDef* t : tables) {
     BULKDEL_RETURN_IF_ERROR(t->table->FlushMeta());
     for (auto& index : t->indices) {
       BULKDEL_RETURN_IF_ERROR(index->tree->FlushMeta());
     }
   }
+  return pool_->FlushAll();
+}
+
+Status Database::Checkpoint() {
   BULKDEL_RETURN_IF_ERROR(catalog_->Persist());
   log_->Sync();
-  BULKDEL_RETURN_IF_ERROR(pool_->FlushAll());
+  BULKDEL_RETURN_IF_ERROR(FlushStructures(catalog_->tables()));
   log_->Sync();
   // Durability barrier: the flushed pages must be on the medium before the
   // checkpoint counts (fsync with the file backend; the sim backend charges

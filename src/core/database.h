@@ -206,6 +206,11 @@ class Database {
   // -- Maintenance / introspection -------------------------------------------
   /// Flushes everything (pages, metas, catalog) and syncs the log.
   Status Checkpoint();
+  /// The one "metas, then pool" flush of every statement, checkpoint and
+  /// scrub: writes the metas of `tables`, then every dirty frame, holding
+  /// every table's heap latch and every index latch, under which DML writes
+  /// pages (never two at once). The caller holds none and fsyncs after.
+  Status FlushStructures(const std::vector<TableDef*>& tables);
   /// Structural validation of every table and index, plus cross-checks that
   /// each index holds exactly one entry per (indexed column, live row).
   Status VerifyIntegrity();

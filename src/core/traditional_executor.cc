@@ -57,13 +57,10 @@ Result<std::vector<int64_t>> RangeKeys(IndexDef* key_index,
   return keys;
 }
 
+/// The statement's metas and the pool, written back without an fsync.
 Status FinalizeStructures(ExecContext* ctx, TableDef* table) {
   PhaseScope scope(ctx, "finalize");
-  BULKDEL_RETURN_IF_ERROR(table->table->FlushMeta());
-  for (auto& index : table->indices) {
-    BULKDEL_RETURN_IF_ERROR(index->tree->FlushMeta());
-  }
-  return ctx->db()->pool().FlushAll();
+  return ctx->db()->FlushStructures({table});
 }
 }  // namespace
 

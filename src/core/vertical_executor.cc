@@ -39,10 +39,10 @@
 //
 // Concurrency rules inside a run:
 //  * barriers, commit and finalize depend on every earlier node and every
-//    later node depends on them, so they run exclusively and may
-//    BufferPool::FlushAll while nothing else mutates pages;
-//  * pass nodes never FlushAll (it would read page bytes another worker is
-//    writing through its pin);
+//    later node depends on them, so they run exclusively; they flush through
+//    Database::FlushStructures, whose latches hold off updater DML too;
+//  * pass nodes never flush the pool (it would read page bytes another
+//    worker is writing through its pin), only their own index's pages;
 //  * shared run state touched by concurrent passes (report counters, the
 //    done-pass sets, pending PhaseDone labels, spilled pages) is guarded by
 //    mu_; each pass otherwise touches only its own leg's lists and
@@ -448,34 +448,11 @@ class VerticalRun {
     }
   }
 
-  /// Holds every table's heap latch and each of its indexes' latches.
-  /// Updaters write heap and index pages under those latches, not under the
-  /// pool mutex, and never hold two at once; while the result lives no
-  /// updater is mid-write on a frame a flush copies and marks clean.
-  std::vector<std::unique_lock<std::mutex>> LatchUpdaters() {
-    std::vector<std::unique_lock<std::mutex>> latches;
-    for (TableDef* table : db_->catalog().tables()) {
-      latches.emplace_back(table->heap_latch);
-      for (auto& index : table->indices) {
-        latches.emplace_back(index->cc->latch);
-      }
-    }
-    return latches;
-  }
-
-  /// Every leg's table and index metas, then the pool, then one fsync of
-  /// the page file, with post-commit updaters held off the pages.
-  Status FlushEverything() {
-    std::vector<std::unique_lock<std::mutex>> latches = LatchUpdaters();
-    for (const auto& leg : legs_) {
-      BULKDEL_RETURN_IF_ERROR(leg->table->table->FlushMeta());
-      for (auto& index : leg->table->indices) {
-        BULKDEL_RETURN_IF_ERROR(index->tree->FlushMeta());
-      }
-    }
-    BULKDEL_RETURN_IF_ERROR(db_->pool().FlushAll());
-    latches.clear();  // the fsync below reads no frame
-    return db_->disk().Flush();
+  /// Every leg's table, in leg order: whose metas a barrier flushes.
+  std::vector<TableDef*> LegTables() const {
+    std::vector<TableDef*> tables;
+    for (const auto& leg : legs_) tables.push_back(leg->table);
+    return tables;
   }
 
   /// Appends the pending passes' PhaseDone records (volatile until the
@@ -501,7 +478,8 @@ class VerticalRun {
     PhaseScope scope(ctx_, name);
     BULKDEL_RETURN_IF_ERROR(
         db_->CheckFault(fault_sites::kExecCheckpoint, name));
-    BULKDEL_RETURN_IF_ERROR(FlushEverything());
+    BULKDEL_RETURN_IF_ERROR(db_->FlushStructures(LegTables()));
+    BULKDEL_RETURN_IF_ERROR(db_->disk().Flush());
     // Crash window: the level's page writes are durable but its PhaseDone
     // records are not — recovery must re-run its passes idempotently.
     BULKDEL_RETURN_IF_ERROR(
@@ -1165,7 +1143,8 @@ class VerticalRun {
     BULKDEL_RETURN_IF_ERROR(db_->CheckFault(fault_sites::kExecFinalize));
     // Finalize barrier: everything the statement wrote is fsynced before the
     // End record can truncate the WAL that would otherwise re-create it.
-    BULKDEL_RETURN_IF_ERROR(FlushEverything());
+    BULKDEL_RETURN_IF_ERROR(db_->FlushStructures(LegTables()));
+    BULKDEL_RETURN_IF_ERROR(db_->disk().Flush());
     if (logging_) {
       AppendPendingPhaseDone();
       // Crash window: deferred PhaseDone records are appended (volatile) but
@@ -1254,7 +1233,6 @@ class VerticalRun {
     std::unordered_set<PageId> freed(scrub_freed_pages_.begin(),
                                      scrub_freed_pages_.end());
     bool any_dead = false;
-    std::vector<std::unique_lock<std::mutex>> latches = LatchUpdaters();
     for (const auto& leg : legs_) {
       std::vector<Rid> dead = leg->rids;
       dead.insert(dead.end(), leg->scrub_rids.begin(), leg->scrub_rids.end());
@@ -1262,10 +1240,11 @@ class VerticalRun {
       dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
       if (dead.empty()) continue;
       any_dead = true;
+      std::lock_guard<std::mutex> heap(leg->table->heap_latch);
       BULKDEL_RETURN_IF_ERROR(leg->table->table->ScrubDeadSlots(dead, freed));
     }
-    if (any_dead) BULKDEL_RETURN_IF_ERROR(db_->pool().FlushAll());
-    latches.clear();
+    // The metas are unchanged since finalize's flush: only the pool sweep.
+    if (any_dead) BULKDEL_RETURN_IF_ERROR(db_->FlushStructures({}));
     if (!freed.empty()) {
       std::vector<char> zeros(kPageSize, 0);
       for (PageId p : scrub_freed_pages_) {

@@ -43,7 +43,8 @@ inline constexpr char kDiskWrite[] = "disk.write";
 inline constexpr char kDiskSync[] = "disk.sync";
 /// BufferPool eviction, before the dirty victim is written back.
 inline constexpr char kPoolEvict[] = "pool.evict";
-/// BufferPool::FlushAll, before the dirty sweep starts.
+/// Before a BufferPool::FlushAll (Database::FlushStructures) or FlushPages
+/// sweep that has dirty frames.
 inline constexpr char kPoolFlush[] = "pool.flush";
 /// LogManager::Sync, before the volatile tail becomes durable. Supports
 /// kTornWrite (partial tail with a torn trailing record).

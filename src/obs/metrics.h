@@ -202,7 +202,6 @@ struct MetricsSnapshot {
   }
   const HistogramSnapshot* FindHistogram(const std::string& name) const;
   int64_t CounterOr(const std::string& name, int64_t fallback = 0) const;
-  bool Empty() const { return counters.empty() && histograms.empty(); }
 };
 
 /// Named metric registry. Registration (name -> instrument) takes a mutex;

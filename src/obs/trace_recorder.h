@@ -172,7 +172,6 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  bool active() const { return begin_nanos_ != 0; }
   void set_arg(int64_t arg) { arg_ = arg; }
 
  private:

@@ -153,14 +153,4 @@ std::string BulkDeletePlan::Explain() const {
   return out;
 }
 
-bool BulkDeletePlan::DagIsValid() const {
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i].phase_id != static_cast<int>(i)) return false;
-    for (int dep : steps[i].deps) {
-      if (dep < 0 || dep >= steps[i].phase_id) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace bulkdel

@@ -63,13 +63,6 @@ struct PlanStep {
   /// produces, and every secondary-index feed depends only on the table pass
   /// — secondaries are mutually independent and may execute concurrently.
   std::vector<int> deps;
-
-  bool DependsOn(int other_phase_id) const {
-    for (int d : deps) {
-      if (d == other_phase_id) return true;
-    }
-    return false;
-  }
 };
 
 /// A complete bulk-delete plan. Horizontal plans are a single conceptual
@@ -85,9 +78,6 @@ struct BulkDeletePlan {
   double est_micros = 0;
 
   std::string Explain() const;
-
-  /// Validates the DAG shape: every dep must name an earlier phase_id.
-  bool DagIsValid() const;
 };
 
 }  // namespace bulkdel

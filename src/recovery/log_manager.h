@@ -153,14 +153,6 @@ class LogManager {
     return durable_.size();
   }
 
-  /// Bytes of clean durable frames in the backend (excludes a torn tail).
-  size_t durable_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return clean_bytes_;
-  }
-
-  bool file_backed() const { return backend_->is_file(); }
-
  private:
   /// Leader flush: encodes and appends the current volatile batch, fsyncs,
   /// and publishes the result. Called with `lock` held and no flush in

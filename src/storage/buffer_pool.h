@@ -111,7 +111,8 @@ class BufferPool {
 
   /// Writes back every dirty frame in one page-id-ordered sweep (adjacent
   /// ids batched into sequential WriteRuns — same per-page charges, fewer
-  /// disk-mutex round trips). Frames stay resident.
+  /// disk-mutex round trips). Frames stay resident. The database calls it
+  /// only through Database::FlushStructures, which holds off DML writers.
   Status FlushAll();
 
   /// The FlushAll sweep restricted to the resident dirty frames of `pages`:
@@ -159,7 +160,8 @@ class BufferPool {
 
   /// Installs a fault injector on the write-back paths (nullptr = none; the
   /// injector must outlive the pool): `pool.evict` fires before a dirty
-  /// eviction victim is written back, `pool.flush` before a FlushAll sweep.
+  /// eviction victim is written back, `pool.flush` before a FlushAll or
+  /// FlushPages sweep that has a dirty frame to write.
   void SetFaultInjector(FaultInjector* injector);
 
   size_t capacity_frames() const { return total_frames_; }

@@ -263,13 +263,6 @@ Status HeapTable::Get(const Rid& rid, char* out) {
   return Status::OK();
 }
 
-bool HeapTable::Exists(const Rid& rid) {
-  auto page = pool_->FetchPage(rid.page);
-  if (!page.ok()) return false;
-  HeapPage hp(page->data(), schema_->tuple_size());
-  return rid.slot < hp.capacity() && hp.SlotOccupied(rid.slot);
-}
-
 Status HeapTable::Delete(const Rid& rid, char* deleted_tuple) {
   BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(rid.page));
   uint64_t deleted = DeleteSlots(

@@ -49,7 +49,6 @@ class HeapTable {
   const Schema& schema() const { return *schema_; }
   uint64_t tuple_count() const { return tuple_count_; }
   uint32_t num_data_pages() const { return num_data_pages_; }
-  PageId first_data_page() const { return first_data_page_; }
 
   /// Appends/fills a tuple; returns its RID.
   Result<Rid> Insert(const char* tuple);
@@ -68,9 +67,6 @@ class HeapTable {
 
   /// Copies the tuple at `rid` into `out` (tuple_size bytes).
   Status Get(const Rid& rid, char* out);
-
-  /// Returns true if the tuple existed at `rid`.
-  bool Exists(const Rid& rid);
 
   /// Deletes the tuple at `rid`. If `deleted_tuple` is non-null the tuple
   /// bytes are copied out first. NotFound if the slot is empty.

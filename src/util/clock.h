@@ -19,8 +19,6 @@ inline int64_t MonotonicNanos() {
       .count();
 }
 
-inline int64_t MonotonicMicros() { return MonotonicNanos() / 1000; }
-
 }  // namespace bulkdel
 
 #endif  // BULKDEL_UTIL_CLOCK_H_

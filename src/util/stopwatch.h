@@ -14,18 +14,12 @@ class Stopwatch {
  public:
   Stopwatch() : start_nanos_(MonotonicNanos()) {}
 
-  void Restart() { start_nanos_ = MonotonicNanos(); }
-
-  /// Elapsed wall time in microseconds since construction/Restart().
+  /// Elapsed wall time in microseconds since construction.
   int64_t ElapsedMicros() const {
     return (MonotonicNanos() - start_nanos_) / 1000;
   }
 
   int64_t ElapsedNanos() const { return MonotonicNanos() - start_nanos_; }
-
-  double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedNanos()) * 1e-9;
-  }
 
  private:
   int64_t start_nanos_;

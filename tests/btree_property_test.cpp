@@ -587,16 +587,14 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{4, 4, 500, ReorgMode::kFreeAtEmpty, "TinyFanoutFreeAtEmpty"},
         PropertyParam{4, 4, 500, ReorgMode::kCompactAndRebuild,
                       "TinyFanoutCompact"},
-        PropertyParam{4, 4, 500, ReorgMode::kIncrementalBaseNode,
-                      "TinyFanoutIncremental"},
         PropertyParam{16, 8, 200, ReorgMode::kFreeAtEmpty,
                       "SmallFanoutManyDuplicates"},
         PropertyParam{16, 8, 1000000, ReorgMode::kCompactAndRebuild,
                       "SmallFanoutUniqueKeys"},
         PropertyParam{0, 0, 5000, ReorgMode::kFreeAtEmpty,
                       "PageFanoutFreeAtEmpty"},
-        PropertyParam{0, 0, 5000, ReorgMode::kIncrementalBaseNode,
-                      "PageFanoutIncremental"}),
+        PropertyParam{0, 0, 5000, ReorgMode::kCompactAndRebuild,
+                      "PageFanoutCompact"}),
     ParamName);
 
 }  // namespace

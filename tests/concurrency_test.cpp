@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/database.h"
+#include "fault/crash_sweep.h"
 #include "workload/generator.h"
 
 namespace bulkdel {
@@ -255,6 +257,81 @@ INSTANTIATE_TEST_SUITE_P(
         ConcurrencyParam{ConcurrencyProtocol::kDirectPropagation,
                          "DirectPropagation"}),
     ParamName);
+
+// A statement's finalize flush and a checkpoint sweep the whole pool, so
+// they must hold off DML on every table, not only on the one they lock: the
+// record-at-a-time and drop & create plans and checkpoints run on table A
+// while an updater inserts and deletes rows of table B. Under
+// ThreadSanitizer an unlatched flush is a data race on B's pages and metas;
+// in any build, B on disk must hold exactly the acknowledged ops.
+TEST(FlushLatchTest, StatementsAndCheckpointsOnATableBesideDmlOnAnother) {
+  DatabaseOptions options;
+  options.memory_budget_bytes = 256 * 1024;
+  auto make_table = [](Database* db, const char* name) {
+    ASSERT_TRUE(db->CreateTable(name, *Schema::PaperStyle(3, 64)).ok());
+    ASSERT_TRUE(db->CreateIndex(name, "A", {.unique = true}).ok());
+    ASSERT_TRUE(db->CreateIndex(name, "B").ok());
+  };
+  auto row = [](int64_t key) {
+    return std::vector<int64_t>{key, key % 7, -key};
+  };
+  auto db = *Database::Create(options);
+  make_table(db.get(), "A");
+  make_table(db.get(), "B");
+  for (int64_t a = 0; a < 2000; ++a) {
+    ASSERT_TRUE(db->InsertRow("A", row(a)).ok());
+  }
+
+  std::map<int64_t, Rid> model;  // B's acknowledged rows: key -> RID
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> attempted{0};
+  std::thread updater([&] {
+    for (int64_t key = 0; !stop.load(); ++key) {
+      auto rid = db->InsertRow("B", row(key));
+      bool ok = rid.ok();
+      if (ok) model[key] = *rid;
+      if (ok && key % 3 == 2) {  // and delete the oldest row left
+        ok = db->DeleteRow("B", model.begin()->second).ok();
+        model.erase(model.begin());
+      }
+      if (!ok) {
+        ADD_FAILURE() << "updater op on key " << key;
+        stop = true;
+      }
+      ++attempted;
+    }
+  });
+  while (attempted.load() == 0) std::this_thread::yield();
+  int64_t deleted = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (Strategy strategy :
+         {Strategy::kTraditionalSorted, Strategy::kDropCreate}) {
+      BulkDeleteSpec bd;
+      bd.table = "A";
+      bd.key_column = "A";
+      for (int i = 0; i < 100; ++i) bd.keys.push_back(deleted++);
+      auto report = db->BulkDelete(bd, strategy);
+      EXPECT_TRUE(report.ok() && report->rows_deleted == 100)
+          << report.status().ToString();
+    }
+    EXPECT_TRUE(db->Checkpoint().ok());
+  }
+  stop = true;
+  updater.join();
+
+  // Drop every frame, so B is compared as the flushes left it on disk.
+  ASSERT_TRUE(db->pool().Reset().ok());
+  ASSERT_TRUE(db->VerifyIntegrity().ok());
+  EXPECT_EQ(db->GetTable("A")->table->tuple_count(),
+            static_cast<uint64_t>(2000 - deleted));
+  auto ref = *Database::Create(options);
+  make_table(ref.get(), "B");
+  for (const auto& [key, rid] : model) {
+    ASSERT_TRUE(ref->InsertRow("B", row(key)).ok());
+  }
+  EXPECT_EQ(*LogicalContentHash(db.get(), "B"),
+            *LogicalContentHash(ref.get(), "B"));
+}
 
 TEST(LockManagerTest, ExclusiveExcludesShared) {
   LockManager lm;

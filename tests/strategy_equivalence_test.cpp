@@ -146,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceParam{Strategy::kVerticalSortMerge, 0.20, 2, false,
                          ReorgMode::kCompactAndRebuild, "SortMergeCompact"},
         EquivalenceParam{Strategy::kVerticalHash, 0.20, 2, false,
-                         ReorgMode::kIncrementalBaseNode, "HashIncremental"},
+                         ReorgMode::kCompactAndRebuild, "HashCompact"},
         EquivalenceParam{Strategy::kVerticalSortMerge, 0.002, 3, false,
                          ReorgMode::kFreeAtEmpty, "SortMergeTinyList"},
         EquivalenceParam{Strategy::kDropCreate, 0.20, 2, false,
