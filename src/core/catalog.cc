@@ -310,14 +310,15 @@ IndexDef* Catalog::GetIndex(const std::string& table_name,
   return t->FindIndexOnColumn(column);
 }
 
-Status Catalog::RemoveIndex(const std::string& table_name,
-                            const std::string& column_name) {
+Result<std::unique_ptr<IndexDef>> Catalog::RemoveIndex(
+    const std::string& table_name, const std::string& column_name) {
   TableDef* t = GetTable(table_name);
   if (t == nullptr) return Status::NotFound("no table " + table_name);
   for (auto it = t->indices.begin(); it != t->indices.end(); ++it) {
     if ((*it)->name == table_name + "." + column_name) {
+      std::unique_ptr<IndexDef> index = std::move(*it);
       t->indices.erase(it);
-      return Persist();
+      return index;
     }
   }
   return Status::NotFound("no index on " + table_name + "." + column_name);

@@ -95,9 +95,10 @@ class Catalog {
   TableDef* GetTable(const std::string& name);
   IndexDef* GetIndex(const std::string& table_name,
                      const std::string& column_name);
-  /// Detaches an index definition (the caller has already dropped the tree).
-  Status RemoveIndex(const std::string& table_name,
-                     const std::string& column_name);
+  /// Detaches an index definition and hands it to the caller, which drops
+  /// the tree and then persists the catalog.
+  Result<std::unique_ptr<IndexDef>> RemoveIndex(
+      const std::string& table_name, const std::string& column_name);
 
   std::vector<TableDef*> tables();
 

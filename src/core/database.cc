@@ -105,15 +105,18 @@ Status Database::Close() {
 
 Result<TableDef*> Database::CreateTable(const std::string& name,
                                         const Schema& schema) {
+  std::lock_guard<std::mutex> ddl(catalog_mu_);
   return catalog_->CreateTable(name, schema);
 }
 
 Result<IndexDef*> Database::CreateIndex(const std::string& table,
                                         const std::string& column,
                                         IndexOptions options, bool clustered) {
+  std::unique_lock<std::mutex> ddl(catalog_mu_);
   BULKDEL_ASSIGN_OR_RETURN(
       IndexDef * index, catalog_->CreateIndex(table, column, options,
                                               clustered));
+  ddl.unlock();
   // Backfill from existing rows: scan, external sort, bulk load — the same
   // pipeline the drop & create executor uses to rebuild indices.
   TableDef* t = GetTable(table);
@@ -131,9 +134,7 @@ Result<IndexDef*> Database::CreateIndex(const std::string& table,
     if (options.unique) {
       for (size_t i = 1; i < entries.size(); ++i) {
         if (entries[i].key == entries[i - 1].key) {
-          Status drop = index->tree->Drop();
-          (void)drop;
-          BULKDEL_RETURN_IF_ERROR(catalog_->RemoveIndex(table, column));
+          BULKDEL_RETURN_IF_ERROR(DropIndex(table, column));
           return Status::FailedPrecondition(
               "cannot create unique index: duplicate value " +
               std::to_string(entries[i].key));
@@ -147,21 +148,25 @@ Result<IndexDef*> Database::CreateIndex(const std::string& table,
 
 Status Database::DropIndex(const std::string& table,
                            const std::string& column) {
-  IndexDef* index = catalog_->GetIndex(table, column);
-  if (index == nullptr) {
+  std::unique_lock<std::mutex> ddl(catalog_mu_);
+  IndexDef* found = catalog_->GetIndex(table, column);
+  if (found == nullptr) {
     return Status::NotFound("no index on " + table + "." + column);
   }
   // A unique index backing a foreign key's parent side is load-bearing.
-  TableDef* t = GetTable(table);
   for (const ForeignKeyDef& fk : catalog_->foreign_keys()) {
-    if (fk.parent_table == table && fk.parent_column == index->column) {
+    if (fk.parent_table == table && fk.parent_column == found->column) {
       return Status::FailedPrecondition(
-          "index " + index->name + " backs foreign key " + fk.Name());
+          "index " + found->name + " backs foreign key " + fk.Name());
     }
   }
-  (void)t;
+  // Unlinked before its pages are freed: no flush walks a dropped index.
+  BULKDEL_ASSIGN_OR_RETURN(std::unique_ptr<IndexDef> index,
+                           catalog_->RemoveIndex(table, column));
+  ddl.unlock();
   BULKDEL_RETURN_IF_ERROR(index->tree->Drop());
-  return catalog_->RemoveIndex(table, column);
+  ddl.lock();
+  return catalog_->Persist();
 }
 
 bool Database::TrySideFileAppend(IndexDef* index, const SideFileOp& op,
@@ -224,9 +229,8 @@ bool Database::TrySideFileAppend(IndexDef* index, const SideFileOp& op,
   return false;
 }
 
-Status Database::ApplyIndexInsert(TableDef* table, IndexDef* index,
-                                  int64_t key, const Rid& rid) {
-  (void)table;
+Status Database::ApplyIndexInsert(IndexDef* index, int64_t key,
+                                  const Rid& rid) {
   Status side_file_status;
   if (TrySideFileAppend(index, SideFileOp{/*is_insert=*/true, key, rid},
                         &side_file_status)) {
@@ -248,9 +252,8 @@ Status Database::ApplyIndexInsert(TableDef* table, IndexDef* index,
   return index->tree->Insert(key, rid, flags);
 }
 
-Status Database::ApplyIndexDelete(TableDef* table, IndexDef* index,
-                                  int64_t key, const Rid& rid) {
-  (void)table;
+Status Database::ApplyIndexDelete(IndexDef* index, int64_t key,
+                                  const Rid& rid) {
   Status side_file_status;
   if (TrySideFileAppend(index, SideFileOp{/*is_insert=*/false, key, rid},
                         &side_file_status)) {
@@ -334,7 +337,7 @@ Result<Rid> Database::InsertRow(const std::string& table_name,
   for (auto& index : t->indices) {
     int64_t key =
         t->schema->GetInt(tuple.data(), static_cast<size_t>(index->column));
-    index_status = ApplyIndexInsert(t, index.get(), key, rid);
+    index_status = ApplyIndexInsert(index.get(), key, rid);
     if (!index_status.ok()) break;
     ++applied;
   }
@@ -346,7 +349,7 @@ Result<Rid> Database::InsertRow(const std::string& table_name,
       auto& index = t->indices[i];
       int64_t key =
           t->schema->GetInt(tuple.data(), static_cast<size_t>(index->column));
-      (void)ApplyIndexDelete(t, index.get(), key, rid);
+      (void)ApplyIndexDelete(index.get(), key, rid);
     }
     std::lock_guard<std::mutex> heap(t->heap_latch);
     (void)t->table->Delete(rid);
@@ -443,7 +446,7 @@ Status Database::DeleteRowNoFk(const std::string& table_name, const Rid& rid,
   for (auto& index : t->indices) {
     int64_t key =
         t->schema->GetInt(tuple.data(), static_cast<size_t>(index->column));
-    BULKDEL_RETURN_IF_ERROR(ApplyIndexDelete(t, index.get(), key, rid));
+    BULKDEL_RETURN_IF_ERROR(ApplyIndexDelete(index.get(), key, rid));
   }
   if (bd_id != 0) {
     log_->Sync();
@@ -496,6 +499,7 @@ Status Database::AddForeignKey(const std::string& child_table,
         std::to_string(child_values.size() - matched) +
         " child value(s) without parent");
   }
+  std::lock_guard<std::mutex> ddl(catalog_mu_);
   return catalog_->AddForeignKey(child_table, child_column, parent_table,
                                  parent_column, action);
 }
@@ -758,6 +762,7 @@ Result<BulkDeleteReport> Database::BulkDeleteWithCascadePath(
 }
 
 Status Database::FlushStructures(const std::vector<TableDef*>& tables) {
+  std::lock_guard<std::mutex> ddl(catalog_mu_);
   std::vector<std::unique_lock<std::mutex>> latches;
   for (TableDef* t : catalog_->tables()) {
     latches.emplace_back(t->heap_latch);
@@ -773,9 +778,15 @@ Status Database::FlushStructures(const std::vector<TableDef*>& tables) {
 }
 
 Status Database::Checkpoint() {
+  // Never inside a statement: its passes write pages and metas without the
+  // latches FlushStructures takes.
+  std::lock_guard<std::mutex> statement(bulk_delete_statement_mu_);
+  std::unique_lock<std::mutex> ddl(catalog_mu_);
   BULKDEL_RETURN_IF_ERROR(catalog_->Persist());
+  std::vector<TableDef*> tables = catalog_->tables();
+  ddl.unlock();
   log_->Sync();
-  BULKDEL_RETURN_IF_ERROR(FlushStructures(catalog_->tables()));
+  BULKDEL_RETURN_IF_ERROR(FlushStructures(tables));
   log_->Sync();
   // Durability barrier: the flushed pages must be on the medium before the
   // checkpoint counts (fsync with the file backend; the sim backend charges

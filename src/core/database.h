@@ -204,7 +204,8 @@ class Database {
                                            Strategy strategy);
 
   // -- Maintenance / introspection -------------------------------------------
-  /// Flushes everything (pages, metas, catalog) and syncs the log.
+  /// Flushes everything (pages, metas, catalog) and syncs the log, after
+  /// any running statement ends.
   Status Checkpoint();
   /// The one "metas, then pool" flush of every statement, checkpoint and
   /// scrub: writes the metas of `tables`, then every dirty frame, holding
@@ -298,10 +299,8 @@ class Database {
   /// Shared by Create, Open and the file-backed crash-reopen path.
   Status WireStorage(bool truncate);
 
-  Status ApplyIndexInsert(TableDef* table, IndexDef* index, int64_t key,
-                          const Rid& rid);
-  Status ApplyIndexDelete(TableDef* table, IndexDef* index, int64_t key,
-                          const Rid& rid);
+  Status ApplyIndexInsert(IndexDef* index, int64_t key, const Rid& rid);
+  Status ApplyIndexDelete(IndexDef* index, int64_t key, const Rid& rid);
   /// Side-file protocol: admit through the epoch gate and append, with the
   /// fault site + WAL diagnostics. Returns true if the op was absorbed by
   /// the side-file (status in *status); false = index is no longer in
@@ -336,9 +335,13 @@ class Database {
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<LockManager> locks_;
-  /// Serializes whole bulk-delete statements (see BulkDelete()); the §3.1
-  /// concurrency protocols admit record-at-a-time DML during a statement,
-  /// not a second statement.
+  /// Held while DDL changes the table, index or foreign-key vectors and
+  /// while FlushStructures or Checkpoint walks them. Taken before any
+  /// heap or index latch.
+  std::mutex catalog_mu_;
+  /// Serializes whole bulk-delete statements and checkpoints (see
+  /// BulkDelete()); the §3.1 concurrency protocols admit record-at-a-time
+  /// DML during a statement, not a second statement.
   std::mutex bulk_delete_statement_mu_;
   /// Bulk delete currently holding indices off-line with recovery logging
   /// on; gates the kUpdaterRow WAL path in InsertRow/DeleteRow.

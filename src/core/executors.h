@@ -57,9 +57,10 @@ Result<BulkDeleteReport> ExecuteVertical(ExecContext* ctx,
                                          std::vector<VerticalLeg> legs);
 
 /// A leg's id in the WAL: "<table>.<key column>". Its kBegin declares it
-/// (label = table, aux = key column), kRowDeleted and kExtentDrop records
-/// carry it as their label, and phase, list and entry records label a
-/// leg-local name after it (LegLabel).
+/// (label = table, aux = key column), kExtentDrop records carry it as their
+/// label, and phase, list and entry records label a leg-local name after it
+/// (LegLabel). The table pass logs no record per row: a resumed pass
+/// re-derives its feeds from its durable input and the dead tuples' bytes.
 inline std::string LegId(const std::string& table,
                          const std::string& key_column) {
   return table + "." + key_column;
@@ -116,9 +117,6 @@ struct RecoveredLeg {
 
   /// WAL: entries removed from the key index after its last checkpoint.
   std::vector<KeyRid> wal_index_entries;
-  /// WAL: rows removed from the table after its last checkpoint, with the
-  /// projected secondary-index key values.
-  std::vector<std::pair<Rid, std::vector<int64_t>>> wal_rows;
 
   /// §3.1 concurrent-updater DML on this table logged while indices were
   /// off-line, in statement order (kept by the table's first leg only).

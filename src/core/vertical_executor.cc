@@ -634,9 +634,9 @@ class VerticalRun {
     BULKDEL_RETURN_IF_ERROR(leg->table->table->BulkDeleteSortedRids(
         leg->rids,
         [&](const Rid& rid, const char* tuple) {
-          OnRowDeleted(leg, feeds, rid, tuple);
+          ProjectRow(leg, feeds, rid, tuple);
         },
-        &deleted, nullptr));
+        &deleted, nullptr, /*with_dead=*/resuming_));
     leg->rows_deleted += deleted;
     scope.set_items(deleted);
     for (IndexDef* index : leg->secondaries) {
@@ -659,10 +659,14 @@ class VerticalRun {
   }
 
   /// Table-pass bookkeeping for one deleted row: projects its secondary keys
-  /// into `feeds` and, when logging, appends its kRowDeleted record (labelled
-  /// with the leg's WAL id) carrying the keys just projected.
-  void OnRowDeleted(Leg* leg, const std::vector<std::vector<KeyRid>*>& feeds,
-                    const Rid& rid, const char* tuple) {
+  /// into `feeds`. The pass logs nothing per row; its redo is its durable
+  /// input plus an idempotent re-run (§3.2). A resumed pass projects the rows
+  /// its interrupted attempt already deleted from their dead bytes, which
+  /// are intact: a heap delete only clears the slot bit, the table stays
+  /// locked past barrier:tables, and the scrub runs after End.
+  static void ProjectRow(Leg* leg,
+                         const std::vector<std::vector<KeyRid>*>& feeds,
+                         const Rid& rid, const char* tuple) {
     const Schema& schema = *leg->table->schema;
     for (size_t i = 0; i < leg->secondaries.size(); ++i) {
       feeds[i]->emplace_back(
@@ -670,17 +674,6 @@ class VerticalRun {
                         static_cast<size_t>(leg->secondaries[i]->column)),
           rid);
     }
-    if (!logging_) return;
-    LogRecord rec;
-    rec.type = LogRecordType::kRowDeleted;
-    rec.bd_id = bd_id_;
-    rec.label = leg->WalId();
-    rec.rid = rid;
-    rec.values.reserve(feeds.size());
-    for (const std::vector<KeyRid>* feed : feeds) {
-      rec.values.push_back(feed->back().key);
-    }
-    db_->log().Append(std::move(rec));
   }
 
   /// Fallback when no index exists on the delete-list column: one full table
@@ -701,6 +694,10 @@ class VerticalRun {
     const Schema& schema = *leg->table->schema;
     std::vector<std::vector<KeyRid>*> feeds = SecondaryFeeds(leg);
     uint64_t deleted = 0;
+    // Resumed, free slots whose dead bytes match are projected too
+    // (ProjectRow). That also picks up dead rows of earlier statements; their
+    // (key, RID) entries already left the secondaries, so the idempotent
+    // secondary passes find nothing to delete for them.
     BULKDEL_RETURN_IF_ERROR(leg->table->table->ScanDeleteIf(
         [&](const Rid&, const char* tuple) {
           int64_t k = schema.GetInt(tuple, static_cast<size_t>(key_column));
@@ -712,14 +709,14 @@ class VerticalRun {
           return set.Contains(static_cast<uint64_t>(k));
         },
         [&](const Rid& rid, const char* tuple) {
-          OnRowDeleted(leg, feeds, rid, tuple);
+          ProjectRow(leg, feeds, rid, tuple);
           // This path never fills `rids` (no access-path pass produced one);
           // the scrub pass needs the dead slots, so collect them here.
           if (db_->options().scrub_deleted_pages) {
             leg->scrub_rids.push_back(rid);
           }
         },
-        &deleted));
+        &deleted, /*with_dead=*/resuming_));
     leg->rows_deleted += deleted;
     scope.set_items(deleted);
     for (IndexDef* index : leg->secondaries) {
@@ -1331,22 +1328,6 @@ class VerticalRun {
         BULKDEL_RETURN_IF_ERROR(
             LoadList(feed->second, &leg->feeds[index->name]));
       }
-    } else if (!state.wal_rows.empty()) {
-      // Replay WAL'd row deletions and reconstruct their feed contributions.
-      std::vector<Rid> wal_rids;
-      wal_rids.reserve(state.wal_rows.size());
-      for (const auto& [rid, values] : state.wal_rows) {
-        wal_rids.push_back(rid);
-        for (size_t i = 0; i < leg->secondaries.size() && i < values.size();
-             ++i) {
-          leg->feeds[leg->secondaries[i]->name].emplace_back(values[i], rid);
-        }
-      }
-      std::sort(wal_rids.begin(), wal_rids.end());
-      uint64_t deleted = 0;
-      BULKDEL_RETURN_IF_ERROR(leg->table->table->BulkDeleteSortedRids(
-          wal_rids, nullptr, &deleted, nullptr));
-      leg->rows_deleted += deleted;
     }
     leg->rids_sorted = false;
     return Status::OK();

@@ -25,11 +25,10 @@ enum class LogRecordType : uint8_t {
   /// info: phase label + key + RID). Appended while the leaf is pinned, so the
   /// buffer pool's WAL rule makes it durable before the leaf's write-back.
   kEntryDeleted,
-  /// One table record was removed; carries the projected secondary-index key
-  /// values so the downstream feeds can be reconstructed after a crash.
-  kRowDeleted,
   /// A whole phase (one structure) finished and a checkpoint was taken.
-  kPhaseDone,
+  /// Value 3 is unused (the table pass logs no per-row record), so this and
+  /// the later types keep their encoded values.
+  kPhaseDone = 4,
   /// Table + unique indices done; the statement is committed and the table
   /// lock can be released (§3.1).
   kCommit,
@@ -79,8 +78,8 @@ struct LogRecord {
   std::vector<PageId> pages;    ///< kListMaterialized: scratch pages
   uint64_t count = 0;           ///< kListMaterialized: item count
   int64_t key = 0;              ///< kEntryDeleted
-  Rid rid;                      ///< kEntryDeleted / kRowDeleted
-  std::vector<int64_t> values;  ///< kRowDeleted: projected index keys
+  Rid rid;                      ///< kEntryDeleted / kUpdaterRow
+  std::vector<int64_t> values;  ///< kBegin range, row, leaf-run pairs
 };
 
 }  // namespace bulkdel

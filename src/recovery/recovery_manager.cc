@@ -56,7 +56,6 @@ Result<std::map<uint64_t, RecoveredBulkDelete>> Analyze(const LogManager& log) {
         return Status::OK();
       case LogRecordType::kSideFileAppend:
       case LogRecordType::kSideFileDrain:
-      case LogRecordType::kEnd:
         return Status::OK();  // diagnostics only
       default:
         break;
@@ -99,12 +98,6 @@ Result<std::map<uint64_t, RecoveredBulkDelete>> Analyze(const LogManager& log) {
         // before that phase's checkpoint are superseded by the "rids" list.
         if (leg->phases_done.count(name) == 0) {
           leg->wal_index_entries.emplace_back(r.key, r.rid);
-        }
-        break;
-      case LogRecordType::kRowDeleted:
-        if (leg->phases_done.count("table") == 0 &&
-            leg->phases_done.count("table-no-index") == 0) {
-          leg->wal_rows.emplace_back(r.rid, r.values);
         }
         break;
       case LogRecordType::kPhaseDone:
@@ -177,9 +170,7 @@ Status RecoverDatabase(Database* db) {
     // Roll the whole statement — every leg — forward to completion (paper
     // §3.2: a bulk deletion in progress at the crash is finished, not
     // rolled back).
-    BULKDEL_ASSIGN_OR_RETURN(BulkDeleteReport report,
-                             ResumeVertical(db, state));
-    (void)report;
+    BULKDEL_RETURN_IF_ERROR(ResumeVertical(db, state).status());
     // The cached counts of the touched structures may predate the crash;
     // re-derive them from the data, once per table.
     std::set<std::string> recounted;

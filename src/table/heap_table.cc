@@ -126,13 +126,17 @@ template <typename Pick>
 uint64_t HeapTable::DeleteSlots(
     PageGuard& page,
     const std::function<void(const Rid&, const char*)>& on_delete,
-    Pick&& pick) {
+    bool with_dead, Pick&& pick) {
   HeapPage hp(page.data(), schema_->tuple_size());
   const bool was_full = hp.IsFull();
   uint64_t deleted = 0;
   pick([&](uint16_t slot) {
-    if (slot >= hp.capacity() || !hp.SlotOccupied(slot)) return false;
-    if (on_delete) on_delete(Rid(page.page_id(), slot), hp.TupleAt(slot));
+    if (slot >= hp.capacity()) return false;
+    const bool live = hp.SlotOccupied(slot);
+    if (on_delete && (live || with_dead)) {
+      on_delete(Rid(page.page_id(), slot), hp.TupleAt(slot));
+    }
+    if (!live) return false;
     hp.Delete(slot);
     ++deleted;
     return true;
@@ -271,7 +275,7 @@ Status HeapTable::Delete(const Rid& rid, char* deleted_tuple) {
         if (deleted_tuple == nullptr) return;
         std::memcpy(deleted_tuple, tuple, schema_->tuple_size());
       },
-      [&](auto&& erase) { erase(rid.slot); });
+      /*with_dead=*/false, [&](auto&& erase) { erase(rid.slot); });
   if (deleted == 0) return Status::NotFound("no tuple at " + rid.ToString());
   return Status::OK();
 }
@@ -291,12 +295,12 @@ Status HeapTable::Scan(
 Status HeapTable::ScanDeleteIf(
     const std::function<bool(const Rid&, const char*)>& pred,
     const std::function<void(const Rid&, const char*)>& on_delete,
-    uint64_t* deleted_count) {
+    uint64_t* deleted_count, bool with_dead) {
   uint64_t deleted = 0;
   BULKDEL_RETURN_IF_ERROR(WalkChain([&](PageGuard& page, HeapPage& hp) {
-    deleted += DeleteSlots(page, on_delete, [&](auto&& erase) {
+    deleted += DeleteSlots(page, on_delete, with_dead, [&](auto&& erase) {
       for (uint16_t slot = 0; slot < hp.capacity(); ++slot) {
-        if (hp.SlotOccupied(slot) &&
+        if ((with_dead || hp.SlotOccupied(slot)) &&
             pred(Rid(page.page_id(), slot), hp.TupleAt(slot))) {
           erase(slot);
         }
@@ -311,14 +315,15 @@ Status HeapTable::ScanDeleteIf(
 Status HeapTable::BulkDeleteSortedRids(
     const std::vector<Rid>& rids,
     const std::function<void(const Rid&, const char*)>& on_delete,
-    uint64_t* deleted_count, uint64_t* missing) {
-  return DeleteSortedRids(rids, {}, on_delete, deleted_count, missing);
+    uint64_t* deleted_count, uint64_t* missing, bool with_dead) {
+  return DeleteSortedRids(rids, {}, on_delete, deleted_count, missing,
+                          with_dead);
 }
 
 Status HeapTable::DeleteSortedRids(
     const std::vector<Rid>& rids, const std::unordered_set<PageId>& unread,
     const std::function<void(const Rid&, const char*)>& on_delete,
-    uint64_t* deleted_count, uint64_t* missing) {
+    uint64_t* deleted_count, uint64_t* missing, bool with_dead) {
   uint64_t deleted = 0;
   uint64_t absent = 0;
   for (size_t i = 0; i < rids.size();) {
@@ -327,7 +332,7 @@ Status HeapTable::DeleteSortedRids(
     while (end < rids.size() && rids[end].page == page_id) ++end;
     if (unread.count(page_id) == 0) {
       BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(page_id));
-      deleted += DeleteSlots(page, on_delete, [&](auto&& erase) {
+      deleted += DeleteSlots(page, on_delete, with_dead, [&](auto&& erase) {
         for (size_t k = i; k < end; ++k) {
           if (!erase(rids[k].slot)) ++absent;
         }
@@ -390,7 +395,7 @@ Status HeapTable::BulkDeleteSortedRidsExtentDrop(
 
   // Boundary pages: the ordinary one-pass read-modify-write merge.
   BULKDEL_RETURN_IF_ERROR(
-      DeleteSortedRids(rids, unread, on_delete, &deleted, nullptr));
+      DeleteSortedRids(rids, unread, on_delete, &deleted, nullptr, false));
 
   if (!drops.empty()) {
     // Log every drop first (record-before-mutation), then splice: a crash

@@ -78,21 +78,25 @@ class HeapTable {
 
   /// Scan that deletes every tuple for which `pred` returns true, invoking
   /// `on_delete` with the doomed tuple first. This is the probe half of the
-  /// hash-based bulk-delete operator on the base table.
+  /// hash-based bulk-delete operator on the base table. With `with_dead`,
+  /// free slots are offered too: `pred` and then `on_delete` see their dead
+  /// bytes, and nothing is deleted or counted for them.
   Status ScanDeleteIf(
       const std::function<bool(const Rid&, const char*)>& pred,
       const std::function<void(const Rid&, const char*)>& on_delete,
-      uint64_t* deleted_count);
+      uint64_t* deleted_count, bool with_dead = false);
 
   /// Deletes an ascending-sorted RID list in one physical pass, touching each
   /// page once. `on_delete` sees each tuple before removal. RIDs that do not
   /// exist are counted in `*missing` (idempotent re-execution after a crash
-  /// relies on this). This is the merge-based bulk-delete operator on the
-  /// base table (the R ⋉̸ step of the paper's Fig. 3).
+  /// relies on this); with `with_dead`, `on_delete` also sees the dead bytes
+  /// of each such RID's free slot. This is the merge-based bulk-delete
+  /// operator on the base table (the R ⋉̸ step of the paper's Fig. 3).
   Status BulkDeleteSortedRids(
       const std::vector<Rid>& rids,
       const std::function<void(const Rid&, const char*)>& on_delete,
-      uint64_t* deleted_count, uint64_t* missing = nullptr);
+      uint64_t* deleted_count, uint64_t* missing = nullptr,
+      bool with_dead = false);
 
   /// Extent-drop bulk delete: deletes an ascending-sorted RID list like
   /// BulkDeleteSortedRids, but pages whose every live tuple is doomed (the
@@ -154,19 +158,20 @@ class HeapTable {
   /// The one per-page delete step: `pick(erase)` calls `erase(slot)` for
   /// each slot to delete on the pinned `page`; `erase` deletes the slot's
   /// tuple if it holds one (`on_delete` sees it first) and says whether it
-  /// did. Then the page's bookkeeping: dirty mark, tuple count, extent-map
-  /// occupancy and pages_with_space_. Returns the number deleted.
+  /// did. A free slot's dead bytes go to `on_delete` only `with_dead`. Then
+  /// the page's bookkeeping: dirty mark, tuple count, extent-map occupancy
+  /// and pages_with_space_. Returns the number deleted.
   template <typename Pick>
   uint64_t DeleteSlots(
       PageGuard& page,
       const std::function<void(const Rid&, const char*)>& on_delete,
-      Pick&& pick);
+      bool with_dead, Pick&& pick);
 
   /// BulkDeleteSortedRids that leaves the pages in `unread` unread.
   Status DeleteSortedRids(
       const std::vector<Rid>& rids, const std::unordered_set<PageId>& unread,
       const std::function<void(const Rid&, const char*)>& on_delete,
-      uint64_t* deleted_count, uint64_t* missing);
+      uint64_t* deleted_count, uint64_t* missing, bool with_dead);
 
   /// Extent-map occupancy bookkeeping. A page the valid map does not know
   /// invalidates the map (fail safe: the next extent-drop rebuilds it).

@@ -60,7 +60,7 @@ TEST_F(CatalogTest, DuplicateAndMissingNames) {
   ASSERT_TRUE(catalog.CreateIndex("T", "A", {}, false).ok());
   EXPECT_EQ(catalog.CreateIndex("T", "A", {}, false).status().code(),
             StatusCode::kAlreadyExists);
-  EXPECT_TRUE(catalog.RemoveIndex("T", "B").IsNotFound());
+  EXPECT_TRUE(catalog.RemoveIndex("T", "B").status().IsNotFound());
   ASSERT_TRUE(catalog.RemoveIndex("T", "A").ok());
   EXPECT_EQ(catalog.GetIndex("T", "A"), nullptr);
 }

@@ -333,6 +333,59 @@ TEST(FlushLatchTest, StatementsAndCheckpointsOnATableBesideDmlOnAnother) {
             *LogicalContentHash(ref.get(), "B"));
 }
 
+// Drop & create on table A drops and re-creates A's secondary indexes while
+// another thread checkpoints: the checkpoint's flush walks every table's
+// index vector and takes each index's latch, so it must never see A's
+// vector change mid-walk or latch an index the statement already dropped.
+TEST(FlushLatchTest, DropCreateOnATableBesideCheckpointsOnAnotherThread) {
+  DatabaseOptions options;
+  options.memory_budget_bytes = 256 * 1024;
+  auto db = *Database::Create(options);
+  for (const char* name : {"A", "B"}) {
+    ASSERT_TRUE(db->CreateTable(name, *Schema::PaperStyle(3, 64)).ok());
+    ASSERT_TRUE(db->CreateIndex(name, "A", {.unique = true}).ok());
+    ASSERT_TRUE(db->CreateIndex(name, "B").ok());
+    ASSERT_TRUE(db->CreateIndex(name, "C").ok());
+    for (int64_t a = 0; a < 2000; ++a) {
+      ASSERT_TRUE(db->InsertRow(name, {a, a % 7, -a}).ok());
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> checkpoints{0};
+  std::thread checkpointer([&] {
+    while (!stop.load()) {
+      Status s = db->Checkpoint();
+      if (!s.ok()) {
+        ADD_FAILURE() << "checkpoint: " << s.ToString();
+        return;
+      }
+      ++checkpoints;
+      // Checkpoints wait for a running statement; leave it room to start.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  while (checkpoints.load() == 0) std::this_thread::yield();
+  int64_t deleted = 0;
+  for (int round = 0; round < 10; ++round) {
+    BulkDeleteSpec bd;
+    bd.table = "A";
+    bd.key_column = "A";
+    for (int i = 0; i < 100; ++i) bd.keys.push_back(deleted++);
+    auto report = db->BulkDelete(bd, Strategy::kDropCreate);
+    EXPECT_TRUE(report.ok() && report->rows_deleted == 100)
+        << report.status().ToString();
+  }
+  stop = true;
+  checkpointer.join();
+
+  ASSERT_TRUE(db->pool().Reset().ok());
+  ASSERT_TRUE(db->VerifyIntegrity().ok());
+  EXPECT_EQ(db->GetTable("A")->table->tuple_count(),
+            static_cast<uint64_t>(2000 - deleted));
+  EXPECT_EQ(db->GetTable("A")->indices.size(), 3u);
+}
+
 TEST(LockManagerTest, ExclusiveExcludesShared) {
   LockManager lm;
   lm.LockExclusive("R");

@@ -350,8 +350,10 @@ TEST(FileBackedTest, CascadeForgetIsOneEnvelopeWithOneBarrierPerLevel) {
 // barrier) and with one that evicts constantly (32 KB, 8 frames). A log sync
 // per dirty eviction would add one WAL fsync per eviction; under the rule a
 // victim forces the log only when it was dirtied after the last log flush.
-// Every page a bulk pass dirties carries a record appended just before, so
-// a pass forces about one sync per pool's worth of evictions, and nothing
+// Every leaf an index pass dirties carries a record appended just before, so
+// such a pass forces about one sync per pool's worth of evictions. A table
+// pass appends no record per row: its heap pages carry the stamp of a record
+// the last barrier made durable, or of an earlier leg's feed list. Nothing
 // else may add a sync under pressure.
 TEST(FileBackedTest, EvictionPressureDoesNotForceALogSyncPerWriteback) {
   constexpr size_t kTightBudget = 32u << 10;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "table/heap_page.h"
@@ -163,6 +164,21 @@ TEST_F(HeapTableTest, BulkDeleteSortedRidsOnePassAndIdempotent) {
   EXPECT_EQ(deleted, 0u);
   EXPECT_EQ(missing, doomed.size());
   EXPECT_EQ(table.tuple_count(), 2000u - doomed.size());
+
+  // A resumed pass sees the dead tuples' bytes again, deleting nothing.
+  std::vector<int64_t> dead;
+  ASSERT_TRUE(table
+                  .BulkDeleteSortedRids(
+                      doomed,
+                      [&](const Rid&, const char* tuple) {
+                        dead.push_back(schema_.GetInt(tuple, 0));
+                      },
+                      &deleted, &missing, /*with_dead=*/true)
+                  .ok());
+  EXPECT_EQ(deleted, 0u);
+  EXPECT_EQ(missing, doomed.size());
+  EXPECT_EQ(dead, seen);
+  EXPECT_EQ(table.tuple_count(), 2000u - doomed.size());
 }
 
 TEST_F(HeapTableTest, ScanDeleteIfMatchesPredicate) {
@@ -172,14 +188,19 @@ TEST_F(HeapTableTest, ScanDeleteIfMatchesPredicate) {
     ASSERT_TRUE(table.Insert(t.data()).ok());
   }
   uint64_t deleted = 0;
+  std::set<uint64_t> dead_rids;  // packed
   ASSERT_TRUE(table
                   .ScanDeleteIf(
                       [&](const Rid&, const char* tuple) {
                         return schema_.GetInt(tuple, 0) % 2 == 0;
                       },
-                      nullptr, &deleted)
+                      [&](const Rid& rid, const char*) {
+                        dead_rids.insert(rid.Pack());
+                      },
+                      &deleted)
                   .ok());
   EXPECT_EQ(deleted, 500u);
+  EXPECT_EQ(dead_rids.size(), 500u);
   EXPECT_EQ(table.tuple_count(), 500u);
   ASSERT_TRUE(table
                   .Scan([&](const Rid&, const char* tuple) {
@@ -187,6 +208,27 @@ TEST_F(HeapTableTest, ScanDeleteIfMatchesPredicate) {
                     return Status::OK();
                   })
                   .ok());
+
+  // With dead slots offered, the predicate also sees free slots' bytes: the
+  // rows deleted above (and never-used slots, whose bytes are zero). Only
+  // live matches are deleted and counted.
+  int dead_matches = 0;
+  ASSERT_TRUE(table
+                  .ScanDeleteIf(
+                      [&](const Rid&, const char* tuple) {
+                        return schema_.GetInt(tuple, 0) % 4 == 0 ||
+                               schema_.GetInt(tuple, 0) % 4 == 1;
+                      },
+                      [&](const Rid& rid, const char* tuple) {
+                        if (dead_rids.count(rid.Pack()) == 0) return;
+                        EXPECT_EQ(schema_.GetInt(tuple, 0) % 4, 0);
+                        ++dead_matches;
+                      },
+                      &deleted, /*with_dead=*/true)
+                  .ok());
+  EXPECT_EQ(dead_matches, 250);
+  EXPECT_EQ(deleted, 250u);
+  EXPECT_EQ(table.tuple_count(), 250u);
 }
 
 TEST_F(HeapTableTest, ReopenAfterFlushMeta) {

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/database.h"
+#include "fault/crash_sweep.h"
 #include "fault/fault_injector.h"
 #include "workload/generator.h"
 
@@ -252,6 +254,98 @@ TEST(RecoveryTest, ParallelCrashBetweenSecondariesAndFinalizeCheckpoint) {
   // nothing.
   ASSERT_TRUE(f.db->SimulateCrashAndRecover().ok());
   ExpectFinalState(f);
+}
+
+// The table pass logs no record per row: between the start of the `table`
+// phase and `barrier:tables` it appends only its `feed:*` lists, one per
+// secondary, whatever the number of rows it deletes.
+TEST(RecoveryTest, TablePassAppendsOnlyItsFeedLists) {
+  for (double fraction : {0.02, 0.3}) {
+    std::map<std::string, uint64_t> appended_at;  // phase -> appended_seq
+    Database* raw = nullptr;
+    DatabaseOptions options = RecoveryOptions();
+    options.phase_begin_hook = [&](const std::string& phase) {
+      if (raw != nullptr) appended_at[phase] = raw->log().appended_seq();
+    };
+    auto db = *Database::Create(options);
+    WorkloadSpec spec;
+    spec.n_tuples = 3000;
+    spec.n_int_columns = 3;
+    spec.tuple_size = 64;
+    Workload workload = *SetUpPaperDatabase(db.get(), spec, {"A", "B", "C"});
+    ASSERT_TRUE(db->Checkpoint().ok());
+    BulkDeleteSpec bd;
+    bd.table = "R";
+    bd.key_column = "A";
+    bd.keys = workload.MakeDeleteKeys(fraction, 123);
+    raw = db.get();
+    auto report = db->BulkDelete(bd, Strategy::kVerticalSortMerge);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->rows_deleted, bd.keys.size());
+    ASSERT_EQ(appended_at.count("table"), 1u);
+    ASSERT_EQ(appended_at.count("barrier:tables"), 1u);
+    EXPECT_EQ(appended_at["barrier:tables"] - appended_at["table"], 2u)
+        << "fraction " << fraction;
+  }
+}
+
+// A scan pass (the delete column has no index) under a 32 KB pool: evictions
+// write heap pages whose slots the pass already cleared, and no record names
+// those rows. A crash at each page write of the pass must still recover to
+// the uncrashed final state, because the resumed scan projects the feeds of
+// the rows its interrupted attempt deleted from their dead bytes.
+TEST(RecoveryTest, ScanPassCrashAtEveryPageWriteRecovers) {
+  auto injector = std::make_shared<FaultInjector>();
+  std::map<std::string, uint64_t> writes_at;  // phase -> disk.write hits
+  auto make_db = [&](BulkDeleteSpec* bd) {
+    DatabaseOptions options = RecoveryOptions();
+    options.memory_budget_bytes = 32 * 1024;
+    options.fault_injector = injector;
+    options.phase_begin_hook = [&](const std::string& phase) {
+      writes_at[phase] = injector->HitCount(fault_sites::kDiskWrite);
+    };
+    auto db = *Database::Create(options);
+    WorkloadSpec spec;
+    spec.n_tuples = 2000;
+    spec.n_int_columns = 3;
+    spec.tuple_size = 64;
+    Workload workload = *SetUpPaperDatabase(db.get(), spec, {"B", "C"});
+    EXPECT_TRUE(db->Checkpoint().ok());
+    bd->table = "R";
+    bd->key_column = "A";
+    bd->keys = workload.MakeDeleteKeys(0.3, 9);
+    injector->ResetCounts();
+    writes_at.clear();
+    return db;
+  };
+
+  BulkDeleteSpec bd;
+  auto ref = make_db(&bd);
+  auto report = ref->BulkDelete(bd, Strategy::kVerticalSortMerge);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->rows_deleted, bd.keys.size());
+  const std::string final_hash = *LogicalContentHash(ref.get(), "R");
+  ASSERT_EQ(writes_at.count("table-no-index"), 1u);
+  ASSERT_EQ(writes_at.count("barrier:tables"), 1u);
+  const uint64_t first = writes_at["table-no-index"] + 1;
+  const uint64_t last = writes_at["barrier:tables"];
+  ASSERT_GT(last, first) << "the pass wrote no page back";
+
+  for (uint64_t n = first; n <= last; ++n) {
+    auto db = make_db(&bd);
+    injector->Arm(fault_sites::kDiskWrite, n);
+    EXPECT_FALSE(db->BulkDelete(bd, Strategy::kVerticalSortMerge).ok());
+    ASSERT_TRUE(injector->tripped()) << "write " << n;
+    injector->Disarm();
+    Status recovered = db->SimulateCrashAndRecover();
+    ASSERT_TRUE(recovered.ok()) << "write " << n << ": "
+                                << recovered.ToString();
+    EXPECT_EQ(*LogicalContentHash(db.get(), "R"), final_hash)
+        << "write " << n;
+    Status integrity = db->VerifyIntegrity();
+    EXPECT_TRUE(integrity.ok()) << "write " << n << ": "
+                                << integrity.ToString();
+  }
 }
 
 TEST(LogManagerTest, SyncAndVolatileTail) {
