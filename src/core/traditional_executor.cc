@@ -162,26 +162,15 @@ Result<BulkDeleteReport> ExecuteDropCreate(ExecContext* ctx, TableDef* table,
       report.index_entries_deleted = entries;
     }
 
-    // Rebuild each dropped index: scan, external sort, bulk load.
+    // Rebuild each dropped index: CreateIndex backfills it by a heap scan,
+    // an external sort and a bulk load.
     for (const DroppedDef& d : dropped) {
       PhaseScope scope(ctx, "rebuild:" + table->name + "." + d.column,
                        "delete");
       BULKDEL_ASSIGN_OR_RETURN(
           IndexDef * index,
           db->CreateIndex(table->name, d.column, d.options, d.clustered));
-      int column = index->column;
-      ExternalSorter<KeyRid> sorter(&db->disk(),
-                                    db->options().memory_budget_bytes);
-      const Schema& schema = *table->schema;
-      BULKDEL_RETURN_IF_ERROR(
-          table->table->Scan([&](const Rid& rid, const char* tuple) {
-            return sorter.Add(KeyRid(
-                schema.GetInt(tuple, static_cast<size_t>(column)), rid));
-          }));
-      BULKDEL_ASSIGN_OR_RETURN(std::vector<KeyRid> entries_sorted,
-                               sorter.FinishToVector());
-      BULKDEL_RETURN_IF_ERROR(index->tree->BulkLoad(entries_sorted));
-      scope.set_items(entries_sorted.size());
+      scope.set_items(index->tree->entry_count());
     }
     return FinalizeStructures(ctx, table);
   }();

@@ -96,12 +96,18 @@ double CostModel::IndexRangeLeafRunCost(const IndexInfo& index,
   double frac = std::min(
       1.0, static_cast<double>(n_delete) / static_cast<double>(index.entries));
   double covered = static_cast<double>(index.leaves) * frac;
-  // Each covered leaf is read once (sequential chain walk). Interior leaves
-  // are emptied with one header write; only the ~2 boundary leaves pay an
-  // entry-level rewrite, and the parent fix-ups are amortized into the same
-  // header-write term.
+  // Each covered leaf is read once (sequential chain walk) and never
+  // written: emptied leaves are spliced out of the chain. The pass writes
+  // the ~2 boundary leaves, the 2 splice neighbours, the inner levels that
+  // ReplaceInnerLevels rebuilds on fresh pages over the surviving leaves
+  // (survivors / (fan-out - 1) pages summed over every level), and the
+  // meta page.
+  double survivors = std::max(1.0, static_cast<double>(index.leaves) - covered);
+  double fan_out = BTreeNode::InnerPageCapacity();
+  double inner =
+      index.height > 1 ? std::max(1.0, survivors / (fan_out - 1.0)) : 0.0;
   double read = SeqPages(covered);
-  double write = SeqPages(covered) * 0.25 + SeqPages(2.0);
+  double write = SeqPages(2.0 + 2.0 + inner + 1.0);
   return read + write;
 }
 

@@ -71,9 +71,10 @@ class CostModel {
   double TablePassCost(const TableInfo& table, uint64_t n_delete) const;
 
   /// Range leaf-run pass over the key index: descend once, walk the covered
-  /// leaf chain. Fully-covered leaves are freed with one header write each
-  /// (no entry-level rewrite); only the two boundary leaves pay a full
-  /// read-modify-write. No sort — a range is trivially in key order.
+  /// leaf chain. Fully-covered leaves are read and spliced out unwritten;
+  /// the writes are the two boundary leaves, the splice neighbours, the
+  /// rebuilt inner levels and the meta page. No sort — a range is trivially
+  /// in key order.
   double IndexRangeLeafRunCost(const IndexInfo& index,
                                uint64_t n_delete) const;
 

@@ -101,8 +101,8 @@ class ExternalSorter {
           return AppendToRun(&merged, item);
         }));
         BULKDEL_RETURN_IF_ERROR(FlushRun(&merged));
-        for (Run& r : group) {
-          BULKDEL_RETURN_IF_ERROR(FreeRun(&r));
+        for (auto r = group.rbegin(); r != group.rend(); ++r) {
+          BULKDEL_RETURN_IF_ERROR(FreeRun(&*r));
         }
         next.push_back(std::move(merged));
       }
@@ -111,8 +111,8 @@ class ExternalSorter {
     std::vector<Run> all = std::move(runs_);
     runs_.clear();
     Status s = MergeRuns(all, emit);
-    for (Run& r : all) {
-      Status fs = FreeRun(&r);
+    for (auto r = all.rbegin(); r != all.rend(); ++r) {
+      Status fs = FreeRun(&*r);
       if (s.ok()) s = fs;
     }
     return s;
@@ -175,9 +175,13 @@ class ExternalSorter {
     return Status::OK();
   }
 
+  /// Frees the run's pages last-first: the disk's free list hands pages out
+  /// last-freed-first, so the runs freed in reverse come back in the order
+  /// they were written. A bulk load that follows the sort (index creation)
+  /// then chains its leaves in ascending page order, not descending.
   Status FreeRun(Run* run) {
-    for (PageId id : run->pages) {
-      BULKDEL_RETURN_IF_ERROR(disk_->FreePage(id));
+    for (auto id = run->pages.rbegin(); id != run->pages.rend(); ++id) {
+      BULKDEL_RETURN_IF_ERROR(disk_->FreePage(*id));
     }
     run->pages.clear();
     run->count = 0;

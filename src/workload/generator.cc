@@ -91,6 +91,10 @@ Result<Workload> SetUpPaperDatabase(
       Schema::PaperStyle(spec.n_int_columns, spec.tuple_size));
   BULKDEL_RETURN_IF_ERROR(
       db->CreateTable(spec.table_name, schema).status());
+  // Heap first, then each index by CreateIndex's backfill (heap scan,
+  // external sort, BulkLoad): the leaves come out full and chained in page
+  // order, as a loader builds them.
+  BULKDEL_ASSIGN_OR_RETURN(Workload workload, LoadWorkload(db, spec));
   for (const std::string& column : indexed_columns) {
     IndexOptions options;
     bool clustered = false;
@@ -103,7 +107,7 @@ Result<Workload> SetUpPaperDatabase(
         db->CreateIndex(spec.table_name, column, options, clustered)
             .status());
   }
-  return LoadWorkload(db, spec);
+  return workload;
 }
 
 }  // namespace bulkdel

@@ -38,16 +38,16 @@ struct Workload {
   std::vector<int64_t> MakeDeleteKeys(double fraction, uint64_t seed) const;
 };
 
-/// Creates table R (schema per `spec`) in `db` and loads it. Indices should
-/// be created *before* calling this so they are populated by the row inserts
-/// (matching how the paper's tables were built), or afterwards via
-/// drop/create-style bulk loading — see CreateIndexesThenLoad for the usual
-/// path used by the benchmarks.
+/// Loads `spec.n_tuples` generated rows into the existing table
+/// `spec.table_name` by one `InsertRow` per row, so any index that already
+/// exists is populated by row-at-a-time inserts.
 Result<Workload> LoadWorkload(Database* db, const WorkloadSpec& spec);
 
-/// Convenience used by benchmarks: creates R, creates indices on the given
-/// columns ("A" is unique + the key index; clustered if spec says so), then
-/// loads the rows.
+/// Convenience used by benchmarks: creates R, loads the rows, then creates
+/// the indices on the given columns ("A" is unique + the key index;
+/// clustered if spec says so). Each index is built by `CreateIndex`'s
+/// backfill — heap scan, external sort, `BTree::BulkLoad` — so its leaves
+/// are full and chained in ascending page order.
 Result<Workload> SetUpPaperDatabase(Database* db, const WorkloadSpec& spec,
                                     const std::vector<std::string>& indexed_columns,
                                     const IndexOptions& a_options = {});

@@ -208,6 +208,10 @@ IdentityRun RunWorkload(int exec_threads, Strategy strategy,
   // Every page access of the statement is charged to one of its accounts,
   // so the whole-disk delta is exactly the report's total.
   IoStats delta = db->disk().stats() - before;
+  // The integrity check starts from a cold pool too: its misses would
+  // otherwise depend on the LRU order the statement's concurrent passes
+  // left behind.
+  EXPECT_TRUE(db->pool().Reset().ok()) << label;
   EXPECT_TRUE(db->VerifyIntegrity().ok()) << label;
 
   IdentityRun run;
@@ -286,7 +290,7 @@ void ExpectIoIdentical(const IdentityRun& a, const IdentityRun& b,
   }
 }
 
-// The working set (heap plus three indices, 688 pages) stays resident.
+// The working set (heap plus three indices, 561 pages) stays resident.
 constexpr size_t kResidentBudget = 16ull << 20;
 // 512 frames: every plan below evicts. The traditional and drop & create
 // plans run one phase at a time. The vertical plan's secondary-index passes

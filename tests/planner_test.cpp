@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "btree/btree_node.h"
 #include "storage/page.h"
 
 namespace bulkdel {
@@ -71,6 +72,27 @@ TEST(CostModelTest, MergePassInsensitiveToHeight) {
   h4.height = 4;
   EXPECT_EQ(cost.IndexMergePassCost(h3, 15000),
             cost.IndexMergePassCost(h4, 15000));
+}
+
+TEST(CostModelTest, RangeLeafRunWritesNoCoveredLeaf) {
+  CostModel cost = DefaultCost();
+  IndexInfo index;
+  index.entries = 1000000;
+  index.leaves = 4000;
+  index.height = 3;
+  // Half the key range: 2,000 covered leaves are read and spliced out
+  // unwritten. The writes are 2 boundary leaves, 2 splice neighbours, the
+  // inner levels rebuilt over the 2,000 survivors and the meta page.
+  double covered = 2000.0;
+  double writes =
+      cost.IndexRangeLeafRunCost(index, 500000) - cost.SeqPages(covered);
+  double inner = covered / (BTreeNode::InnerPageCapacity() - 1.0);
+  EXPECT_GT(writes, 0.0);
+  EXPECT_LE(writes, cost.SeqPages(2.0 + 2.0 + inner + 1.0));
+  // Covering 1,000 more leaves adds their reads and no writes.
+  EXPECT_LE(cost.IndexRangeLeafRunCost(index, 750000) -
+                cost.IndexRangeLeafRunCost(index, 500000),
+            cost.SeqPages(1000.0));
 }
 
 TEST(PlannerTest, LargeDeleteChoosesVertical) {
