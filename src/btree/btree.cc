@@ -700,8 +700,9 @@ Status BTree::BulkLeafPass(const std::optional<KeyRid>& start,
 }
 
 template <typename Match>
-void BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
-                        uint16_t from, Match&& match) {
+Status BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
+                          uint16_t from, Match&& match) {
+  pass.removed.clear();
   uint16_t removed = node.LeafCompact(from, [&](uint16_t pos) {
     Verdict verdict = match(pos);
     if (verdict == Verdict::kStop) pass.done = true;
@@ -712,8 +713,8 @@ void BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
     }
     Rid rid = node.LeafRid(pos);
     if (pass.deleted_rids != nullptr) pass.deleted_rids->push_back(rid);
-    if (pass.on_delete != nullptr && *pass.on_delete) {
-      (*pass.on_delete)(node.LeafKey(pos), rid);
+    if (pass.on_leaf != nullptr) {
+      pass.removed.emplace_back(node.LeafKey(pos), rid);
     }
     return Verdict::kDrop;
   });
@@ -723,26 +724,27 @@ void BTree::CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
     pass.empties.push_back(EmptyLeaf{guard.page_id(), node.left_sibling(),
                                      node.right_sibling()});
   }
+  if (removed == 0 || pass.on_leaf == nullptr) return Status::OK();
+  return (*pass.on_leaf)(guard.page_id(), pass.removed, /*detached=*/false);
 }
 
 Status BTree::BulkDeleteSortedKeys(
     const std::vector<int64_t>& keys, ReorgMode reorg,
     std::vector<Rid>* deleted_rids, BtreeBulkDeleteStats* stats,
-    const std::function<void(int64_t, const Rid&)>& on_delete) {
-  BulkPass pass(deleted_rids, &on_delete);
+    const LeafDeleteFn& on_leaf) {
+  BulkPass pass(deleted_rids, &on_leaf);
   std::optional<KeyRid> start;
   if (!keys.empty()) start = KeyRid::Min(keys.front());
   size_t i = 0;
   return BulkLeafPass(
       start, reorg, pass, stats, [&](PageGuard& guard, BTreeNode node) {
         // Merge the leaf with the sorted key list.
-        CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
+        return CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
           int64_t k = node.LeafKey(pos);
           while (i < keys.size() && keys[i] < k) ++i;
           if (i == keys.size()) return Verdict::kStop;
           return k < keys[i] ? Verdict::kKeep : Verdict::kDrop;
         });
-        return Status::OK();
       });
 }
 
@@ -756,7 +758,7 @@ Status BTree::BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
   return BulkLeafPass(
       start, reorg, pass, stats, [&](PageGuard& guard, BTreeNode node) {
         // Merge the leaf with the sorted entry list.
-        CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
+        return CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
           KeyRid e = node.LeafEntryAt(pos);
           while (i < entries.size() && entries[i] < e) ++i;
           if (i == entries.size()) return Verdict::kStop;
@@ -765,7 +767,6 @@ Status BTree::BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
           if (++i == entries.size()) pass.done = true;
           return Verdict::kDrop;
         });
-        return Status::OK();
       });
 }
 
@@ -773,12 +774,12 @@ Status BTree::BulkDeleteByPredicate(
     const std::function<bool(int64_t, const Rid&)>& pred, ReorgMode reorg,
     BtreeBulkDeleteStats* stats, std::optional<int64_t> lo,
     std::optional<int64_t> hi,
-    const std::function<void(int64_t, const Rid&)>& on_delete) {
-  BulkPass pass(nullptr, &on_delete);
+    const LeafDeleteFn& on_leaf) {
+  BulkPass pass(nullptr, &on_leaf);
   return BulkLeafPass(
       KeyRid::Min(lo.value_or(kMinKey)), reorg, pass, stats,
       [&](PageGuard& guard, BTreeNode node) {
-        CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
+        return CompactLeaf(pass, guard, node, 0, [&](uint16_t pos) {
           int64_t k = node.LeafKey(pos);
           if (hi.has_value() && k > *hi) return Verdict::kStop;
           if ((lo.has_value() && k < *lo) || !pred(k, node.LeafRid(pos))) {
@@ -786,17 +787,13 @@ Status BTree::BulkDeleteByPredicate(
           }
           return Verdict::kDrop;
         });
-        return Status::OK();
       });
 }
 
 Status BTree::BulkDeleteRange(
     int64_t lo, int64_t hi, ReorgMode reorg, std::vector<Rid>* deleted_rids,
-    BtreeBulkDeleteStats* stats,
-    const std::function<Status(PageId, const std::vector<KeyRid>&)>&
-        on_leaf_drop,
-    const std::function<void(int64_t, const Rid&)>& on_delete) {
-  BulkPass pass(deleted_rids, &on_delete);
+    BtreeBulkDeleteStats* stats, const LeafDeleteFn& on_leaf) {
+  BulkPass pass(deleted_rids, &on_leaf);
   std::optional<KeyRid> start;
   if (lo <= hi) start = KeyRid::Min(lo);
   return BulkLeafPass(
@@ -812,13 +809,14 @@ Status BTree::BulkDeleteRange(
           run_leaf = !(node.LeafFlags(pos) & BTreeNode::kEntryUndeletable);
         }
         if (run_leaf) {
-          std::vector<KeyRid> harvest;
-          harvest.reserve(count);
+          std::vector<KeyRid>& harvest = pass.removed;
+          harvest.clear();
           for (uint16_t pos = 0; pos < count; ++pos) {
             harvest.push_back(node.LeafEntryAt(pos));
           }
-          if (on_leaf_drop) {
-            BULKDEL_RETURN_IF_ERROR(on_leaf_drop(guard.page_id(), harvest));
+          if (pass.on_leaf != nullptr) {
+            BULKDEL_RETURN_IF_ERROR((*pass.on_leaf)(guard.page_id(), harvest,
+                                                    /*detached=*/true));
           }
           if (deleted_rids != nullptr) {
             for (const KeyRid& e : harvest) deleted_rids->push_back(e.rid);
@@ -830,10 +828,9 @@ Status BTree::BulkDeleteRange(
           return Status::OK();
         }
         uint16_t from = count > 0 ? node.LeafLowerBound(lo) : 0;
-        CompactLeaf(pass, guard, node, from, [&](uint16_t pos) {
+        return CompactLeaf(pass, guard, node, from, [&](uint16_t pos) {
           return node.LeafKey(pos) > hi ? Verdict::kStop : Verdict::kDrop;
         });
-        return Status::OK();
       });
 }
 

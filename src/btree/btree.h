@@ -135,15 +135,24 @@ class BTree {
   /// duplicate-free as composites). `fill` in (0,1] controls node fill.
   Status BulkLoad(const std::vector<KeyRid>& entries, double fill = 1.0);
 
+  /// Sees each leaf a bulk pass changes, once, while the pass still pins
+  /// it: the leaf's page, the (key, RID) entries the pass removed from it in
+  /// key order, and whether the pass detached the leaf whole instead of
+  /// compacting it. A record appended here precedes the leaf's unpin, so
+  /// the pool's WAL rule makes it durable before the leaf's write-back (the
+  /// recovery layer logs one record per leaf). An error aborts the pass; a
+  /// leaf about to be detached is then left intact.
+  using LeafDeleteFn = std::function<Status(
+      PageId leaf, const std::vector<KeyRid>& removed, bool detached)>;
+
   /// Merge-based bulk delete: removes every entry whose key appears in
   /// `keys` (ascending, unique). Deleted RIDs are appended to `deleted_rids`
-  /// (in key order) when non-null; `on_delete` additionally sees every
-  /// removed (key, RID) — the recovery layer logs them as WAL records.
+  /// (in key order) when non-null; `on_leaf` sees every changed leaf.
   /// This is the ⋉̸-by-key operator.
-  Status BulkDeleteSortedKeys(
-      const std::vector<int64_t>& keys, ReorgMode reorg,
-      std::vector<Rid>* deleted_rids, BtreeBulkDeleteStats* stats = nullptr,
-      const std::function<void(int64_t, const Rid&)>& on_delete = nullptr);
+  Status BulkDeleteSortedKeys(const std::vector<int64_t>& keys,
+                              ReorgMode reorg, std::vector<Rid>* deleted_rids,
+                              BtreeBulkDeleteStats* stats = nullptr,
+                              const LeafDeleteFn& on_leaf = nullptr);
 
   /// Merge-based bulk delete of exact composite entries (ascending, unique).
   Status BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
@@ -159,7 +168,7 @@ class BTree {
       BtreeBulkDeleteStats* stats = nullptr,
       std::optional<int64_t> lo = std::nullopt,
       std::optional<int64_t> hi = std::nullopt,
-      const std::function<void(int64_t, const Rid&)>& on_delete = nullptr);
+      const LeafDeleteFn& on_leaf = nullptr);
 
   /// Range bulk delete with the leaf-run fast path: removes every entry with
   /// lo <= key <= hi. Leaves *fully* covered by the range (and free of
@@ -169,17 +178,13 @@ class BTree {
   /// each run of them out of the chain with writes to its two surviving
   /// neighbors; only the two boundary leaves see per-entry removal. Deleted
   /// RIDs are appended to `deleted_rids` in key order when non-null.
-  /// `on_leaf_drop` fires once per dropped leaf *before* it is detached, with
-  /// the leaf's page id and its full entry list (the recovery layer logs one
-  /// kRangeLeafRun record); returning an error aborts the pass with the leaf
-  /// intact. `on_delete` sees each individually removed boundary entry
-  /// (logged as kEntryDeleted). An inverted range (lo > hi) deletes nothing.
-  Status BulkDeleteRange(
-      int64_t lo, int64_t hi, ReorgMode reorg,
-      std::vector<Rid>* deleted_rids, BtreeBulkDeleteStats* stats = nullptr,
-      const std::function<Status(PageId, const std::vector<KeyRid>&)>&
-          on_leaf_drop = nullptr,
-      const std::function<void(int64_t, const Rid&)>& on_delete = nullptr);
+  /// `on_leaf` sees a dropped leaf before it is detached (`detached`, with
+  /// its full entry list) and a boundary leaf after its compaction. An
+  /// inverted range (lo > hi) deletes nothing.
+  Status BulkDeleteRange(int64_t lo, int64_t hi, ReorgMode reorg,
+                         std::vector<Rid>* deleted_rids,
+                         BtreeBulkDeleteStats* stats = nullptr,
+                         const LeafDeleteFn& on_leaf = nullptr);
 
   /// The pages the bulk passes detached since the last call: emptied leaves
   /// and replaced inner nodes. No bulk pass returns a page to the allocator;
@@ -279,11 +284,13 @@ class BTree {
   };
   /// State of one bulk pass.
   struct BulkPass {
-    BulkPass(std::vector<Rid>* rids,
-             const std::function<void(int64_t, const Rid&)>* on_del)
-        : deleted_rids(rids), on_delete(on_del) {}
+    BulkPass(std::vector<Rid>* rids, const LeafDeleteFn* leaf_fn)
+        : deleted_rids(rids),
+          on_leaf(leaf_fn != nullptr && *leaf_fn ? leaf_fn : nullptr) {}
     std::vector<Rid>* deleted_rids;
-    const std::function<void(int64_t, const Rid&)>* on_delete;
+    const LeafDeleteFn* on_leaf;  // null when the caller passed none
+    /// The current leaf's removed entries, for on_leaf (reused per leaf).
+    std::vector<KeyRid> removed;
     BtreeBulkDeleteStats stats;
     std::vector<EmptyLeaf> empties;  // in chain order
     /// Set by a kStop verdict, or by a merge whose input ran out: the walk
@@ -299,11 +306,12 @@ class BTree {
   /// The per-entry step of every bulk pass: one LeafCompact of the pinned
   /// leaf from entry `from` by the caller's verdict `match(pos)`. A kDrop of
   /// a kEntryUndeletable entry is kept (skipped_undeletable); each removed
-  /// entry goes to deleted_rids and on_delete. Marks the leaf dirty when it
-  /// lost entries and collects it when it emptied.
+  /// entry goes to deleted_rids. Marks the leaf dirty when it lost entries,
+  /// hands them to on_leaf before the guard unpins it, and collects the leaf
+  /// when it emptied.
   template <typename Match>
-  void CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
-                   uint16_t from, Match&& match);
+  Status CompactLeaf(BulkPass& pass, PageGuard& guard, BTreeNode node,
+                     uint16_t from, Match&& match);
   /// Detaches the pass's empties, runs the reorganization and persists the
   /// meta page.
   Status FinishBulkDelete(BulkPass& pass, ReorgMode reorg);

@@ -203,17 +203,10 @@ bool Database::TrySideFileAppend(IndexDef* index, const SideFileOp& op,
       if (!spilled.empty()) {
         sidefile_spill_pages_counter_->Add(
             static_cast<int64_t>(spilled.size()));
-      }
-      uint64_t bd_id = updater_logging_id();
-      if (bd_id != 0) {
-        // Diagnostics only: replay is driven by kUpdaterRow records. The
-        // spill record lets recovery reclaim the scratch pages.
-        LogRecord append_rec;
-        append_rec.type = LogRecordType::kSideFileAppend;
-        append_rec.bd_id = bd_id;
-        append_rec.label = index->name;
-        log_->Append(std::move(append_rec));
-        if (!spilled.empty()) {
+        uint64_t bd_id = updater_logging_id();
+        if (bd_id != 0) {
+          // Replay is driven by kUpdaterRow records; the spill record only
+          // lets recovery reclaim the scratch pages.
           LogRecord spill_rec;
           spill_rec.type = LogRecordType::kSideFileSpill;
           spill_rec.bd_id = bd_id;

@@ -101,10 +101,10 @@ struct RecoveredLeg {
   /// Heap pages whose kExtentDrop record is durable: re-dropped (if still
   /// chained) and freed by the resumed finalize phase.
   std::vector<PageId> extent_pages;
-  /// Index leaves whose kRangeLeafRun record is durable. Their frees were
-  /// deferred past the (never-reached) End record, so the resumed finalize
-  /// phase reclaims them; re-dropped ones show up in both lists and are
-  /// freed once.
+  /// Index leaves that a durable kLeafEntriesDeleted record names as
+  /// detached whole. Their frees were deferred past the (never-reached) End
+  /// record, so the resumed finalize phase reclaims them; re-dropped ones
+  /// show up in both lists and are freed once.
   std::vector<PageId> leaf_pages;
 
   struct List {

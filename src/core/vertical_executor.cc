@@ -82,8 +82,9 @@ struct Leg : VerticalLeg {
   /// kExtentDrop records); freed at finalize after the End record.
   std::vector<PageId> extent_pages;
   std::vector<PageId> recovered_extent_pages;
-  /// Index pages detached by a crashed run, recovered from its kRangeLeafRun
-  /// records; freed at finalize with the pages this run's passes detach.
+  /// Index pages detached by a crashed run, recovered from the `pages` of
+  /// its kLeafEntriesDeleted records; freed at finalize with the pages this
+  /// run's passes detach.
   std::vector<PageId> index_pages;
   std::vector<Rid> rids;
   bool rids_sorted = false;
@@ -513,48 +514,40 @@ class VerticalRun {
     const PlanStep* step = leg->FindStep(leg->key_index->name);
     BTree* tree = leg->key_index->tree.get();
     BtreeBulkDeleteStats stats;
-    std::function<void(int64_t, const Rid&)> wal;
-    if (logging_) {
-      wal = [this, &wal_label](int64_t key, const Rid& rid) {
-        LogRecord rec;
-        rec.type = LogRecordType::kEntryDeleted;
-        rec.bd_id = bd_id_;
-        rec.label = wal_label;
-        rec.key = key;
-        rec.rid = rid;
-        db_->log().Append(std::move(rec));
-      };
-    }
-    if (leg->spec.is_range()) {
-      // Leaf-run pass: fully-covered leaves are logged whole (one
-      // kRangeLeafRun record carrying every (key, RID) pair) and spliced out
-      // of the chain without ever being written; only boundary entries go
-      // through the per-entry path with kEntryDeleted records.
-      auto on_leaf_drop = [this, &label, &wal_label](
-                              PageId leaf,
-                              const std::vector<KeyRid>& run) -> Status {
+    // One record per leaf the pass changes: the (key, RID) pairs it removed
+    // there, and the leaf's page when the pass detached the leaf whole (its
+    // free waits for finalize, which a resumed run must still reach). The
+    // pass appends it while it pins the leaf, so the pool's WAL rule makes
+    // it durable before the leaf's write-back.
+    BTree::LeafDeleteFn log_leaf =
+        [this, &label, &wal_label](PageId leaf,
+                                   const std::vector<KeyRid>& removed,
+                                   bool detached) -> Status {
+      if (detached) {
         BULKDEL_RETURN_IF_ERROR(
             db_->CheckFault(fault_sites::kBtreeRangeLeafRun, label));
-        if (logging_) {
-          LogRecord rec;
-          rec.type = LogRecordType::kRangeLeafRun;
-          rec.bd_id = bd_id_;
-          rec.label = wal_label;
-          rec.pages = {leaf};
-          rec.count = run.size();
-          rec.values.reserve(run.size() * 2);
-          for (const KeyRid& e : run) {
-            rec.values.push_back(e.key);
-            rec.values.push_back(static_cast<int64_t>(e.rid.Pack()));
-          }
-          db_->log().Append(std::move(rec));
-        }
-        return Status::OK();
-      };
+      }
+      if (!logging_) return Status::OK();
+      LogRecord rec;
+      rec.type = LogRecordType::kLeafEntriesDeleted;
+      rec.bd_id = bd_id_;
+      rec.label = wal_label;
+      if (detached) rec.pages = {leaf};
+      rec.count = removed.size();
+      rec.values.reserve(removed.size() * 2);
+      for (const KeyRid& e : removed) {
+        rec.values.push_back(e.key);
+        rec.values.push_back(static_cast<int64_t>(e.rid.Pack()));
+      }
+      db_->log().Append(std::move(rec));
+      return Status::OK();
+    };
+    if (leg->spec.is_range()) {
+      // Leaf-run pass: fully-covered leaves are detached whole, without
+      // ever being written; only the boundary leaves are compacted.
       BULKDEL_RETURN_IF_ERROR(tree->BulkDeleteRange(
           leg->spec.range_lo, leg->spec.range_hi, db_->options().reorg,
-          &leg->rids,
-          &stats, on_leaf_drop, wal));
+          &leg->rids, &stats, log_leaf));
     } else if (step != nullptr && step->method == DeleteMethod::kClassicHash) {
       U64HashSet set(leg->spec.keys.size());
       for (int64_t k : leg->spec.keys) set.Insert(static_cast<uint64_t>(k));
@@ -563,13 +556,16 @@ class VerticalRun {
             return set.Contains(static_cast<uint64_t>(key));
           },
           db_->options().reorg, &stats, std::nullopt, std::nullopt,
-          [&](int64_t key, const Rid& rid) {
-            leg->rids.push_back(rid);
-            if (wal) wal(key, rid);
+          [&](PageId leaf, const std::vector<KeyRid>& removed, bool detached) {
+            for (const KeyRid& e : removed) leg->rids.push_back(e.rid);
+            return log_leaf(leaf, removed, detached);
           }));
     } else {
+      // Unlogged, the merge needs no callback: the pass then collects no
+      // per-leaf entries.
       BULKDEL_RETURN_IF_ERROR(tree->BulkDeleteSortedKeys(
-          leg->spec.keys, db_->options().reorg, &leg->rids, &stats, wal));
+          leg->spec.keys, db_->options().reorg, &leg->rids, &stats,
+          logging_ ? log_leaf : nullptr));
     }
     AddIndexEntriesDeleted(stats.entries_deleted);
     leaf_reorg_hist_->Observe(static_cast<int64_t>(stats.leaves_freed));
@@ -592,8 +588,8 @@ class VerticalRun {
       leg->rids_sorted = true;
     }
     if (leg->spec.is_range()) {
-      // A resumed range run seeds RIDs from the kRangeLeafRun/kEntryDeleted
-      // records of every interrupted attempt, which may name a RID twice; a
+      // A resumed range run seeds RIDs from the kLeafEntriesDeleted records
+      // of every interrupted attempt, which may name a RID twice; a
       // duplicate RID would double-count a page's doomed tuples in the
       // extent-drop coverage proof, so collapse them here.
       leg->rids.erase(std::unique(leg->rids.begin(), leg->rids.end(),
@@ -912,16 +908,6 @@ class VerticalRun {
     sidefile_drain_hist_->Observe(static_cast<int64_t>(batch.size()));
     sidefile_catchup_hist_->Observe(MonotonicNanos() - t0);
     sidefile_depth_gauge_->Set(static_cast<int64_t>(side_file.size()));
-    if (logging_) {
-      // Diagnostic only (not synced): kUpdaterRow records are the replay
-      // source; this just narrates catch-up progress for log archaeology.
-      LogRecord rec;
-      rec.type = LogRecordType::kSideFileDrain;
-      rec.bd_id = bd_id_;
-      rec.label = index->name;
-      rec.count = batch.size();
-      db_->log().Append(std::move(rec));
-    }
     return Status::OK();
   }
 

@@ -79,8 +79,8 @@ inline constexpr char kTxnCatchupBatch[] = "txn.catchup.batch";
 /// after the flags clear has been requested, before the flip (the window
 /// that used to strand persistent undeletable markers).
 inline constexpr char kTxnOnlineFlip[] = "txn.online_flip";
-/// BTree range delete, after a fully-covered leaf's kRangeLeafRun record is
-/// appended but before the leaf is detached from the chain and freed.
+/// BTree range delete, when a fully-covered leaf is about to be detached
+/// whole: before its kLeafEntriesDeleted record is appended.
 inline constexpr char kBtreeRangeLeafRun[] = "btree.range.leafrun";
 /// Heap range delete, after a fully-covered extent's kExtentDrop record is
 /// appended but before the pages are spliced out of the table's page chain.

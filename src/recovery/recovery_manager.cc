@@ -20,6 +20,8 @@ namespace {
 Result<std::map<uint64_t, RecoveredBulkDelete>> Analyze(const LogManager& log) {
   std::map<uint64_t, RecoveredBulkDelete> open;
   std::set<uint64_t> ended;
+  // Statements that hold an older build's per-entry index record.
+  std::set<uint64_t> retired;
   Status scan = log.ScanDurable([&](const LogRecord& r) {
     if (r.type == LogRecordType::kEnd) {
       ended.insert(r.bd_id);
@@ -54,25 +56,33 @@ Result<std::map<uint64_t, RecoveredBulkDelete>> Analyze(const LogManager& log) {
         state.sidefile_pages.insert(state.sidefile_pages.end(),
                                     r.pages.begin(), r.pages.end());
         return Status::OK();
-      case LogRecordType::kSideFileAppend:
-      case LogRecordType::kSideFileDrain:
-        return Status::OK();  // diagnostics only
-      default:
-        break;
-    }
-    if (r.type == LogRecordType::kUpdaterRow) {
-      // §3.1 concurrent-updater DML, logged before the mutation and labelled
-      // with its table; count encodes the op kind (1 = insert, 0 = delete).
-      // Replayed (in statement order, idempotently) by the resumed run's
-      // finalize, once per table. DML on a table the statement does not
-      // delete from is not covered by its off-line window: nothing to replay.
-      auto leg = std::find_if(
-          state.legs.begin(), state.legs.end(),
-          [&](const RecoveredLeg& l) { return l.table == r.label; });
-      if (leg != state.legs.end()) {
-        leg->updater_ops.push_back({r.count == 1, r.rid, r.values});
+      case LogRecordType::kUpdaterRow: {
+        // §3.1 concurrent-updater DML, logged before the mutation and
+        // labelled with its table; count encodes the op kind (1 = insert,
+        // 0 = delete). Replayed (in statement order, idempotently) by the
+        // resumed run's finalize, once per table. DML on a table the
+        // statement does not delete from is not covered by its off-line
+        // window: nothing to replay.
+        auto leg = std::find_if(
+            state.legs.begin(), state.legs.end(),
+            [&](const RecoveredLeg& l) { return l.table == r.label; });
+        if (leg != state.legs.end()) {
+          leg->updater_ops.push_back({r.count == 1, r.rid, r.values});
+        }
+        return Status::OK();
       }
-      return Status::OK();
+      case LogRecordType::kListMaterialized:
+      case LogRecordType::kPhaseDone:
+      case LogRecordType::kLeafEntriesDeleted:
+      case LogRecordType::kExtentDrop:
+        break;  // leg records, below
+      default:
+        // A retired type. Only the per-entry index record carried redo
+        // information; it matters only if the statement never ended.
+        if (static_cast<uint8_t>(r.type) == kRetiredEntryRecord) {
+          retired.insert(r.bd_id);
+        }
+        return Status::OK();
     }
     // Every other record belongs to one leg and carries the leg's id, which
     // its kBegin (earlier in the log) declared. A record naming no leg is a
@@ -93,21 +103,12 @@ Result<std::map<uint64_t, RecoveredBulkDelete>> Analyze(const LogManager& log) {
         leg->lists[name] = std::move(list);
         break;
       }
-      case LogRecordType::kEntryDeleted:
-        // Only the key-index phase logs entry WAL records; entries removed
-        // before that phase's checkpoint are superseded by the "rids" list.
-        if (leg->phases_done.count(name) == 0) {
-          leg->wal_index_entries.emplace_back(r.key, r.rid);
-        }
-        break;
       case LogRecordType::kPhaseDone:
         leg->phases_done.insert(name);
         break;
-      case LogRecordType::kRangeLeafRun:
-        // One dropped leaf of the range leaf-run pass: its (key, packed-rid)
-        // pairs stand in for the kEntryDeleted records the per-entry path
-        // would have written. Superseded by the key phase's checkpoint
-        // (whose "rids" list covers every located RID).
+      case LogRecordType::kLeafEntriesDeleted:
+        // One leaf the key-index pass changed. Its pairs are superseded by
+        // the pass's checkpoint (whose "rids" list covers every located RID).
         if (leg->phases_done.count(name) == 0) {
           for (size_t i = 0; i + 1 < r.values.size(); i += 2) {
             leg->wal_index_entries.emplace_back(
@@ -115,25 +116,31 @@ Result<std::map<uint64_t, RecoveredBulkDelete>> Analyze(const LogManager& log) {
                 Rid::Unpack(static_cast<uint64_t>(r.values[i + 1])));
           }
         }
-        // The leaf's page free was deferred past the End record (which was
-        // never reached), so the resumed finalize must reclaim it —
-        // collected unconditionally, like extent pages.
+        // A detached leaf's page free was deferred past the End record
+        // (which was never reached), so the resumed finalize must reclaim
+        // it — collected unconditionally, like extent pages.
         leg->leaf_pages.insert(leg->leaf_pages.end(), r.pages.begin(),
                                r.pages.end());
         break;
-      case LogRecordType::kExtentDrop:
+      default:  // kExtentDrop
         // Heap pages detached (or about to be detached) by the extent-drop
         // pass. Collected unconditionally: the pages are freed only by the
         // resumed run's finalize, and re-detaching is idempotent.
         leg->extent_pages.insert(leg->extent_pages.end(), r.pages.begin(),
                                  r.pages.end());
         break;
-      default:
-        break;
     }
     return Status::OK();
   });
   BULKDEL_RETURN_IF_ERROR(scan);
+  for (uint64_t bd_id : retired) {
+    if (open.count(bd_id) > 0) {
+      return Status::Corruption(
+          "bulk delete " + std::to_string(bd_id) +
+          ": per-entry index record from an older log format; this build "
+          "cannot resume the statement");
+    }
+  }
   return open;
 }
 

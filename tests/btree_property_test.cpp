@@ -277,6 +277,16 @@ class LeafCompactionTest : public ::testing::Test {
   static int64_t KeyAt(int64_t leaf, int64_t pos) {
     return leaf * kLeafCap + pos;
   }
+  /// A per-leaf callback appending the keys a pass removed from the leaves
+  /// it compacted (not the ones it detached whole) to `seen`.
+  static BTree::LeafDeleteFn CompactedKeys(std::vector<int64_t>* seen) {
+    return [seen](PageId, const std::vector<KeyRid>& removed, bool detached) {
+      if (!detached) {
+        for (const KeyRid& e : removed) seen->push_back(e.key);
+      }
+      return Status::OK();
+    };
+  }
 
   /// `leaves` full leaves of kLeafCap entries (key k, RID RidOf(k)); keys in
   /// `pinned` carry kEntryUndeletable. Mirrors the tree into `model_`.
@@ -360,7 +370,7 @@ TEST_F(LeafCompactionTest, SortedKeysCompactsEveryShape) {
   BtreeBulkDeleteStats stats;
   ASSERT_TRUE(tree.BulkDeleteSortedKeys(
                       l.doomed, ReorgMode::kFreeAtEmpty, &deleted_rids,
-                      &stats, [&](int64_t k, const Rid&) { seen.push_back(k); })
+                      &stats, CompactedKeys(&seen))
                   .ok());
   EXPECT_EQ(stats.entries_deleted, expect_deleted);
   EXPECT_EQ(stats.skipped_undeletable, l.doomed_pinned);
@@ -408,8 +418,7 @@ TEST_F(LeafCompactionTest, ByPredicateCompactsEveryShape) {
                         return doomed_rids.count(rid.Pack()) == 1;
                       },
                       ReorgMode::kFreeAtEmpty, &stats, std::nullopt,
-                      std::nullopt,
-                      [&](int64_t k, const Rid&) { seen.push_back(k); })
+                      std::nullopt, CompactedKeys(&seen))
                   .ok());
   EXPECT_EQ(stats.entries_deleted, expect_deleted);
   EXPECT_EQ(stats.skipped_undeletable, l.doomed_pinned);
@@ -458,8 +467,7 @@ TEST_F(LeafCompactionTest, RangeBoundaryLeavesCompactEveryShape) {
   BtreeBulkDeleteStats stats;
   ASSERT_TRUE(tree.BulkDeleteRange(
                       lo, hi, ReorgMode::kFreeAtEmpty, &deleted_rids, &stats,
-                      nullptr,
-                      [&](int64_t k, const Rid&) { seen.push_back(k); })
+                      CompactedKeys(&seen))
                   .ok());
   EXPECT_EQ(stats.entries_deleted, expect_deleted);
   EXPECT_EQ(stats.skipped_undeletable, pinned.size());
@@ -560,11 +568,10 @@ TEST_P(BTreePropertyTest, BulkDeleteRangeMatchesModel) {
     BtreeBulkDeleteStats stats;
     Status s = tree.BulkDeleteRange(
         lo, hi, GetParam().reorg, &deleted_rids, &stats,
-        [&](PageId, const std::vector<KeyRid>& entries) {
-          harvested += entries.size();
+        [&](PageId, const std::vector<KeyRid>& entries, bool detached) {
+          (detached ? harvested : one_by_one) += entries.size();
           return Status::OK();
-        },
-        [&](int64_t, const Rid&) { ++one_by_one; });
+        });
     ASSERT_TRUE(s.ok()) << "round " << round << ": " << s.ToString();
     EXPECT_EQ(stats.entries_deleted, expect_deleted) << "round " << round;
     EXPECT_EQ(stats.skipped_undeletable, expect_skipped) << "round " << round;

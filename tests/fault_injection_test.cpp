@@ -270,7 +270,7 @@ TEST(LogManagerFaultTest, TornSyncKeepsAPrefixAndDetectsTheTail) {
   log.SetFaultInjector(&injector);
   for (int i = 0; i < 8; ++i) {
     LogRecord r;
-    r.type = LogRecordType::kEntryDeleted;
+    r.type = LogRecordType::kLeafEntriesDeleted;
     r.bd_id = 1;
     r.key = i;
     log.Append(r);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/executors.h"
 #include "fault/crash_sweep.h"
 #include "fault/fault_injector.h"
 #include "workload/generator.h"
@@ -147,6 +148,97 @@ TEST(RecoveryTest, LegRecordNamingNoLegIsCorruption) {
   f.db->log().Sync();
   Status s = f.db->SimulateCrashAndRecover();
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+}
+
+// Older builds logged one record per removed key-index entry (encoded type
+// kRetiredEntryRecord). This build cannot resume a statement that holds one,
+// so recovery refuses it; once the statement's End is durable the record is
+// inert.
+TEST(RecoveryTest, OpenStatementWithAPerEntryRecordIsCorruption) {
+  for (bool ended : {false, true}) {
+    Fixture f = MakeFixture();
+    const uint64_t bd_id = f.db->log().NextBulkDeleteId();
+    const std::string leg_id = LegId("R", "A");
+    LogRecord begin;
+    begin.type = LogRecordType::kBegin;
+    begin.bd_id = bd_id;
+    begin.label = "R";
+    begin.aux = "A";
+    begin.count = 1;
+    f.db->log().Append(std::move(begin));
+    LogRecord keys;
+    keys.type = LogRecordType::kListMaterialized;
+    keys.bd_id = bd_id;
+    keys.label = LegLabel(leg_id, "input-keys");
+    f.db->log().Append(std::move(keys));
+    LogRecord entry;
+    entry.type = static_cast<LogRecordType>(kRetiredEntryRecord);
+    entry.bd_id = bd_id;
+    entry.label = LegLabel(leg_id, "index:R.A");
+    entry.key = f.spec.keys.front();
+    f.db->log().Append(std::move(entry));
+    if (ended) {
+      LogRecord end;
+      end.type = LogRecordType::kEnd;
+      end.bd_id = bd_id;
+      f.db->log().Append(std::move(end));
+    }
+    f.db->log().Sync();
+    Status s = f.db->SimulateCrashAndRecover();
+    if (ended) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    }
+  }
+}
+
+// The key-index pass logs one record per leaf it changes, not one per
+// entry: a 1,024-key IN-list delete on 20,000 rows flushes at most one
+// record per leaf of the key index plus the statement's fixed records, by
+// the sorted-keys merge and by the classic-hash probe alike.
+TEST(RecoveryTest, KeyPassLogsOneRecordPerChangedLeaf) {
+  for (Strategy strategy :
+       {Strategy::kVerticalSortMerge, Strategy::kVerticalHash}) {
+    std::map<std::string, uint64_t> appended_at;  // phase -> appended_seq
+    Database* raw = nullptr;
+    DatabaseOptions options = RecoveryOptions();
+    options.phase_begin_hook = [&](const std::string& phase) {
+      if (raw != nullptr) appended_at[phase] = raw->log().appended_seq();
+    };
+    auto db = *Database::Create(options);
+    WorkloadSpec spec;
+    spec.n_tuples = 20000;
+    spec.n_int_columns = 3;
+    spec.tuple_size = 64;
+    Workload workload = *SetUpPaperDatabase(db.get(), spec, {"A", "B", "C"});
+    ASSERT_TRUE(db->Checkpoint().ok());
+    BulkDeleteSpec bd;
+    bd.table = "R";
+    bd.key_column = "A";
+    bd.keys = workload.MakeDeleteKeys(1024.0 / 20000, 7);
+    ASSERT_EQ(bd.keys.size(), 1024u);
+    const uint64_t leaves = db->GetIndex("R", "A")->tree->num_leaves();
+    raw = db.get();
+    auto report = db->BulkDelete(bd, strategy);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->rows_deleted, 1024u);
+    // Begin, the input-keys, rids and two feed lists, four PhaseDone,
+    // Commit and End.
+    constexpr uint64_t kFixedRecords = 11;
+    const obs::HistogramSnapshot* flushed =
+        report->metrics.FindHistogram(obs::metric_names::kWalGroupSize);
+    ASSERT_NE(flushed, nullptr);
+    EXPECT_GE(static_cast<uint64_t>(flushed->sum), kFixedRecords);
+    EXPECT_LE(static_cast<uint64_t>(flushed->sum), leaves + kFixedRecords)
+        << StrategyName(strategy) << ", " << leaves << " leaves";
+    // The pass itself appends its leaf records and its rids list.
+    ASSERT_EQ(appended_at.count("index:R.A"), 1u);
+    ASSERT_EQ(appended_at.count("barrier:keys"), 1u);
+    EXPECT_LE(appended_at["barrier:keys"] - appended_at["index:R.A"],
+              leaves + 1)
+        << StrategyName(strategy);
+  }
 }
 
 TEST(RecoveryTest, DoubleCrashDuringRecoveryIsIdempotent) {

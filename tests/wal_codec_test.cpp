@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "btree/btree_node.h"
 #include "recovery/wal_codec.h"
 #include "util/crc32.h"
 
@@ -62,7 +63,7 @@ TEST(WalCodecTest, EveryRecordTypeRoundTrips) {
 
 TEST(WalCodecTest, EdgeValuesRoundTrip) {
   LogRecord r;
-  r.type = LogRecordType::kEntryDeleted;
+  r.type = LogRecordType::kLeafEntriesDeleted;
   r.bd_id = ~0ull;
   r.label = "";  // empty strings
   r.aux = std::string("\0\xff\x7f binary \n", 10);
@@ -81,6 +82,55 @@ TEST(WalCodecTest, EdgeValuesRoundTrip) {
   scan = DecodeLogRecords(image);
   ASSERT_EQ(scan.records.size(), 1u);
   EXPECT_TRUE(RecordsEqual(empty, scan.records[0]));
+}
+
+/// The record a key-index pass writes for one full leaf: every entry's
+/// (key, packed RID) pair, and the leaf's page when it was detached whole.
+LogRecord FullLeafRecord(bool detached) {
+  const uint16_t pairs = BTreeNode::LeafPageCapacity();
+  LogRecord r;
+  r.type = LogRecordType::kLeafEntriesDeleted;
+  r.bd_id = 42;
+  r.label = "R.A/index:R.A";
+  if (detached) r.pages = {1234};
+  r.count = pairs;
+  for (uint16_t i = 0; i < pairs; ++i) {
+    r.values.push_back(int64_t{i} * 7 - 300);
+    Rid rid(static_cast<PageId>(500 + i / 16), static_cast<uint16_t>(i % 16));
+    r.values.push_back(static_cast<int64_t>(rid.Pack()));
+  }
+  return r;
+}
+
+TEST(WalCodecTest, FullLeafRecordRoundTrips) {
+  ASSERT_GE(BTreeNode::LeafPageCapacity(), 250);
+  for (bool detached : {false, true}) {
+    LogRecord r = FullLeafRecord(detached);
+    std::string image;
+    EncodeLogRecord(r, &image);
+    EXPECT_EQ(image.size(), EncodedLogRecordSize(r));
+    WalScanResult scan = DecodeLogRecords(image);
+    EXPECT_FALSE(scan.torn_tail);
+    ASSERT_EQ(scan.records.size(), 1u) << "detached " << detached;
+    EXPECT_TRUE(RecordsEqual(r, scan.records[0])) << "detached " << detached;
+  }
+}
+
+TEST(WalCodecTest, TornFullLeafRecordStopsAtItsStart) {
+  // A crash that cuts the log anywhere inside a full leaf's record keeps
+  // the records before it and nothing of it.
+  std::string image;
+  LogRecord before = MakeRecord(5);
+  EncodeLogRecord(before, &image);
+  const size_t start = image.size();
+  EncodeLogRecord(FullLeafRecord(/*detached=*/true), &image);
+  for (size_t cut = start + 1; cut < image.size(); ++cut) {
+    WalScanResult scan = DecodeLogRecords(image.substr(0, cut));
+    ASSERT_EQ(scan.records.size(), 1u) << "cut at " << cut;
+    EXPECT_TRUE(RecordsEqual(before, scan.records[0])) << "cut at " << cut;
+    EXPECT_EQ(scan.clean_bytes, start) << "cut at " << cut;
+    EXPECT_TRUE(scan.torn_tail) << "cut at " << cut;
+  }
 }
 
 TEST(WalCodecTest, MultiRecordImageDecodesInOrder) {
